@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DiGraph, Graph
+from .graph import DiGraph, Graph, gather_segments
 
 DEFAULT_SEED_COUNT = 10
 DEFAULT_INFECTION_PROB = 0.05
@@ -100,15 +100,8 @@ def exposure(g, s: SharingState, v: int) -> int:
 
 def exposure_bits(g, s: SharingState, nodes) -> np.ndarray:
     """Vectorized exposure indicator for a batch of nodes (same semantics as exposure)."""
-    indptr, indices = _friend_csr(g)
-    nodes = np.asarray(nodes, dtype=np.int64)
-    lengths = indptr[nodes + 1] - indptr[nodes]
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(nodes.shape[0], dtype=bool)
-    bounds = np.concatenate(([0], np.cumsum(lengths)))
-    offsets = np.repeat(indptr[nodes] - bounds[:-1], lengths)
-    flags = s.mask[indices[np.arange(total) + offsets]]
+    friends, bounds = gather_segments(*_friend_csr(g), nodes)
+    flags = s.mask[friends]
     csum = np.concatenate(([0], np.cumsum(flags)))
     return (csum[bounds[1:]] - csum[bounds[:-1]]) > 0
 
@@ -165,11 +158,7 @@ def icm_step(g: Graph, s: SharingState, p_inf: float, rng: np.random.Generator, 
     sources = s.sharers if retry else s.new_sharers
     if sources.size == 0:
         return SharingState(s.mask, np.empty(0, dtype=np.int64))
-    lengths = g.degrees[sources]
-    targets = g.indices[
-        np.repeat(g.indptr[sources] - np.concatenate(([0], np.cumsum(lengths)[:-1])), lengths)
-        + np.arange(int(lengths.sum()))
-    ]
+    targets = gather_segments(g.indptr, g.indices, sources)[0]
     targets = targets[~s.mask[targets]]  # one entry per (source, target) attempt
     hits = np.unique(targets[rng.random(targets.shape[0]) < p_inf])
     if hits.size == 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import SharingState, exposure_all, exposure_bits, true_exposure
+from .cascade import SharingState, exposure_all, exposure_bits
 from .graph import DiGraph, Graph, average_degree
 
 TIE_TOLERANCE = 1e-12
@@ -47,6 +47,14 @@ def vanilla_estimate(exposures) -> EstimatorReport:
     return EstimatorReport("vanilla", float(bits.mean()), bits.size, math.nan)
 
 
+def _reject_degree_zero(samples: np.ndarray, degrees: np.ndarray, what: str) -> None:
+    """A degree-corrected sample of degree 0 would make the estimate inf or NaN."""
+    zero = np.flatnonzero(degrees == 0)
+    if zero.size:
+        raise ValueError(f"sample node {int(samples[zero[0]])} has {what} 0; "
+                         f"degree-corrected samples need {what} >= 1")
+
+
 def fp_estimate(
     g: Graph,
     friends,
@@ -59,6 +67,8 @@ def fp_estimate(
     estimate = (d_bar / n) * sum of f(Y_i)/d(Y_i). d_bar defaults to the
     exact average degree; pass a value to use an externally known average
     degree instead (the estimate is then unbiased with respect to it).
+    A sample of degree 0 cannot come from friend sampling and raises
+    ValueError.
     """
     friends = np.asarray(friends, dtype=np.int64)
     if friends.size < 1:
@@ -67,8 +77,9 @@ def fp_estimate(
         raise ValueError("friend sampling requires at least one edge")
     if d_bar is None:
         d_bar = average_degree(g)
-    exposed = exposure_bits(g, s, friends)
     degrees = g.degrees[friends]
+    _reject_degree_zero(friends, degrees, "degree")
+    exposed = exposure_bits(g, s, friends)
     estimate = d_bar * float(np.mean(exposed / degrees))
     ledger = tuple(zip(friends.tolist(), exposed.astype(int).tolist(), degrees.tolist())) if keep_samples else None
     return EstimatorReport("fp", estimate, friends.size, float(d_bar), ledger)
@@ -88,7 +99,8 @@ def directed_estimates(
     (friend samples arrive proportionally to out-degree). follower:
     corrected by in-degree. d_bar is the average in-degree |E|/|V| (equal
     to the average out-degree). Exposure means: at least one in-neighbor
-    (an account the node follows) shared.
+    (an account the node follows) shared. A friend (follower) sample with
+    out-degree (in-degree) 0 raises ValueError.
     """
     samples = np.asarray(samples, dtype=np.int64)
     if samples.size < 1:
@@ -106,6 +118,7 @@ def directed_estimates(
         if d_bar is None:
             d_bar = average_degree(g)
         report_deg = (g.out_degrees if mode == "friend" else g.in_degrees)[samples]
+        _reject_degree_zero(samples, report_deg, "out-degree" if mode == "friend" else "in-degree")
         estimate = float(d_bar) * float(np.mean(exposed / report_deg))
     ledger = tuple(zip(samples.tolist(), exposed.astype(int).tolist(), report_deg.tolist())) if keep_samples else None
     return EstimatorReport(f"directed_{mode}", estimate, samples.size, float(d_bar), ledger)
@@ -125,9 +138,8 @@ def exact_variance_vanilla(f_bar: float, n: int) -> float:
     return f_bar * (1.0 - f_bar) / n
 
 
-def _mean_exposure_over_degree(g: Graph, s: SharingState) -> float:
+def _mean_exposure_over_degree(g: Graph, exposed: np.ndarray) -> float:
     """E over uniform nodes of f(X)/d(X); exposed nodes always have d >= 1."""
-    exposed = exposure_all(g, s)
     ratios = np.zeros(g.num_nodes)
     ratios[exposed] = 1.0 / g.degrees[exposed]
     return float(ratios.mean())
@@ -144,8 +156,9 @@ def exact_variance_fp(g: Graph, s: SharingState, n: int) -> float:
         raise ValueError("need n >= 1")
     if g.num_edges < 1:
         raise ValueError("the friend-based estimator needs at least one edge")
-    f_bar = true_exposure(g, s)
-    return (average_degree(g) * _mean_exposure_over_degree(g, s) - f_bar * f_bar) / n
+    exposed = exposure_all(g, s)
+    f_bar = float(exposed.mean())
+    return (average_degree(g) * _mean_exposure_over_degree(g, exposed) - f_bar * f_bar) / n
 
 
 @dataclass(frozen=True)
@@ -174,8 +187,8 @@ def condition_empirical(g: Graph, s: SharingState) -> ConditionVerdict:
     """
     if g.num_edges < 1:
         raise ValueError("the comparison needs at least one edge")
-    f_bar = true_exposure(g, s)
-    lhs = f_bar - average_degree(g) * _mean_exposure_over_degree(g, s)
+    exposed = exposure_all(g, s)
+    lhs = float(exposed.mean()) - average_degree(g) * _mean_exposure_over_degree(g, exposed)
     return ConditionVerdict.from_lhs(lhs)
 
 

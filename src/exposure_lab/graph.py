@@ -4,7 +4,8 @@ Graphs are stored in compressed sparse row form (sorted neighbor lists)
 plus a flat edge array, so uniform edge sampling -- the primitive behind
 friend sampling -- is O(1). Construction simplifies the input: self-loops
 are dropped and parallel edges collapsed, and degrees always reflect the
-simplified graph.
+simplified graph. Deduplication and CSR ordering each sort one array of
+int64 packed keys u*n + v, so n*n must stay below 2**63.
 """
 
 from __future__ import annotations
@@ -23,10 +24,32 @@ def _as_edge_array(edges) -> np.ndarray:
     return e
 
 
+def _packed_key_base(num_nodes) -> int:
+    """Validated node count n, the base of the packed edge key u*n + v.
+
+    Keys must fit int64, so n*n < 2**63 (n <= 3037000499); checked before
+    anything is allocated.
+    """
+    num_nodes = int(num_nodes)
+    if num_nodes < 0:
+        raise ValueError("num_nodes must be non-negative")
+    if num_nodes * num_nodes >= 2**63:
+        raise ValueError(f"num_nodes={num_nodes} too large: packed edge keys need num_nodes**2 < 2**63")
+    return num_nodes
+
+
+def _unique_pairs(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Distinct (src, dst) pairs as an (m, 2) array in lexicographic order."""
+    keys = np.sort(src * num_nodes + dst)
+    if keys.size:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return np.stack(np.divmod(keys, num_nodes), axis=1)
+
+
 def _csr_from_pairs(src: np.ndarray, dst: np.ndarray, num_nodes: int):
     """Sorted-CSR adjacency from (src, dst) pairs. dst lists sorted per row."""
-    order = np.lexsort((dst, src))
-    indices = dst[order]
+    num_nodes = _packed_key_base(num_nodes)
+    indices = np.sort(src * num_nodes + dst) % num_nodes
     counts = np.bincount(src, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -130,16 +153,14 @@ def build_undirected(edges, num_nodes: int) -> Graph:
     Self-loops are dropped, parallel edges (in either orientation)
     collapsed. Endpoints must lie in [0, num_nodes).
     """
-    num_nodes = int(num_nodes)
-    if num_nodes < 0:
-        raise ValueError("num_nodes must be non-negative")
+    num_nodes = _packed_key_base(num_nodes)
     e = _as_edge_array(edges)
     if e.size and (e.min() < 0 or e.max() >= num_nodes):
         raise ValueError(f"edge endpoint out of range [0, {num_nodes})")
     lo = np.minimum(e[:, 0], e[:, 1])
     hi = np.maximum(e[:, 0], e[:, 1])
     keep = lo != hi
-    edge_array = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
+    edge_array = _unique_pairs(lo[keep], hi[keep], num_nodes)
     src = np.concatenate([edge_array[:, 0], edge_array[:, 1]])
     dst = np.concatenate([edge_array[:, 1], edge_array[:, 0]])
     indptr, indices = _csr_from_pairs(src, dst, num_nodes)
@@ -148,14 +169,12 @@ def build_undirected(edges, num_nodes: int) -> Graph:
 
 def build_directed(edges, num_nodes: int) -> DiGraph:
     """Build a simple directed graph: self-loops dropped, duplicate (u, v) collapsed."""
-    num_nodes = int(num_nodes)
-    if num_nodes < 0:
-        raise ValueError("num_nodes must be non-negative")
+    num_nodes = _packed_key_base(num_nodes)
     e = _as_edge_array(edges)
     if e.size and (e.min() < 0 or e.max() >= num_nodes):
         raise ValueError(f"edge endpoint out of range [0, {num_nodes})")
     keep = e[:, 0] != e[:, 1]
-    edge_array = np.unique(e[keep], axis=0)
+    edge_array = _unique_pairs(e[keep, 0], e[keep, 1], num_nodes)
     return DiGraph(num_nodes, edge_array)
 
 
@@ -312,15 +331,19 @@ def random_walk_friends(
 # ---------------------------------------------------------------------------
 
 
-def _expand_frontier(g: Graph, frontier: np.ndarray) -> np.ndarray:
-    """All neighbors of the frontier nodes, concatenated (with repeats)."""
-    lengths = g.degrees[frontier]
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = g.indptr[frontier]
-    offsets = np.repeat(starts - np.concatenate(([0], np.cumsum(lengths)[:-1])), lengths)
-    return g.indices[np.arange(total) + offsets]
+def gather_segments(indptr: np.ndarray, indices: np.ndarray, rows) -> tuple:
+    """Concatenated CSR segments ``indices[indptr[r]:indptr[r + 1]]`` of ``rows``.
+
+    Rows keep their order and repeats. Returns (values, bounds): row i's
+    segment is ``values[bounds[i]:bounds[i + 1]]``.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    bounds = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    offsets = np.repeat(starts - bounds[:-1], lengths)
+    return indices[np.arange(int(bounds[-1])) + offsets], bounds
 
 
 def is_connected(g: Graph) -> bool:
@@ -331,7 +354,7 @@ def is_connected(g: Graph) -> bool:
     seen[0] = True
     frontier = np.array([0], dtype=np.int64)
     while frontier.size:
-        nbrs = _expand_frontier(g, frontier)
+        nbrs = gather_segments(g.indptr, g.indices, frontier)[0]
         fresh = np.unique(nbrs[~seen[nbrs]])
         seen[fresh] = True
         frontier = fresh
@@ -348,7 +371,7 @@ def is_bipartite(g: Graph) -> bool:
         frontier = np.array([root], dtype=np.int64)
         c = 0
         while frontier.size:
-            nbrs = _expand_frontier(g, frontier)
+            nbrs = gather_segments(g.indptr, g.indices, frontier)[0]
             if np.any(color[nbrs] == c):
                 return False
             fresh = np.unique(nbrs[color[nbrs] == -1])

@@ -9,8 +9,10 @@ config and seed.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,8 @@ from .rng import make_generator
 
 UNDIRECTED_METHODS = ("vanilla", "fp", "fp-walk", "fp-two-step")
 DIRECTED_METHODS = ("d-node", "d-friend", "d-follower")
+WRITE_CHUNK_ROWS = 1 << 16  # edge-list rows formatted per write
+_COMMENT_LINE = re.compile(rb"\n#[^\n]*")  # a '#' line with the newline before it
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +96,40 @@ def _parse_edge_lines(path: str):
     return pairs, ignored
 
 
+def _parse_plain_edge_file(path: str):
+    """Bulk parse of a plain edge-list file; None when the file is not plain.
+
+    Plain: valid UTF-8 without carriage returns; every comment line has
+    its '#' in column 0; every other line holds only ASCII digits, spaces
+    and tabs, with exactly two ids when it is not blank. Such a file parses
+    to the same edges and line counts as _parse_edge_lines, which handles
+    (and reports the errors of) every other file. Returns (edges, ignored).
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    num_lines = data.count(b"\n") + (len(data) > 0 and not data.endswith(b"\n"))
+    body = _COMMENT_LINE.sub(b"", b"\n" + data)
+    if body.translate(None, b"0123456789 \t\n"):
+        return None
+    if body.isspace():  # blank lines only; body starts with the added newline
+        edges = np.empty((0, 2), dtype=np.int64)
+    else:
+        try:
+            edges = np.loadtxt(io.BytesIO(body), dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:  # a line without two ids, or an id beyond int64
+            return None
+        if edges.shape[1] != 2:
+            return None
+    return edges, num_lines - edges.shape[0]
+
+
 def load_graph(path: str, directed: bool = False, mapping_path: str | None = None):
     """Load an edge-list file into a simplified Graph or DiGraph.
 
@@ -99,11 +137,17 @@ def load_graph(path: str, directed: bool = False, mapping_path: str | None = Non
     lines starting with '#' (and blank lines) are ignored; undirected files
     may list an edge once in either orientation. Sparse ids are remapped to
     a dense 0..n-1 range and the mapping written next to the input
-    (``<path>.idmap``, or ``mapping_path`` if given).
+    (``<path>.idmap``, or ``mapping_path`` if given). A plain file is
+    parsed in one bulk pass, any other line by line; both give the same
+    result and the line-wise parser raises every parse error.
     Returns (graph, LoadReport).
     """
-    pairs, ignored = _parse_edge_lines(path)
-    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    parsed = _parse_plain_edge_file(path)
+    if parsed is None:
+        pairs, ignored = _parse_edge_lines(path)
+        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    else:
+        edges, ignored = parsed
     ids = np.unique(edges)
     remapped = bool(ids.size) and not (
         ids.size == int(ids[-1]) + 1 and ids[0] == 0
@@ -114,8 +158,7 @@ def load_graph(path: str, directed: bool = False, mapping_path: str | None = Non
         map_file = mapping_path or (path + ".idmap")
         with open(map_file, "w", encoding="utf-8") as fh:
             fh.write("# original_id remapped_id\n")
-            for new, orig in enumerate(ids.tolist()):
-                fh.write(f"{orig} {new}\n")
+            _write_int_pairs(fh, np.stack([ids, np.arange(ids.size)], axis=1))
         edges = dense
         num_nodes = ids.size
     else:
@@ -124,7 +167,7 @@ def load_graph(path: str, directed: bool = False, mapping_path: str | None = Non
     report = LoadReport(
         num_nodes=num_nodes,
         num_edges=g.num_edges,
-        num_edge_lines=len(pairs),
+        num_edge_lines=edges.shape[0],
         num_ignored_lines=ignored,
         remapped=remapped,
         mapping_path=map_file,
@@ -147,13 +190,19 @@ def compact_nonisolated(g: Graph):
     return build_undirected(dense[g.edge_array], kept.size), kept
 
 
+def _write_int_pairs(fh, pairs: np.ndarray) -> None:
+    """'a b' lines, formatted WRITE_CHUNK_ROWS rows at a time to bound memory."""
+    for start in range(0, pairs.shape[0], WRITE_CHUNK_ROWS):
+        chunk = pairs[start : start + WRITE_CHUNK_ROWS]
+        fh.write(("%d %d\n" * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+
 def write_edge_list(path: str, g) -> None:
     """One edge per line; undirected edges written once as 'u v' with u <= v."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {'directed' if isinstance(g, DiGraph) else 'undirected'}"
                  f" nodes={g.num_nodes} edges={g.num_edges}\n")
-        for u, v in g.edge_array.tolist():
-            fh.write(f"{u} {v}\n")
+        _write_int_pairs(fh, g.edge_array)
 
 
 def read_sharers(path: str, num_nodes: int, id_map: np.ndarray | None = None) -> SharingState:

@@ -201,3 +201,48 @@ def nb_percolation_threshold(g: Graph) -> float:
     ihara_bass = sparse.bmat([[adj, eye - sparse.diags(g.degrees.astype(float))], [eye, None]], format="csr")
     lam = eigs(ihara_bass, k=1, which="LR", v0=np.ones(2 * n), return_eigenvectors=False)
     return 1.0 / float(lam[0].real)
+
+
+# ---------------------------------------------------------------------------
+# Reference edge core: the row-sort builders and the per-line writer
+# ---------------------------------------------------------------------------
+
+
+def _reference_csr(src: np.ndarray, dst: np.ndarray, n: int):
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order]
+
+
+def _reference_edges(edges) -> np.ndarray:
+    e = np.asarray(edges, dtype=np.int64)
+    return e.reshape(-1, 2) if e.size else np.empty((0, 2), dtype=np.int64)
+
+
+def reference_build_undirected(edges, n: int):
+    """(edge_array, indptr, indices) by np.unique(axis=0) and np.lexsort."""
+    e = _reference_edges(edges)
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    keep = lo != hi
+    edge_array = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
+    src = np.concatenate([edge_array[:, 0], edge_array[:, 1]])
+    dst = np.concatenate([edge_array[:, 1], edge_array[:, 0]])
+    return (edge_array, *_reference_csr(src, dst, n))
+
+
+def reference_build_directed(edges, n: int):
+    """(edge_array, out_indptr, out_indices, in_indptr, in_indices), same methods."""
+    e = _reference_edges(edges)
+    edge_array = np.unique(e[e[:, 0] != e[:, 1]], axis=0)
+    src, dst = edge_array[:, 0], edge_array[:, 1]
+    return (edge_array, *_reference_csr(src, dst, n), *_reference_csr(dst, src, n))
+
+
+def reference_write_edge_list(path: str, g) -> None:
+    """The edge-list writer, one formatted line per edge."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {'directed' if isinstance(g, DiGraph) else 'undirected'}"
+                 f" nodes={g.num_nodes} edges={g.num_edges}\n")
+        for u, v in g.edge_array.tolist():
+            fh.write(f"{u} {v}\n")

@@ -124,6 +124,13 @@ class TestFpEstimate:
         b = fp_estimate(g2, perm[friends], s2).estimate
         assert a == pytest.approx(b, abs=1e-12)
 
+    def test_degree_zero_sample_rejected(self):
+        # 0/0 would otherwise turn the whole estimate into a silent NaN
+        g = build_undirected([(0, 1)], 3)
+        s = sharing(g, [0])
+        with pytest.raises(ValueError, match="node 2 has degree 0"):
+            fp_estimate(g, [1, 2, 1], s)
+
 
 class TestDirectedEstimates:
     def test_cycle_follower_mode_exact(self):
@@ -151,6 +158,17 @@ class TestDirectedEstimates:
         g = build_directed([(0, 1), (1, 2), (2, 0)], 3)
         s = sharing(g, [0])
         assert directed_estimates(g, "node", [0, 1, 2], s).estimate == pytest.approx(1 / 3)
+
+    def test_degree_zero_link_samples_rejected(self):
+        # out-star: leaves have out-degree 0 (an exposed one would give 1/0 = inf)
+        # and the hub has in-degree 0 (0/0 = NaN); node mode needs no degree
+        g = build_directed([(0, 1), (0, 2)], 3)
+        s = sharing(g, [0])
+        with pytest.raises(ValueError, match="node 1 has out-degree 0"):
+            directed_estimates(g, "friend", [0, 1], s)
+        with pytest.raises(ValueError, match="node 0 has in-degree 0"):
+            directed_estimates(g, "follower", [2, 0], s)
+        assert directed_estimates(g, "node", [0, 1], s).estimate == 0.5
 
     def test_node_and_follower_enumeration_unbiased(self):
         rng = make_generator(73)

@@ -20,16 +20,31 @@ from exposure_lab import (
     sample_uniform_nodes,
     RngStream,
 )
+from exposure_lab.graph import _packed_key_base, gather_segments
 
 from oracles import (
     complete,
     cycle,
     friend_distribution_oracle,
     path,
+    random_digraph,
     random_graph,
+    reference_build_directed,
+    reference_build_undirected,
     star,
     two_step_distribution_oracle,
 )
+
+
+def random_multigraph_edges(rng, n: int) -> np.ndarray:
+    """Edges over [0, n) with self-loops, both orientations and repeats; often misses nodes."""
+    if n == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    m = int(rng.integers(0, 3 * n + 2))
+    e = rng.integers(0, max(1, n // 2 + 1) if rng.random() < 0.3 else n, size=(m, 2))
+    loops = rng.integers(0, n, size=int(rng.integers(0, 3)))
+    e = np.concatenate([e, e[: m // 3, ::-1], e[: m // 4], np.stack([loops, loops], axis=1)])
+    return e[rng.permutation(e.shape[0])]
 
 
 class TestBuildUndirected:
@@ -95,6 +110,49 @@ class TestBuildDirected:
         for v in range(8):
             for u in g.out_neighbors(v).tolist():
                 assert v in g.in_neighbors(u)
+
+
+class TestPackedKeyEdgeCore:
+    """The packed-key builders against the row-sort reference in oracles."""
+
+    SIZES = [0, 1, 1, 2, 3, 5, 8, 13, 40, 200]
+
+    def test_undirected_matches_reference_on_random_multigraphs(self):
+        rng = make_generator(301)
+        for n in self.SIZES * 8:
+            edges = random_multigraph_edges(rng, n)
+            g = build_undirected(edges, n)
+            for got, want in zip((g.edge_array, g.indptr, g.indices), reference_build_undirected(edges, n)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_directed_matches_reference_on_random_multigraphs(self):
+        rng = make_generator(302)
+        for n in self.SIZES * 8:
+            edges = random_multigraph_edges(rng, n)
+            g = build_directed(edges, n)
+            got = (g.edge_array, g.out_indptr, g.out_indices, g.in_indptr, g.in_indices)
+            for a, b in zip(got, reference_build_directed(edges, n)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b)
+
+    def test_single_node_and_self_loops_only(self):
+        for build in (build_undirected, build_directed):
+            g = build([(0, 0), (0, 0)], 1)
+            assert g.num_edges == 0 and g.edge_array.shape == (0, 2)
+
+    def test_key_bound_raises_value_error(self):
+        limit = 3037000499  # the largest n with n*n < 2**63
+        assert limit * limit < 2**63 <= (limit + 1) ** 2
+        assert _packed_key_base(limit) == limit
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            _packed_key_base(limit + 1)
+        # 2**62 nodes: the check has to fire before any per-node array exists
+        for build in (build_undirected, build_directed):
+            with pytest.raises(ValueError, match="too large"):
+                build([(0, 1)], 2**62)
+            with pytest.raises(ValueError, match="too large"):
+                build([], 2**62)
 
 
 class TestUniformNodeSampling:
@@ -321,3 +379,34 @@ class TestStructureChecks:
         assert is_bipartite(cycle(6))
         assert not is_bipartite(cycle(5))
         assert not is_bipartite(complete(3))
+
+
+class TestGatherSegments:
+    @staticmethod
+    def brute(indptr, indices, rows):
+        segs = [indices[indptr[r] : indptr[r + 1]] for r in rows]
+        bounds = np.concatenate(([0], np.cumsum([s.size for s in segs], dtype=np.int64)))
+        values = np.concatenate(segs) if segs else np.empty(0, dtype=indices.dtype)
+        return values, bounds
+
+    def test_matches_per_row_slices(self):
+        rng = make_generator(303)
+        for _ in range(30):
+            g = random_graph(rng, max_nodes=15, require_edge=False)
+            dg = random_digraph(rng)
+            for indptr, indices, n in ((g.indptr, g.indices, g.num_nodes),
+                                       (dg.in_indptr, dg.in_indices, dg.num_nodes)):
+                rows = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))  # repeats, isolated rows
+                values, bounds = gather_segments(indptr, indices, rows)
+                want_values, want_bounds = self.brute(indptr, indices, rows)
+                assert np.array_equal(values, want_values) and values.dtype == np.int64
+                assert np.array_equal(bounds, want_bounds)
+
+    def test_empty_rows_and_isolated_rows(self):
+        g = build_undirected([(0, 1)], 3)
+        values, bounds = gather_segments(g.indptr, g.indices, [])
+        assert values.size == 0 and bounds.tolist() == [0]
+        values, bounds = gather_segments(g.indptr, g.indices, [2, 2])
+        assert values.size == 0 and bounds.tolist() == [0, 0, 0]
+        values, bounds = gather_segments(g.indptr, g.indices, [1, 2, 0, 1])
+        assert values.tolist() == [0, 1, 0] and bounds.tolist() == [0, 1, 1, 2, 3]

@@ -24,7 +24,9 @@ from exposure_lab.harness import (
     write_sharers,
 )
 
-from oracles import star
+from exposure_lab import build_directed, build_undirected, harness, make_generator
+
+from oracles import random_digraph, random_graph, reference_write_edge_list, star
 
 
 class TestLoadGraph:
@@ -83,6 +85,112 @@ class TestLoadGraph:
         assert g2.num_edges == 2
         g3, kept3 = compact_nonisolated(g2)
         assert g3 is g2 and kept3.size == 3
+
+
+# (name, file bytes, whether the bulk parser takes it)
+PARSE_CASES = [
+    ("hash_after_leading_spaces", b"0 1\n   # note\n1 2\n", False),
+    ("hash_mid_line", b"0 1 # note\n1 2\n", False),
+    ("crlf", b"# header\r\n0 1\r\n1 2\r\n", False),
+    ("lone_cr", b"0 1\r1 2\n", False),
+    ("lone_cr_ends_a_comment", b"# a\r0 1\n", False),
+    ("tabs", b"0\t1\n1 \t 2\t\n", True),
+    ("blank_and_whitespace_lines", b"\n0 1\n   \n\t\n1 2\n\n", True),
+    ("no_final_newline", b"0 1\n1 2", True),
+    ("comments_anywhere", b"# a\n0 1\n#b # c\n\n1 2\n# end", True),
+    ("utf8_comment", "# \u00fcber \u2192 graph\n0 1\n".encode(), True),
+    ("one_id", b"0 1\n2\n", False),
+    ("three_ids_on_one_line", b"0 1\n1 2 3\n", False),
+    ("three_ids_on_every_line", b"0 1 2\n1 2 3\n", False),
+    ("negative_id", b"0 1\n-1 2\n", False),
+    ("plus_sign", b"+5 1\n1 0\n", False),
+    ("underscore", b"1_000 1\n", False),
+    ("non_ascii_digits", "\u0661 \u0662\n".encode(), False),
+    ("leading_zeros", b"007 1\n", True),
+    ("twenty_digit_id", b"12345678901234567890 1\n", False),
+    ("int64_max", b"9223372036854775807 0\n", True),
+    ("int64_max_plus_one", b"9223372036854775808 0\n", False),
+    ("invalid_utf8_in_edge_line", b"0 1\n\xff 2\n", False),
+    ("invalid_utf8_in_comment", b"# \xff\n0 1\n", False),
+    ("empty_file", b"", True),
+    ("header_only", b"# undirected nodes=0 edges=0\n", True),
+    ("whitespace_only", b" \n\t\n", True),
+    ("sparse_ids", b"5 900\n900 7\n", True),
+    ("dense_ids_with_gap", b"0 1\n3 4\n4 0\n", True),
+    ("duplicates_and_self_loops", b"0 1\n1 0\n2 2\n1 2\n", True),
+]
+
+
+def _load_outcome(path, directed):
+    """load_graph's graph arrays and report, or the exception type and message."""
+    try:
+        g, report = load_graph(path, directed=directed)
+    except Exception as exc:  # noqa: BLE001 -- the outcome under comparison
+        return ("raised", type(exc), str(exc))
+    names = ("edge_array", "out_indptr", "out_indices", "in_indptr", "in_indices") if directed \
+        else ("edge_array", "indptr", "indices")
+    arrays = tuple(getattr(g, a).tolist() for a in names)
+    fields = (report.num_nodes, report.num_edges, report.num_edge_lines, report.num_ignored_lines,
+              report.remapped, report.mapping_path, None if report.id_map is None else report.id_map.tolist())
+    return ("loaded", type(g), g.num_nodes, arrays, fields)
+
+
+class TestBulkEdgeListParse:
+    """The bulk path and the line-wise parser give identical results."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("name,data,plain", PARSE_CASES, ids=[c[0] for c in PARSE_CASES])
+    def test_bulk_and_line_wise_agree(self, tmp_path, monkeypatch, name, data, plain, directed):
+        f = tmp_path / "g.txt"
+        f.write_bytes(data)
+        assert (harness._parse_plain_edge_file(str(f)) is not None) == plain
+        bulk = _load_outcome(str(f), directed)
+        monkeypatch.setattr(harness, "_parse_plain_edge_file", lambda path: None)
+        line_wise = _load_outcome(str(f), directed)
+        assert bulk == line_wise
+
+    def test_bulk_line_counts(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_bytes(b"# h\n\n0 1\n \t\n1\t2\n# t")
+        g, report = load_graph(str(f))
+        assert (report.num_edge_lines, report.num_ignored_lines) == (2, 4)
+        assert g.edge_array.tolist() == [[0, 1], [1, 2]]
+
+    def test_large_random_file_takes_bulk_path(self, tmp_path):
+        rng = make_generator(311)
+        edges = rng.integers(0, 3000, size=(20000, 2))
+        f = tmp_path / "g.txt"
+        f.write_text("# big\n" + "".join(f"{u}\t{v}\n" if i % 7 else f" {u}  {v} \n\n"
+                                         for i, (u, v) in enumerate(edges.tolist())))
+        edges_read, ignored = harness._parse_plain_edge_file(str(f))
+        assert np.array_equal(edges_read, edges)
+        assert ignored == 1 + (edges.shape[0] + 6) // 7
+        assert np.array_equal(load_graph(str(f))[0].edge_array, build_undirected(edges, 3000).edge_array)
+
+
+class TestBulkEdgeListWrite:
+    """The chunked writer's bytes equal one formatted line per edge."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, harness.WRITE_CHUNK_ROWS])
+    def test_bytes_match_per_line_writer(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(harness, "WRITE_CHUNK_ROWS", chunk_rows)
+        rng = make_generator(312)
+        graphs = [build_undirected([], 3), build_directed([], 2), star(6),
+                  build_undirected(rng.integers(0, 500, size=(3000, 2)), 500),
+                  build_directed(rng.integers(0, 500, size=(3000, 2)), 500)]
+        graphs += [random_graph(rng, max_nodes=20) for _ in range(5)] + [random_digraph(rng) for _ in range(5)]
+        for i, g in enumerate(graphs):
+            got, want = tmp_path / f"got{i}.txt", tmp_path / f"want{i}.txt"
+            write_edge_list(str(got), g)
+            reference_write_edge_list(str(want), g)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_idmap_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "WRITE_CHUNK_ROWS", 2)
+        f = tmp_path / "g.txt"
+        f.write_text("5 900\n900 7\n7 12\n")
+        _, report = load_graph(str(f))
+        assert open(report.mapping_path, "rb").read() == b"# original_id remapped_id\n5 0\n7 1\n12 2\n900 3\n"
 
 
 class TestSharerFiles:
