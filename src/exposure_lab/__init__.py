@@ -10,7 +10,6 @@ models, and real-time stochastic-approximation trackers.
 from .cascade import (
     CascadeTrajectory,
     SharingState,
-    exposure,
     exposure_all,
     exposure_bits,
     icm_step,
@@ -56,11 +55,9 @@ from .graph import (
     is_bipartite,
     is_connected,
     random_walk_friends,
-    sample_directed,
+    sample_directed_many,
     sample_friend_two_step,
-    sample_random_friend,
     sample_random_friends,
-    sample_uniform_node,
     sample_uniform_nodes,
 )
 from .rng import RngStream, make_generator

@@ -73,33 +73,8 @@ def _friend_csr(g):
     return g.indptr, g.indices
 
 
-def exposure(g, s: SharingState, v: int) -> int:
-    """1 iff some friend of v shared, by sorted-list intersection with early exit.
-
-    Walks the two ordered arrays (v's friend list and the sharer list) in
-    lockstep and stops at the first common element, so the cost is bounded
-    by the shorter of the two lists even when both are large.
-    """
-    indptr, indices = _friend_csr(g)
-    sharers = s.sharers
-    i = indptr[v]
-    end = indptr[v + 1]
-    j = 0
-    n_sharers = sharers.shape[0]
-    while i < end and j < n_sharers:
-        a = indices[i]
-        b = sharers[j]
-        if a == b:
-            return 1
-        if a < b:
-            i += 1
-        else:
-            j += 1
-    return 0
-
-
 def exposure_bits(g, s: SharingState, nodes) -> np.ndarray:
-    """Vectorized exposure indicator for a batch of nodes (same semantics as exposure)."""
+    """Exposure indicator for a batch of nodes: does some friend of each node share?"""
     friends, bounds = gather_segments(*_friend_csr(g), nodes)
     flags = s.mask[friends]
     csum = np.concatenate(([0], np.cumsum(flags)))

@@ -121,10 +121,17 @@ def _pearson_from_moments(n_points, sum_x, sum_xx, sum_xy, sum_y, sum_yy) -> flo
 
 def _assortativity_moments(g: Graph):
     """Integer moment sums for the endpoint-degree Pearson over both edge
-    orientations. Only sum_xy changes under degree-preserving rewiring."""
+    orientations. Only sum_xy changes under degree-preserving rewiring.
+
+    sum_x and sum_xx are exact Python ints taken over the degree histogram:
+    a hub's d**3 overflows int64 from d ~ 2.1e6.
+    """
     d = g.degrees
-    sum_x = int(np.sum(d * d))  # each node appears as an endpoint d(v) times
-    sum_xx = int(np.sum(d * d * d))
+    hist = np.bincount(d)
+    ks = np.flatnonzero(hist)
+    pairs = list(zip(ks.tolist(), hist[ks].tolist()))  # (degree k, nodes of degree k)
+    sum_x = sum(c * k * k for k, c in pairs)  # each node appears as an endpoint d(v) times
+    sum_xx = sum(c * k * k * k for k, c in pairs)
     du = d[g.edge_array[:, 0]].astype(np.int64)
     dv = d[g.edge_array[:, 1]].astype(np.int64)
     sum_xy = 2 * int(np.sum(du * dv))

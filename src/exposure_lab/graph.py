@@ -192,33 +192,18 @@ def average_degree(g) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sample_uniform_node(g, rng: np.random.Generator) -> int:
-    """A node drawn uniformly from V."""
-    if g.num_nodes < 1:
-        raise ValueError("cannot sample a node from an empty graph")
-    return int(rng.integers(g.num_nodes))
-
-
 def sample_uniform_nodes(g, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` nodes drawn uniformly from V, with replacement."""
     if g.num_nodes < 1:
         raise ValueError("cannot sample a node from an empty graph")
     return rng.integers(0, g.num_nodes, size=size)
 
 
-def sample_random_friend(g: Graph, rng: np.random.Generator) -> int:
-    """A random friend: a uniform edge, then a fair coin on its two endpoints.
-
-    Returns node v with probability d(v) / 2|E|.
-    """
-    if g.num_edges < 1:
-        raise ValueError("cannot sample a friend from an edgeless graph")
-    idx = int(rng.integers(g.num_edges))
-    side = int(rng.integers(2))
-    return int(g.edge_array[idx, side])
-
-
 def sample_random_friends(g: Graph, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized batch of random friends (same distribution as sample_random_friend)."""
+    """``size`` random friends: each a uniform edge, then a fair coin on its two endpoints.
+
+    Returns node v with probability d(v) / 2|E| per draw.
+    """
     if g.num_edges < 1:
         raise ValueError("cannot sample a friend from an edgeless graph")
     idx = rng.integers(0, g.num_edges, size=size)
@@ -226,46 +211,27 @@ def sample_random_friends(g: Graph, size: int, rng: np.random.Generator) -> np.n
     return g.edge_array[idx, side]
 
 
-def sample_friend_two_step(g: Graph, rng: np.random.Generator) -> int:
-    """A uniform neighbor of a uniform node.
+def sample_friend_two_step(g: Graph, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` uniform neighbors of uniform non-isolated anchor nodes.
 
-    Returns v with probability (1/|V|) * sum over u in N(v) of 1/d(u).
-    Isolated anchor nodes are resampled, up to |V| attempts.
+    Returns v with probability (1/|V'|) * sum over u in N(v) of 1/d(u) per
+    draw, V' being the nodes of degree >= 1 (the law of a uniform anchor
+    re-drawn until it has a neighbor).
     """
     if g.num_edges < 1:
         raise ValueError("no node with degree >= 1 to anchor two-step sampling")
-    for _ in range(max(g.num_nodes, 1)):
-        anchor = int(rng.integers(g.num_nodes))
-        nbrs = g.neighbors(anchor)
-        if nbrs.size:
-            return int(nbrs[rng.integers(nbrs.size)])
-    # unlucky streak of isolated anchors: draw directly from the non-isolated
-    # nodes, which is the same law as resampling forever
     candidates = np.flatnonzero(g.degrees > 0)
-    anchor = int(candidates[rng.integers(candidates.size)])
-    nbrs = g.neighbors(anchor)
-    return int(nbrs[rng.integers(nbrs.size)])
+    anchors = candidates[rng.integers(0, candidates.size, size=size)]
+    return g.indices[g.indptr[anchors] + rng.integers(0, g.degrees[anchors])]
 
 
-def sample_directed(g: DiGraph, mode: str, rng: np.random.Generator) -> int:
-    """Sample a directed graph as a node, a friend, or a follower.
+def sample_directed_many(g: DiGraph, mode: str, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` samples of a directed graph as nodes, friends, or followers.
 
     node: uniform over V. friend: the source end of a uniform link,
     P(v) proportional to out-degree. follower: the target end,
     P(v) proportional to in-degree.
     """
-    if mode == "node":
-        return sample_uniform_node(g, rng)
-    if mode not in ("friend", "follower"):
-        raise ValueError(f"unknown sampling mode: {mode!r}")
-    if g.num_edges < 1:
-        raise ValueError(f"cannot sample a {mode} from an edgeless graph")
-    idx = int(rng.integers(g.num_edges))
-    return int(g.edge_array[idx, 0 if mode == "friend" else 1])
-
-
-def sample_directed_many(g: DiGraph, mode: str, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized batch version of sample_directed."""
     if mode == "node":
         return sample_uniform_nodes(g, size, rng)
     if mode not in ("friend", "follower"):

@@ -54,6 +54,8 @@ UNDIRECTED_METHODS = ("vanilla", "fp", "fp-walk", "fp-two-step")
 DIRECTED_METHODS = ("d-node", "d-friend", "d-follower")
 WRITE_CHUNK_ROWS = 1 << 16  # edge-list rows formatted per write
 _COMMENT_LINE = re.compile(rb"\n#[^\n]*")  # a '#' line with the newline before it
+_NODE_ID = re.compile(r"-?[0-9]+")  # ASCII digits; a sign only to report negative ids
+MAX_NODE_ID = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +86,13 @@ def _parse_edge_lines(path: str):
                 ignored += 1
                 continue
             parts = line.split()
-            if len(parts) != 2:
+            if len(parts) != 2 or not all(_NODE_ID.fullmatch(p) for p in parts):
                 raise ValueError(f"{path}: line {lineno}: expected two node ids, got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: expected two node ids, got {line!r}") from None
+            u, v = int(parts[0]), int(parts[1])
             if u < 0 or v < 0:
                 raise ValueError(f"{path}: line {lineno}: node ids must be non-negative")
+            if max(u, v) > MAX_NODE_ID:
+                raise ValueError(f"{path}: line {lineno}: node id above {MAX_NODE_ID}")
             pairs.append((u, v))
     return pairs, ignored
 
@@ -285,8 +286,7 @@ def run_method(
     if method == "fp":
         return fp_estimate(g, sample_random_friends(g, n_samples, rng), s, d_bar).estimate
     if method == "fp-two-step":
-        friends = [sample_friend_two_step(g, rng) for _ in range(n_samples)]
-        return fp_estimate(g, friends, s, d_bar).estimate
+        return fp_estimate(g, sample_friend_two_step(g, n_samples, rng), s, d_bar).estimate
     if method == "fp-walk":
         candidates = np.flatnonzero(g.degrees > 0)
         start = int(candidates[rng.integers(candidates.size)])

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cascade
-from .cascade import SharingState, true_exposure
+from .cascade import SharingState, exposure_all, exposure_bits
 from .genmodel import degree_sharing_correlation
-from .graph import Graph, average_degree, sample_random_friend, sample_uniform_node
+from .graph import Graph, average_degree, gather_segments, sample_random_friends, sample_uniform_nodes
 
 DEFAULT_STEP_SIZE = 0.01
 DEFAULT_UPDATES_PER_STEP = 100
@@ -70,25 +70,30 @@ def make_tracker(kind: str, policy: StepPolicy, initial_estimate: float = 0.0) -
     return TrackerState(initial_estimate, 0, kind, policy)
 
 
-def tracker_update(state: TrackerState, g: Graph, s_t: SharingState, rng: np.random.Generator) -> TrackerState:
-    """One tracker update against the sharing snapshot s_t.
+def tracker_update(
+    state: TrackerState, g: Graph, s_t: SharingState, rng: np.random.Generator, count: int = 1
+) -> TrackerState:
+    """``count`` tracker updates against the sharing snapshot s_t, from one batch.
 
-    vanilla: observe f(X) for a fresh uniform node X. fp: observe
-    d_bar * f(Y)/d(Y) for a fresh random friend Y. Returns the new state;
-    the input state is not mutated.
+    vanilla: observe f(X) for fresh uniform nodes X. fp: observe
+    d_bar * f(Y)/d(Y) for fresh random friends Y. All ``count`` samples are
+    drawn at once and their observations folded in order through the
+    scalar recursion, so the result equals ``count`` single updates fed the
+    same observations. Returns the new state; the input is not mutated.
     """
     if state.kind == "vanilla":
-        x = sample_uniform_node(g, rng)
-        obs = float(s_t.mask[g.neighbors(x)].any())
+        nodes = sample_uniform_nodes(g, count, rng)
+        obs = exposure_bits(g, s_t, nodes)
     else:
         if g.num_edges < 1:
             raise ValueError("the fp tracker needs at least one edge")
-        y = sample_random_friend(g, rng)
-        exposed = bool(s_t.mask[g.neighbors(y)].any())
-        obs = average_degree(g) * exposed / g.degree(y)
-    n = state.updates_done + 1
-    new_estimate = state.estimate + state.policy.step(n) * (obs - state.estimate)
-    return replace(state, estimate=new_estimate, updates_done=n)
+        nodes = sample_random_friends(g, count, rng)
+        obs = average_degree(g) * exposure_bits(g, s_t, nodes) / g.degrees[nodes]
+    estimate, n, step = state.estimate, state.updates_done, state.policy.step
+    for o in obs.tolist():
+        n += 1
+        estimate += step(n) * (o - estimate)
+    return replace(state, estimate=estimate, updates_done=n)
 
 
 @dataclass(frozen=True)
@@ -123,9 +128,11 @@ def run_tracking_experiment(
 ) -> list[TrackRecord]:
     """Advance a cascade step by step while both trackers chase its exposure.
 
-    Per diffusion step: advance the cascade once, compute the exact exposed
-    fraction, then run the scheduled number of updates for each tracker
-    against the frozen step-t sharing state (sampling with replacement).
+    Per diffusion step: advance the cascade once, mark the friends of its
+    new sharers exposed (exposure only grows) to get the exact exposed
+    fraction, then make the scheduled number of updates for the vanilla
+    tracker and then for the fp tracker, each from one batch of samples
+    drawn with replacement against the frozen step-t sharing state.
     Records one row per step t = 1..steps.
     """
     if model not in ("icm", "ltm"):
@@ -143,18 +150,20 @@ def run_tracking_experiment(
             raise ValueError("seed_count must lie in [1, num_nodes]")
         seeds = rng.choice(g.num_nodes, size=seed_count, replace=False)
     state = SharingState.from_sharers(seeds, g.num_nodes)
+    exposed = exposure_all(g, state)
     vanilla = make_tracker("vanilla", vanilla_policy, initial_estimate)
     fp = make_tracker("fp", fp_policy, initial_estimate)
+    updates = schedule.updates_per_diffusion_step
     records = []
     for t in range(1, steps + 1):
         if model == "icm":
             state = cascade.icm_step(g, state, p_inf, rng, retry=icm_retry)
         else:
             state = cascade.ltm_step(g, state, theta, strict=ltm_strict)
-        f_bar = true_exposure(g, state)
-        for _ in range(schedule.updates_per_diffusion_step):
-            vanilla = tracker_update(vanilla, g, state, rng)
-            fp = tracker_update(fp, g, state, rng)
+        exposed[gather_segments(g.indptr, g.indices, state.new_sharers)[0]] = True
+        f_bar = float(exposed.mean())
+        vanilla = tracker_update(vanilla, g, state, rng, updates)
+        fp = tracker_update(fp, g, state, rng, updates)
         records.append(
             TrackRecord(
                 step=t,

@@ -6,7 +6,6 @@ import pytest
 from exposure_lab import (
     SharingState,
     build_undirected,
-    exposure,
     exposure_all,
     exposure_bits,
     icm_step,
@@ -37,22 +36,22 @@ class TestExposure:
     def test_star_center_shares(self):
         g = star(4)
         s = sharing(g, [0])
-        assert [exposure(g, s, v) for v in range(5)] == [0, 1, 1, 1, 1]
+        assert exposure_bits(g, s, np.arange(5)).tolist() == [False, True, True, True, True]
 
     def test_star_leaf_shares(self):
         g = star(4)
         s = sharing(g, [1])
-        assert [exposure(g, s, v) for v in range(5)] == [1, 0, 0, 0, 0]
+        assert exposure_bits(g, s, np.arange(5)).tolist() == [True, False, False, False, False]
 
     def test_isolated_node_never_exposed(self):
         g = build_undirected([(0, 1)], 3)
         s = sharing(g, [0, 1, 2])
-        assert exposure(g, s, 2) == 0
+        assert exposure_bits(g, s, [2]).tolist() == [False]
 
     def test_sharing_alone_is_not_exposure(self):
         g = path(3)
         s = sharing(g, [0])
-        assert exposure(g, s, 0) == 0
+        assert exposure_bits(g, s, [0]).tolist() == [False]
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = make_generator(20)
@@ -61,7 +60,8 @@ class TestExposure:
             mask = random_sharing_mask(rng, g.num_nodes)
             s = SharingState(mask.copy())
             expected = [exposure_oracle(g, mask, v) for v in range(g.num_nodes)]
-            assert [exposure(g, s, v) for v in range(g.num_nodes)] == expected
+            for v in range(g.num_nodes):
+                assert exposure_bits(g, s, [v]).astype(int).tolist() == [expected[v]]
             assert exposure_all(g, s).astype(int).tolist() == expected
             assert exposure_bits(g, s, np.arange(g.num_nodes)).astype(int).tolist() == expected
 

@@ -89,6 +89,16 @@ class TestAssortativityCoefficient:
     def test_star_is_minus_one(self):
         assert assortativity_coefficient(star(4)) == pytest.approx(-1.0, abs=1e-12)
 
+    def test_huge_star_moments_do_not_overflow(self):
+        # the hub's d**3 = 2.2e6**3 exceeds int64; the coefficient is -1 exactly
+        leaves = 2_200_000
+        hub = np.zeros(leaves, dtype=np.int64)
+        g = build_undirected(np.stack([hub, np.arange(1, leaves + 1)], axis=1), leaves + 1)
+        ends = g.degrees[g.edge_array]
+        reference = pearson_oracle(ends.ravel(), ends[:, ::-1].ravel())
+        assert assortativity_coefficient(g) == pytest.approx(reference, abs=1e-9)
+        assert reference == pytest.approx(-1.0, abs=1e-9)
+
     def test_degree_regular_pairs_undefined(self):
         g = build_undirected([(0, 1), (2, 3)], 4)
         assert math.isnan(assortativity_coefficient(g))

@@ -12,11 +12,9 @@ from exposure_lab import (
     is_connected,
     make_generator,
     random_walk_friends,
-    sample_directed,
+    sample_directed_many,
     sample_friend_two_step,
-    sample_random_friend,
     sample_random_friends,
-    sample_uniform_node,
     sample_uniform_nodes,
     RngStream,
 )
@@ -159,7 +157,7 @@ class TestUniformNodeSampling:
     def test_single_node_graph(self):
         g = build_undirected([], 1)
         rng = make_generator(0)
-        assert all(sample_uniform_node(g, rng) == 0 for _ in range(10))
+        assert sample_uniform_nodes(g, 10, rng).tolist() == [0] * 10
 
     def test_law_of_large_numbers(self):
         g = build_undirected([], 5)
@@ -171,7 +169,7 @@ class TestUniformNodeSampling:
     def test_empty_graph_rejected(self):
         g = build_undirected([], 0)
         with pytest.raises(ValueError):
-            sample_uniform_node(g, make_generator(0))
+            sample_uniform_nodes(g, 1, make_generator(0))
 
     def test_distinct_streams_differ(self):
         g = build_undirected([], 100)
@@ -199,13 +197,13 @@ class TestRandomFriendSampling:
     def test_single_edge(self):
         g = build_undirected([(0, 1)], 2)
         rng = make_generator(3)
-        draws = [sample_random_friend(g, rng) for _ in range(2000)]
-        frac = np.mean(np.array(draws) == 0)
+        draws = sample_random_friends(g, 2000, rng)
+        frac = np.mean(draws == 0)
         assert abs(frac - 0.5) < 0.05
 
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError):
-            sample_random_friend(build_undirected([], 3), make_generator(0))
+            sample_random_friends(build_undirected([], 3), 1, make_generator(0))
 
     def test_chi_square_matches_degree_distribution(self):
         rng = make_generator(11)
@@ -227,7 +225,7 @@ class TestTwoStepFriendSampling:
         assert expected[0] == pytest.approx(4 / 5)
         assert expected[1] == pytest.approx(1 / 20)
         rng = make_generator(4)
-        draws = np.array([sample_friend_two_step(g, rng) for _ in range(50_000)])
+        draws = sample_friend_two_step(g, 50_000, rng)
         freqs = np.bincount(draws, minlength=5) / draws.size
         assert np.all(np.abs(freqs - expected) < 0.01)
 
@@ -236,32 +234,45 @@ class TestTwoStepFriendSampling:
         expected = two_step_distribution_oracle(g)
         assert expected.tolist() == pytest.approx([1 / 6, 2 / 3, 1 / 6])
         rng = make_generator(5)
-        draws = np.array([sample_friend_two_step(g, rng) for _ in range(50_000)])
+        draws = sample_friend_two_step(g, 50_000, rng)
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.all(np.abs(freqs - expected) < 0.01)
 
     def test_regular_graph_uniform(self):
         assert np.allclose(two_step_distribution_oracle(cycle(5)), 0.2)
 
+    def test_chi_square_matches_two_step_oracle(self):
+        # sparse graphs: two of the five have isolated nodes, never anchors
+        rng = make_generator(13)
+        for trial in range(5):
+            g = random_graph(rng, max_nodes=20, min_nodes=8, p=0.12)
+            draws = sample_friend_two_step(g, 100_000, make_generator(14, trial))
+            observed = np.bincount(draws, minlength=g.num_nodes)
+            expected = two_step_distribution_oracle(g) * draws.size
+            live = expected > 0
+            assert observed[~live].sum() == 0
+            _, p_value = stats.chisquare(observed[live], expected[live])
+            assert p_value > 0.001
+
     def test_isolated_anchor_resampled(self):
         # node 3 is isolated; anchoring must skip it rather than fail
         g = build_undirected([(0, 1), (1, 2)], 4)
         rng = make_generator(6)
-        draws = {sample_friend_two_step(g, rng) for _ in range(200)}
+        draws = set(sample_friend_two_step(g, 200, rng).tolist())
         assert 3 not in draws
 
     def test_all_isolated_rejected(self):
         with pytest.raises(ValueError):
-            sample_friend_two_step(build_undirected([], 3), make_generator(0))
+            sample_friend_two_step(build_undirected([], 3), 1, make_generator(0))
 
 
 class TestDirectedSampling:
     def test_out_star_friend_and_follower(self):
         g = build_directed([(0, 1), (0, 2)], 3)
         rng = make_generator(7)
-        friends = [sample_directed(g, "friend", rng) for _ in range(200)]
-        assert set(friends) == {0}
-        followers = np.array([sample_directed(g, "follower", rng) for _ in range(5000)])
+        friends = sample_directed_many(g, "friend", 200, rng)
+        assert set(friends.tolist()) == {0}
+        followers = sample_directed_many(g, "follower", 5000, rng)
         assert set(followers.tolist()) == {1, 2}
         assert abs(np.mean(followers == 1) - 0.5) < 0.05
 
@@ -269,22 +280,22 @@ class TestDirectedSampling:
         g = build_directed([(0, 1), (1, 2), (2, 0)], 3)
         rng = make_generator(8)
         for mode in ("node", "friend", "follower"):
-            draws = np.bincount([sample_directed(g, mode, rng) for _ in range(30_000)], minlength=3)
+            draws = np.bincount(sample_directed_many(g, mode, 30_000, rng), minlength=3)
             assert np.all(np.abs(draws / 30_000 - 1 / 3) < 0.02)
 
     def test_single_edge(self):
         g = build_directed([(0, 1)], 2)
         rng = make_generator(9)
-        assert sample_directed(g, "friend", rng) == 0
-        assert sample_directed(g, "follower", rng) == 1
+        assert sample_directed_many(g, "friend", 1, rng).tolist() == [0]
+        assert sample_directed_many(g, "follower", 1, rng).tolist() == [1]
 
     def test_edgeless_rejected_in_link_modes(self):
         g = build_directed([], 3)
         rng = make_generator(0)
-        assert sample_directed(g, "node", rng) in range(3)
+        assert set(sample_directed_many(g, "node", 20, rng).tolist()) <= {0, 1, 2}
         for mode in ("friend", "follower"):
             with pytest.raises(ValueError):
-                sample_directed(g, mode, rng)
+                sample_directed_many(g, mode, 1, rng)
 
 
 class TestRandomWalk:
@@ -362,8 +373,8 @@ class TestDeterminism:
         for draw in (
             lambda r: sample_uniform_nodes(g, 20, r).tolist(),
             lambda r: sample_random_friends(g, 20, r).tolist(),
-            lambda r: [sample_friend_two_step(g, r) for _ in range(20)],
-            lambda r: [sample_directed(dg, "friend", r) for _ in range(20)],
+            lambda r: sample_friend_two_step(g, 20, r).tolist(),
+            lambda r: sample_directed_many(dg, "friend", 20, r).tolist(),
             lambda r: random_walk_friends(g, 0, 10, 2, 20, r).tolist(),
         ):
             assert draw(RngStream(99, 5).generator()) == draw(RngStream(99, 5).generator())

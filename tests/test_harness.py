@@ -135,6 +135,18 @@ def _load_outcome(path, directed):
     return ("loaded", type(g), g.num_nodes, arrays, fields)
 
 
+class TestNodeIdSyntax:
+    """Ids are ASCII digits within int64; any other id fails with path and line."""
+
+    @pytest.mark.parametrize("line", ["+5 1", "1_000 1", "\u0661 \u0662",
+                                      "12345678901234567890 1", "9223372036854775808 0"])
+    def test_malformed_or_oversized_id_rejected(self, tmp_path, line):
+        f = tmp_path / "g.txt"
+        f.write_text("0 1\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"g\.txt: line 2: "):
+            load_graph(str(f))
+
+
 class TestBulkEdgeListParse:
     """The bulk path and the line-wise parser give identical results."""
 
@@ -412,6 +424,12 @@ class TestCli:
         f = tmp_path / "bad.txt"
         f.write_text("0 x\n")
         assert main(["analyze", "--graph", str(f), "--sharers", str(f)]) == 2
+
+    def test_oversized_id_exit_code(self, tmp_path, capsys):
+        f = tmp_path / "big.txt"
+        f.write_text("12345678901234567890 1\n")
+        assert main(["analyze", "--graph", str(f), "--sharers", str(f)]) == 2
+        assert "big.txt: line 1" in capsys.readouterr().err
 
     def test_zero_exposure_warning_exit_code(self, tmp_path):
         graph = tmp_path / "g.txt"

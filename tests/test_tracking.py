@@ -9,13 +9,19 @@ from exposure_lab import (
     SharingState,
     StepPolicy,
     TrackingSchedule,
+    average_degree,
     build_undirected,
     degree_sharing_correlation,
     exact_variance_fp,
     exact_variance_vanilla,
+    exposure_bits,
+    icm_step,
+    ltm_step,
     make_generator,
     make_tracker,
     run_tracking_experiment,
+    sample_random_friends,
+    sample_uniform_nodes,
     tracker_update,
     true_exposure,
 )
@@ -25,6 +31,39 @@ from oracles import complete, random_graph, random_sharing_mask, star
 
 def sharing(g, sharers):
     return SharingState.from_sharers(sharers, g.num_nodes)
+
+
+def check_closed_form_mean_and_variance(batch):
+    """U constant-step updates, made ``batch`` per tracker_update call, on a
+    frozen state with exposure f and one-sample observation variance V take
+    the estimate's mean m and variance v to a*m + (1-a)*f and
+    a^2*v + eps^2 (1-a^2)/(1-(1-eps)^2) * V, with a = (1-eps)^U. Two frozen
+    states in a row check the recursion."""
+    g = star(4)
+    states = [sharing(g, [0]), sharing(g, [1])]
+    eps, updates, replicas, start = 0.1, 10, 2000, 0.3
+    a = (1.0 - eps) ** updates
+    gain = eps**2 * (1.0 - a * a) / (1.0 - (1.0 - eps) ** 2)
+    for kind in ("vanilla", "fp"):
+        rng = make_generator(101)
+        estimates = np.empty((replicas, len(states)))
+        for r in range(replicas):
+            state = make_tracker(kind, StepPolicy("constant", eps), initial_estimate=start)
+            for t, s in enumerate(states):
+                for _ in range(updates // batch):
+                    state = tracker_update(state, g, s, rng, batch)
+                estimates[r, t] = state.estimate
+        m, v = start, 0.0
+        for t, s in enumerate(states):
+            f_bar = true_exposure(g, s)
+            obs_var = exact_variance_vanilla(f_bar, 1) if kind == "vanilla" else exact_variance_fp(g, s, 1)
+            m = a * m + (1.0 - a) * f_bar
+            v = a * a * v + gain * obs_var
+            x = estimates[:, t]
+            emp = x.var(ddof=1)
+            var_se = math.sqrt(max(np.mean((x - x.mean()) ** 4) - emp**2, 0.0) / replicas)
+            assert abs(x.mean() - m) <= 3 * math.sqrt(v / replicas), (kind, t)
+            assert abs(emp - v) <= 3 * var_se, (kind, t)
 
 
 class TestStepPolicy:
@@ -91,35 +130,34 @@ class TestTrackerUpdate:
             assert state.estimate == pytest.approx(total / i, abs=1e-12)
 
     def test_constant_steps_match_closed_form_mean_and_variance(self):
-        # U constant-step updates on a frozen state with exposure f and
-        # one-sample observation variance V take the estimate's mean m and
-        # variance v to a*m + (1-a)*f and a^2*v + eps^2 (1-a^2)/(1-(1-eps)^2) * V,
-        # with a = (1-eps)^U. Two frozen states in a row check the recursion.
-        g = star(4)
-        states = [sharing(g, [0]), sharing(g, [1])]
-        eps, updates, replicas, start = 0.1, 10, 2000, 0.3
-        a = (1.0 - eps) ** updates
-        gain = eps**2 * (1.0 - a * a) / (1.0 - (1.0 - eps) ** 2)
+        check_closed_form_mean_and_variance(batch=1)
+
+    def test_batched_constant_steps_match_closed_form_mean_and_variance(self):
+        check_closed_form_mean_and_variance(batch=10)
+
+    def test_batch_equals_sequential_recursion(self):
+        # one call of count=U folds, in draw order, the observations that the
+        # same generator's samples give through exposure_bits; the arithmetic
+        # is the scalar recursion, so the estimates agree exactly
+        rng = make_generator(102)
+        g = random_graph(rng, max_nodes=30, min_nodes=10)
+        s = SharingState(random_sharing_mask(rng, g.num_nodes))
+        updates = 37
         for kind in ("vanilla", "fp"):
-            rng = make_generator(101)
-            estimates = np.empty((replicas, len(states)))
-            for r in range(replicas):
-                state = make_tracker(kind, StepPolicy("constant", eps), initial_estimate=start)
-                for t, s in enumerate(states):
-                    for _ in range(updates):
-                        state = tracker_update(state, g, s, rng)
-                    estimates[r, t] = state.estimate
-            m, v = start, 0.0
-            for t, s in enumerate(states):
-                f_bar = true_exposure(g, s)
-                obs_var = exact_variance_vanilla(f_bar, 1) if kind == "vanilla" else exact_variance_fp(g, s, 1)
-                m = a * m + (1.0 - a) * f_bar
-                v = a * a * v + gain * obs_var
-                x = estimates[:, t]
-                emp = x.var(ddof=1)
-                var_se = math.sqrt(max(np.mean((x - x.mean()) ** 4) - emp**2, 0.0) / replicas)
-                assert abs(x.mean() - m) <= 3 * math.sqrt(v / replicas), (kind, t)
-                assert abs(emp - v) <= 3 * var_se, (kind, t)
+            for policy in (StepPolicy("decreasing"), StepPolicy("constant", 0.05)):
+                start = tracker_update(make_tracker(kind, policy, 0.4), g, s, make_generator(103))
+                batched = tracker_update(start, g, s, make_generator(104), count=updates)
+                replay = make_generator(104)
+                if kind == "vanilla":
+                    obs = exposure_bits(g, s, sample_uniform_nodes(g, updates, replay)).astype(float)
+                else:
+                    friends = sample_random_friends(g, updates, replay)
+                    obs = average_degree(g) * exposure_bits(g, s, friends) / g.degrees[friends]
+                estimate = start.estimate
+                for n, o in enumerate(obs.tolist(), start=start.updates_done + 1):
+                    estimate = estimate + policy.step(n) * (o - estimate)
+                assert batched.estimate == estimate, (kind, policy.kind)
+                assert batched.updates_done == start.updates_done + updates == updates + 1
 
     def test_vanilla_constant_step_stays_in_unit_interval(self):
         rng = make_generator(94)
@@ -185,6 +223,24 @@ class TestRunTrackingExperiment:
                 seed_count=3, p_inf=0.0, rng=rng)
             improved += records[-1].vanilla_abs_error <= records[0].vanilla_abs_error
         assert improved >= 19
+
+    def test_truth_equals_replayed_state(self):
+        # the incrementally maintained exposure equals a full recomputation on
+        # the replayed cascade: LTM, and ICM with and without retry at p_inf 1
+        rng = make_generator(105)
+        g = random_graph(rng, max_nodes=60, min_nodes=40, p=0.06)
+        for model, retry in (("ltm", False), ("icm", False), ("icm", True)):
+            records = run_tracking_experiment(
+                g, model=model, steps=8, schedule=3, seeds=[0, 1], p_inf=1.0, theta=0.3,
+                icm_retry=retry, rng=make_generator(106))
+            state = sharing(g, [0, 1])
+            for rec in records:
+                if model == "ltm":
+                    state = ltm_step(g, state, 0.3)
+                else:
+                    state = icm_step(g, state, 1.0, make_generator(0), retry=retry)
+                assert rec.true_exposure == true_exposure(g, state), (model, retry, rec.step)
+            assert len({r.true_exposure for r in records}) >= 3, (model, retry)
 
     def test_records_shape(self):
         g = star(4)
