@@ -64,7 +64,6 @@ from .rng import RngStream, make_generator
 from .tracking import (
     StepPolicy,
     TrackerState,
-    TrackingSchedule,
     TrackRecord,
     make_tracker,
     run_tracking_experiment,

@@ -99,25 +99,35 @@ def true_exposure(g, s: SharingState) -> float:
 
 @dataclass(frozen=True)
 class CascadeTrajectory:
-    """Time-indexed sharing snapshots from one cascade run.
+    """One cascade run, stored as the step at which each node began sharing.
 
-    ``states[t]`` is the sharing state after t steps (states[0] is the seed
-    state). When the dynamics hit a fixed point before the requested number
-    of steps, the remaining entries repeat the fixed point and
+    ``activation[v]`` is 0 for a seed, t for a node that began sharing at
+    step t, and -1 for a node that never shared within ``steps`` steps.
+    When the dynamics hit a fixed point before the last step,
     ``fixed_point_step`` records where growth stopped.
     """
 
-    states: list = field(repr=False)
+    activation: np.ndarray = field(repr=False)
+    steps: int
     model_tag: str = "icm"
     params: dict = field(default_factory=dict)
     fixed_point_step: int | None = None
 
+    def state(self, t: int) -> SharingState:
+        """Sharing state after t steps; its new sharers began sharing at step t."""
+        act = self.activation
+        return SharingState((act >= 0) & (act <= t), np.flatnonzero(act == t))
+
     @property
-    def padded(self) -> bool:
-        return self.fixed_point_step is not None
+    def states(self) -> list:
+        """state(t) for t = 0..steps, rebuilt per access; past the fixed point, one object."""
+        last = self.steps if self.fixed_point_step is None else self.fixed_point_step
+        states = [self.state(t) for t in range(last + 1)]
+        return states + [states[-1]] * (self.steps - last)
 
     def sharer_counts(self) -> np.ndarray:
-        return np.array([st.num_sharers for st in self.states])
+        act = self.activation
+        return np.cumsum(np.bincount(act[act >= 0], minlength=self.steps + 1))
 
 
 def icm_step(g: Graph, s: SharingState, p_inf: float, rng: np.random.Generator, retry: bool = False) -> SharingState:
@@ -183,8 +193,8 @@ def run_cascade(
 ) -> CascadeTrajectory:
     """Run a cascade for ``steps`` steps from explicit or uniformly drawn seeds.
 
-    Returns a trajectory of steps+1 states. If a step adds no sharers the
-    trajectory is padded with the fixed point and flagged.
+    Returns the trajectory as one activation step per node. If a step adds
+    no sharers the cascade stops there and the fixed point is flagged.
     """
     if model not in ("icm", "ltm"):
         raise ValueError(f"unknown cascade model: {model!r}")
@@ -197,7 +207,8 @@ def run_cascade(
             raise ValueError("seed_count must lie in [1, num_nodes]")
         seeds = rng.choice(g.num_nodes, size=seed_count, replace=False)
     state = SharingState.from_sharers(seeds, g.num_nodes)
-    states = [state]
+    activation = np.full(g.num_nodes, -1, dtype=np.int32)
+    activation[state.sharers] = 0
     params = {"p_inf": p_inf} if model == "icm" else {"theta": theta}
     fixed_point = None
     # A stalled step is a true fixed point for LTM (deterministic) and for
@@ -206,13 +217,12 @@ def run_cascade(
     may_stop_early = model == "ltm" or not icm_retry
     for t in range(1, steps + 1):
         if model == "icm":
-            nxt = icm_step(g, state, p_inf, rng, retry=icm_retry)
+            state = icm_step(g, state, p_inf, rng, retry=icm_retry)
         else:
-            nxt = ltm_step(g, state, theta, strict=ltm_strict)
-        if nxt.num_sharers == state.num_sharers and may_stop_early:
+            state = ltm_step(g, state, theta, strict=ltm_strict)
+        if state.new_sharers.size == 0 and may_stop_early:
             fixed_point = t - 1
-            states.extend([state] * (steps + 1 - len(states)))
             break
-        states.append(nxt)
-        state = nxt
-    return CascadeTrajectory(states=states, model_tag=model, params=params, fixed_point_step=fixed_point)
+        activation[state.new_sharers] = t
+    activation.setflags(write=False)
+    return CascadeTrajectory(activation, steps, model, params, fixed_point)

@@ -56,6 +56,8 @@ WRITE_CHUNK_ROWS = 1 << 16  # edge-list rows formatted per write
 _COMMENT_LINE = re.compile(rb"\n#[^\n]*")  # a '#' line with the newline before it
 _NODE_ID = re.compile(r"-?[0-9]+")  # ASCII digits; a sign only to report negative ids
 MAX_NODE_ID = 2**63 - 1
+_LINE_BLANKS = " \t\n"  # text mode reads \r\n and a lone \r as \n
+_FIELD_SEP = re.compile(r"[ \t]+")  # not str.split(), which also splits on Unicode spaces
 
 
 # ---------------------------------------------------------------------------
@@ -81,20 +83,26 @@ def _parse_edge_lines(path: str):
     ignored = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            line = raw.strip(_LINE_BLANKS)
             if not line or line.startswith("#"):
                 ignored += 1
                 continue
-            parts = line.split()
-            if len(parts) != 2 or not all(_NODE_ID.fullmatch(p) for p in parts):
-                raise ValueError(f"{path}: line {lineno}: expected two node ids, got {line!r}")
-            u, v = int(parts[0]), int(parts[1])
-            if u < 0 or v < 0:
-                raise ValueError(f"{path}: line {lineno}: node ids must be non-negative")
-            if max(u, v) > MAX_NODE_ID:
-                raise ValueError(f"{path}: line {lineno}: node id above {MAX_NODE_ID}")
-            pairs.append((u, v))
+            pairs.append(_node_ids(line, 2, path, lineno))
     return pairs, ignored
+
+
+def _node_ids(line: str, count: int, path: str, lineno: int) -> list:
+    """The ``count`` ids of a data line: ASCII digits, at most MAX_NODE_ID."""
+    parts = _FIELD_SEP.split(line)
+    if len(parts) != count or not all(_NODE_ID.fullmatch(p) for p in parts):
+        expected = "two node ids" if count == 2 else "a node id"
+        raise ValueError(f"{path}: line {lineno}: expected {expected}, got {line!r}")
+    ids = [int(p) for p in parts]
+    if min(ids) < 0:
+        raise ValueError(f"{path}: line {lineno}: node ids must be non-negative")
+    if max(ids) > MAX_NODE_ID:
+        raise ValueError(f"{path}: line {lineno}: node id above {MAX_NODE_ID}")
+    return ids
 
 
 def _parse_plain_edge_file(path: str):
@@ -134,7 +142,7 @@ def _parse_plain_edge_file(path: str):
 def load_graph(path: str, directed: bool = False, mapping_path: str | None = None):
     """Load an edge-list file into a simplified Graph or DiGraph.
 
-    One edge per line as two whitespace-separated non-negative integers;
+    One edge per line as two non-negative integers separated by spaces or tabs;
     lines starting with '#' (and blank lines) are ignored; undirected files
     may list an edge once in either orientation. Sparse ids are remapped to
     a dense 0..n-1 range and the mapping written next to the input
@@ -216,13 +224,10 @@ def read_sharers(path: str, num_nodes: int, id_map: np.ndarray | None = None) ->
     sharers = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            line = raw.strip(_LINE_BLANKS)
             if not line or line.startswith("#"):
                 continue
-            try:
-                sharers.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: expected a node id, got {line!r}") from None
+            sharers.extend(_node_ids(line, 1, path, lineno))
     ids = np.array(sharers, dtype=np.int64)
     if id_map is not None and ids.size:
         pos = np.searchsorted(id_map, ids)
@@ -454,6 +459,7 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
     percent error: it yields no GridCell row and is reported in
     ``null_cells`` instead. Percent errors are 100 * |estimate - truth| / truth.
     """
+    _check_methods(cfg.methods, directed=False)
     cells_out: list[GridCell] = []
     ledger: list[tuple] = []
     null_cells: list[tuple] = []
@@ -553,6 +559,8 @@ def parse_grid_config(path: str) -> GridConfig:
             key, _, val = line.partition("=")
             key = key.strip().lower()
             val = val.strip()
+            if key in values:
+                raise ValueError(f"{path}: line {lineno}: repeated key {key!r}")
             if key in _GRID_LIST_KEYS:
                 conv = _GRID_LIST_KEYS[key]
                 values[key] = tuple(conv(tok.strip()) for tok in val.split(",") if tok.strip())

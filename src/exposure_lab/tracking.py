@@ -42,17 +42,6 @@ class StepPolicy:
 
 
 @dataclass(frozen=True)
-class TrackingSchedule:
-    """Timescale separation: tracker updates per diffusion step."""
-
-    updates_per_diffusion_step: int = DEFAULT_UPDATES_PER_STEP
-
-    def __post_init__(self):
-        if self.updates_per_diffusion_step < 1:
-            raise ValueError("need at least one update per diffusion step")
-
-
-@dataclass(frozen=True)
 class TrackerState:
     """Current estimate of one tracker plus its update count and policy."""
 
@@ -114,7 +103,7 @@ def run_tracking_experiment(
     *,
     model: str,
     steps: int,
-    schedule: TrackingSchedule | int = DEFAULT_UPDATES_PER_STEP,
+    schedule: int = DEFAULT_UPDATES_PER_STEP,
     vanilla_policy: StepPolicy | None = None,
     fp_policy: StepPolicy | None = None,
     seeds=None,
@@ -126,44 +115,36 @@ def run_tracking_experiment(
     icm_retry: bool = False,
     ltm_strict: bool = False,
 ) -> list[TrackRecord]:
-    """Advance a cascade step by step while both trackers chase its exposure.
+    """Run one cascade with ``run_cascade``, then let both trackers chase its exposure.
 
-    Per diffusion step: advance the cascade once, mark the friends of its
-    new sharers exposed (exposure only grows) to get the exact exposed
-    fraction, then make the scheduled number of updates for the vanilla
-    tracker and then for the fp tracker, each from one batch of samples
-    drawn with replacement against the frozen step-t sharing state.
-    Records one row per step t = 1..steps.
+    Per diffusion step t = 1..steps: mark the friends of the step's new
+    sharers exposed (exposure only grows) to get the exact exposed fraction,
+    then make ``schedule`` updates for the vanilla tracker and then for the
+    fp tracker, each from one batch of samples drawn with replacement
+    against the frozen step-t sharing state. The cascade draws from ``rng``
+    before the trackers do. One record per step.
     """
-    if model not in ("icm", "ltm"):
-        raise ValueError(f"unknown cascade model: {model!r}")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if isinstance(schedule, int):
-        schedule = TrackingSchedule(schedule)
+    if schedule < 1:
+        raise ValueError("need at least one update per diffusion step")
     if vanilla_policy is None:
         vanilla_policy = StepPolicy()
     if fp_policy is None:
         fp_policy = StepPolicy()
-    if seeds is None:
-        if not 1 <= seed_count <= g.num_nodes:
-            raise ValueError("seed_count must lie in [1, num_nodes]")
-        seeds = rng.choice(g.num_nodes, size=seed_count, replace=False)
-    state = SharingState.from_sharers(seeds, g.num_nodes)
-    exposed = exposure_all(g, state)
+    traj = cascade.run_cascade(g, model, steps, seeds=seeds, seed_count=seed_count, p_inf=p_inf,
+                               theta=theta, rng=rng, icm_retry=icm_retry, ltm_strict=ltm_strict)
+    last = steps if traj.fixed_point_step is None else traj.fixed_point_step
+    exposed = exposure_all(g, traj.state(0))
     vanilla = make_tracker("vanilla", vanilla_policy, initial_estimate)
     fp = make_tracker("fp", fp_policy, initial_estimate)
-    updates = schedule.updates_per_diffusion_step
     records = []
     for t in range(1, steps + 1):
-        if model == "icm":
-            state = cascade.icm_step(g, state, p_inf, rng, retry=icm_retry)
-        else:
-            state = cascade.ltm_step(g, state, theta, strict=ltm_strict)
-        exposed[gather_segments(g.indptr, g.indices, state.new_sharers)[0]] = True
-        f_bar = float(exposed.mean())
-        vanilla = tracker_update(vanilla, g, state, rng, updates)
-        fp = tracker_update(fp, g, state, rng, updates)
+        if t == 1 or t <= last:  # past the fixed point the state stays put
+            state = traj.state(t)
+            exposed[gather_segments(g.indptr, g.indices, state.new_sharers)[0]] = True
+            f_bar = float(exposed.mean())
+            corr = degree_sharing_correlation(g, state)
+        vanilla = tracker_update(vanilla, g, state, rng, schedule)
+        fp = tracker_update(fp, g, state, rng, schedule)
         records.append(
             TrackRecord(
                 step=t,
@@ -172,7 +153,7 @@ def run_tracking_experiment(
                 fp_estimate=fp.estimate,
                 vanilla_abs_error=abs(vanilla.estimate - f_bar),
                 fp_abs_error=abs(fp.estimate - f_bar),
-                degree_sharing_corr=degree_sharing_correlation(g, state),
+                degree_sharing_corr=corr,
             )
         )
     return records

@@ -209,7 +209,6 @@ class TestRunCascade:
         g = star(4)
         traj = run_cascade(g, "icm", steps=7, seeds=[0], p_inf=1.0, rng=make_generator(32))
         assert len(traj.states) == 8
-        assert traj.padded
         assert traj.fixed_point_step is not None
         assert traj.states[-1].num_sharers == traj.states[traj.fixed_point_step].num_sharers
 
@@ -223,6 +222,44 @@ class TestRunCascade:
         a = run_cascade(g, "ltm", steps=4, seeds=[0], theta=0.1)
         b = run_cascade(g, "ltm", steps=4, seeds=[0], theta=0.1)
         assert [st.mask.tobytes() for st in a.states] == [st.mask.tobytes() for st in b.states]
+
+    @pytest.mark.parametrize("model,retry", [("ltm", False), ("icm", False), ("icm", True)])
+    def test_activation_steps_equal_step_replay(self, model, retry):
+        # p_inf = 1 makes every ICM attempt succeed, so a replay needs no
+        # shared generator; past a fixed point the replay adds nobody
+        rng = make_generator(37)
+        for i in range(10):
+            g = random_graph(rng, max_nodes=40, min_nodes=5, p=0.1)
+            seeds = rng.choice(g.num_nodes, size=2, replace=False)
+            traj = run_cascade(g, model, steps=8, seeds=seeds, p_inf=1.0, theta=0.3,
+                               rng=make_generator(38, i), icm_retry=retry)
+            replay = sharing(g, seeds)
+            for t in range(9):
+                if t:
+                    replay = (ltm_step(g, replay, 0.3) if model == "ltm"
+                              else icm_step(g, replay, 1.0, make_generator(0), retry=retry))
+                st = traj.state(t)
+                assert np.array_equal(st.mask, replay.mask), (i, t)
+                assert np.array_equal(st.new_sharers, replay.new_sharers), (i, t)
+            assert traj.activation.dtype == np.int32
+            assert traj.activation.shape == (g.num_nodes,)
+            assert np.array_equal(traj.activation == -1, ~replay.mask), i
+            if retry:  # a stalled retry cascade may grow later, so it never stops early
+                assert traj.fixed_point_step is None
+
+    def test_states_past_fixed_point_are_one_object(self):
+        rng = make_generator(39)
+        stopped = 0
+        for i in range(10):
+            g = random_graph(rng, max_nodes=30, min_nodes=5)
+            traj = run_cascade(g, "ltm", steps=12, seed_count=1, theta=0.4, rng=make_generator(40, i))
+            states = traj.states
+            assert len(states) == 13
+            assert traj.sharer_counts().tolist() == [st.num_sharers for st in states]
+            if traj.fixed_point_step is not None:
+                stopped += 1
+                assert len({id(st) for st in states[traj.fixed_point_step:]}) == 1
+        assert stopped >= 5
 
 
 class TestIcmDominance:

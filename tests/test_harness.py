@@ -139,7 +139,8 @@ class TestNodeIdSyntax:
     """Ids are ASCII digits within int64; any other id fails with path and line."""
 
     @pytest.mark.parametrize("line", ["+5 1", "1_000 1", "\u0661 \u0662",
-                                      "12345678901234567890 1", "9223372036854775808 0"])
+                                      "12345678901234567890 1", "9223372036854775808 0",
+                                      "0\u20031", "1\u00a02", "0\x0c1", "0 1\u00a0"])
     def test_malformed_or_oversized_id_rejected(self, tmp_path, line):
         f = tmp_path / "g.txt"
         f.write_text("0 1\n" + line + "\n", encoding="utf-8")
@@ -230,6 +231,13 @@ class TestSharerFiles:
         s_file.write_text("11\n")  # never appears in the graph file
         with pytest.raises(ValueError, match="11"):
             read_sharers(str(s_file), g.num_nodes, id_map=report.id_map)
+
+    @pytest.mark.parametrize("line", ["+1", "1_0", "\u0661", "12345678901234567890", "\u00a01"])
+    def test_malformed_or_oversized_id_rejected(self, tmp_path, line):
+        f = tmp_path / "s.txt"
+        f.write_text("0\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"s\.txt: line 2: "):
+            read_sharers(str(f), 5)
 
 
 class TestCsvConventions:
@@ -357,6 +365,12 @@ class TestGridConfigFile:
         with pytest.raises(ValueError, match="line 1"):
             parse_grid_config(str(f))
 
+    def test_repeated_key_rejected(self, tmp_path):
+        f = tmp_path / "grid.cfg"
+        f.write_text("reps = 5\nseed = 1\nREPS = 7\n")
+        with pytest.raises(ValueError, match="line 3: repeated key 'reps'"):
+            parse_grid_config(str(f))
+
 
 class TestCli:
     def test_generate_estimate_analyze_track_pipeline(self, tmp_path, capsys):
@@ -430,6 +444,25 @@ class TestCli:
         f.write_text("12345678901234567890 1\n")
         assert main(["analyze", "--graph", str(f), "--sharers", str(f)]) == 2
         assert "big.txt: line 1" in capsys.readouterr().err
+
+    def test_oversized_sharer_id_exit_code(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n")
+        sharers = tmp_path / "big.txt"
+        sharers.write_text("# one sharer\n12345678901234567890\n")
+        assert main(["analyze", "--graph", str(graph), "--sharers", str(sharers)]) == 2
+        assert "big.txt: line 2" in capsys.readouterr().err
+
+    def test_grid_method_checked_before_shaping(self, tmp_path, capsys, monkeypatch):
+        def no_shaping(*args, **kwargs):
+            raise AssertionError("a cell was built before the methods were checked")
+
+        monkeypatch.setattr(harness, "build_cell", no_shaping)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("nodes = 120\nalphas = 2.5\nk_max = 25\nsharing_probs = 0.2\n"
+                       "methods = vanilla, d-node\nreps = 2\nseed = 6\n")
+        assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+        assert "'d-node'" in capsys.readouterr().err
 
     def test_zero_exposure_warning_exit_code(self, tmp_path):
         graph = tmp_path / "g.txt"

@@ -8,7 +8,6 @@ import pytest
 from exposure_lab import (
     SharingState,
     StepPolicy,
-    TrackingSchedule,
     average_degree,
     build_undirected,
     degree_sharing_correlation,
@@ -80,8 +79,6 @@ class TestStepPolicy:
             StepPolicy("warmup")
         with pytest.raises(ValueError):
             StepPolicy("constant", 0.0)
-        with pytest.raises(ValueError):
-            TrackingSchedule(0)
 
 
 class TestTrackerUpdate:
@@ -176,6 +173,15 @@ class TestTrackerUpdate:
 
 
 class TestRunTrackingExperiment:
+    @pytest.mark.parametrize("bad", [
+        dict(model="sir"), dict(steps=-1), dict(seed_count=0), dict(seed_count=6),
+        dict(rng=None), dict(schedule=0),
+    ], ids=["unknown_model", "negative_steps", "no_seeds", "too_many_seeds", "no_rng", "no_updates"])
+    def test_invalid_arguments_rejected(self, bad):
+        args = dict(model="icm", steps=3, schedule=2, seed_count=2, rng=make_generator(0))
+        with pytest.raises(ValueError):
+            run_tracking_experiment(star(4), **(args | bad))
+
     def test_reproducible_time_series(self):
         rng = make_generator(95)
         g = random_graph(rng, max_nodes=40, min_nodes=20)
