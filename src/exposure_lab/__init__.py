@@ -60,7 +60,7 @@ from .graph import (
     sample_random_friends,
     sample_uniform_nodes,
 )
-from .rng import RngStream, make_generator
+from .rng import make_generator
 from .tracking import (
     StepPolicy,
     TrackerState,

@@ -16,6 +16,7 @@ from .graph import DiGraph, Graph, gather_segments
 DEFAULT_SEED_COUNT = 10
 DEFAULT_INFECTION_PROB = 0.05
 DEFAULT_LTM_THRESHOLD = 0.05
+EXPOSURE_CHUNK = 1 << 10  # nodes per friend-list gather: bounds exposure_bits' temporaries
 
 
 class SharingState:
@@ -75,10 +76,13 @@ def _friend_csr(g):
 
 def exposure_bits(g, s: SharingState, nodes) -> np.ndarray:
     """Exposure indicator for a batch of nodes: does some friend of each node share?"""
-    friends, bounds = gather_segments(*_friend_csr(g), nodes)
-    flags = s.mask[friends]
-    csum = np.concatenate(([0], np.cumsum(flags)))
-    return (csum[bounds[1:]] - csum[bounds[:-1]]) > 0
+    nodes = np.asarray(nodes, dtype=np.int64)
+    out = np.empty(nodes.shape[0], dtype=bool)
+    for lo in range(0, nodes.shape[0], EXPOSURE_CHUNK):
+        friends, bounds = gather_segments(*_friend_csr(g), nodes[lo : lo + EXPOSURE_CHUNK])
+        csum = np.concatenate(([0], np.cumsum(s.mask[friends])))
+        out[lo : lo + EXPOSURE_CHUNK] = (csum[bounds[1:]] - csum[bounds[:-1]]) > 0
+    return out
 
 
 def exposure_all(g, s: SharingState) -> np.ndarray:

@@ -113,6 +113,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_graph(path: str, directed: bool = False):
+    g, report = harness.load_graph(path, directed=directed)
+    if report.remapped:
+        print(f"note: sparse node ids remapped to 0..{g.num_nodes - 1}", file=sys.stderr)
+    return g, report
+
+
 def _cmd_generate(args) -> int:
     rng = make_generator(args.seed)
     seq = powerlaw_degree_sequence(args.nodes, args.alpha, args.kmin, rng, k_max=args.kmax)
@@ -157,9 +164,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    g, report = harness.load_graph(args.graph, directed=args.directed)
-    if report.remapped:
-        print(f"note: sparse node ids remapped; mapping written to {report.mapping_path}", file=sys.stderr)
+    g, report = _load_graph(args.graph, directed=args.directed)
     s = harness.read_sharers(args.sharers, g.num_nodes, id_map=report.id_map)
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     result = harness.run_static_experiment(
@@ -200,13 +205,10 @@ def _cmd_grid(args) -> int:
 
 def _cmd_track(args) -> int:
     missed = False
+    rng = make_generator(args.seed)
     if args.graph is not None:
-        g, report = harness.load_graph(args.graph, directed=False)
-        if report.remapped:
-            print(f"note: sparse node ids remapped; mapping written to {report.mapping_path}", file=sys.stderr)
-        rng = make_generator(args.seed)
+        g, _ = _load_graph(args.graph)
     else:
-        rng = make_generator(args.seed)
         seq = powerlaw_degree_sequence(args.nodes, args.alpha, args.kmin, rng, k_max=args.kmax)
         g = configuration_model(seq, rng)
         if args.assortativity is not None:
@@ -246,9 +248,7 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    g, report = harness.load_graph(args.graph, directed=False)
-    if report.remapped:
-        print(f"note: sparse node ids remapped; mapping written to {report.mapping_path}", file=sys.stderr)
+    g, report = _load_graph(args.graph)
     s = harness.read_sharers(args.sharers, g.num_nodes, id_map=report.id_map)
     f_bar = true_exposure(g, s)
     verdict = condition_empirical(g, s)

@@ -27,16 +27,29 @@ DEFAULT_SUPPORT_MAX = 10_000
 class EstimatorReport:
     """One estimate with its provenance.
 
+    The estimators reduce over the last axis of their samples: a 1-D
+    sample vector gives a float estimate, a 2-D (reps, n) array one
+    estimate per row, and ``n`` is the sample count per estimate.
     fp-type estimates can exceed 1 on individual draws (the degree
     correction d_bar/d(Y) is unbounded above); they are deliberately not
     clamped, which is what keeps them unbiased.
     """
 
     kind: str
-    estimate: float
+    estimate: float | np.ndarray
     n: int
     d_bar: float
-    samples: tuple | None = None  # per-sample (node, exposed, degree) ledger
+
+
+def _row_means(values: np.ndarray):
+    """Mean over the last axis: a float for a vector, else one mean per row."""
+    means = values.mean(axis=-1)
+    return float(means) if means.ndim == 0 else means
+
+
+def _exposed(g, s: SharingState, samples: np.ndarray) -> np.ndarray:
+    """Exposure bits of a sample array of any shape, from one exposure_bits call."""
+    return exposure_bits(g, s, samples.ravel()).reshape(samples.shape)
 
 
 def vanilla_estimate(exposures) -> EstimatorReport:
@@ -44,24 +57,18 @@ def vanilla_estimate(exposures) -> EstimatorReport:
     bits = np.asarray(exposures, dtype=float)
     if bits.size < 1:
         raise ValueError("need at least one sample")
-    return EstimatorReport("vanilla", float(bits.mean()), bits.size, math.nan)
+    return EstimatorReport("vanilla", _row_means(bits), bits.shape[-1], math.nan)
 
 
 def _reject_degree_zero(samples: np.ndarray, degrees: np.ndarray, what: str) -> None:
     """A degree-corrected sample of degree 0 would make the estimate inf or NaN."""
     zero = np.flatnonzero(degrees == 0)
     if zero.size:
-        raise ValueError(f"sample node {int(samples[zero[0]])} has {what} 0; "
+        raise ValueError(f"sample node {int(samples.flat[zero[0]])} has {what} 0; "
                          f"degree-corrected samples need {what} >= 1")
 
 
-def fp_estimate(
-    g: Graph,
-    friends,
-    s: SharingState,
-    d_bar: float | None = None,
-    keep_samples: bool = False,
-) -> EstimatorReport:
+def fp_estimate(g: Graph, friends, s: SharingState, d_bar: float | None = None) -> EstimatorReport:
     """Friendship-paradox estimate from random-friend samples.
 
     estimate = (d_bar / n) * sum of f(Y_i)/d(Y_i). d_bar defaults to the
@@ -79,20 +86,12 @@ def fp_estimate(
         d_bar = average_degree(g)
     degrees = g.degrees[friends]
     _reject_degree_zero(friends, degrees, "degree")
-    exposed = exposure_bits(g, s, friends)
-    estimate = d_bar * float(np.mean(exposed / degrees))
-    ledger = tuple(zip(friends.tolist(), exposed.astype(int).tolist(), degrees.tolist())) if keep_samples else None
-    return EstimatorReport("fp", estimate, friends.size, float(d_bar), ledger)
+    estimate = d_bar * _row_means(_exposed(g, s, friends) / degrees)
+    return EstimatorReport("fp", estimate, friends.shape[-1], float(d_bar))
 
 
-def directed_estimates(
-    g: DiGraph,
-    mode: str,
-    samples,
-    s: SharingState,
-    d_bar: float | None = None,
-    keep_samples: bool = False,
-) -> EstimatorReport:
+def directed_estimates(g: DiGraph, mode: str, samples, s: SharingState,
+                       d_bar: float | None = None) -> EstimatorReport:
     """Directed-network estimate from node, friend, or follower samples.
 
     node: plain mean of exposures. friend: degree-corrected by out-degree
@@ -107,21 +106,19 @@ def directed_estimates(
         raise ValueError("need at least one sample")
     if mode not in ("node", "friend", "follower"):
         raise ValueError(f"unknown estimator mode: {mode!r}")
-    exposed = exposure_bits(g, s, samples)
+    exposed = _exposed(g, s, samples)
     if mode == "node":
-        report_deg = g.in_degrees[samples]
-        estimate = float(exposed.mean())
+        estimate = _row_means(exposed)
         d_bar = math.nan if d_bar is None else float(d_bar)
     else:
         if g.num_edges < 1:
             raise ValueError(f"{mode} sampling requires at least one edge")
         if d_bar is None:
             d_bar = average_degree(g)
-        report_deg = (g.out_degrees if mode == "friend" else g.in_degrees)[samples]
-        _reject_degree_zero(samples, report_deg, "out-degree" if mode == "friend" else "in-degree")
-        estimate = float(d_bar) * float(np.mean(exposed / report_deg))
-    ledger = tuple(zip(samples.tolist(), exposed.astype(int).tolist(), report_deg.tolist())) if keep_samples else None
-    return EstimatorReport(f"directed_{mode}", estimate, samples.size, float(d_bar), ledger)
+        degrees = (g.out_degrees if mode == "friend" else g.in_degrees)[samples]
+        _reject_degree_zero(samples, degrees, "out-degree" if mode == "friend" else "in-degree")
+        estimate = float(d_bar) * _row_means(exposed / degrees)
+    return EstimatorReport(f"directed_{mode}", estimate, samples.shape[-1], float(d_bar))
 
 
 # ---------------------------------------------------------------------------

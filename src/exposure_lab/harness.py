@@ -74,7 +74,6 @@ class LoadReport:
     num_edge_lines: int
     num_ignored_lines: int
     remapped: bool
-    mapping_path: str | None
     id_map: np.ndarray | None = None  # sorted original ids; dense id = index
 
 
@@ -145,9 +144,9 @@ def load_graph(path: str, directed: bool = False, mapping_path: str | None = Non
     One edge per line as two non-negative integers separated by spaces or tabs;
     lines starting with '#' (and blank lines) are ignored; undirected files
     may list an edge once in either orientation. Sparse ids are remapped to
-    a dense 0..n-1 range and the mapping written next to the input
-    (``<path>.idmap``, or ``mapping_path`` if given). A plain file is
-    parsed in one bulk pass, any other line by line; both give the same
+    a dense 0..n-1 range and kept in the report's ``id_map``; the mapping
+    is written to a file only when ``mapping_path`` is given. A plain file
+    is parsed in one bulk pass, any other line by line; both give the same
     result and the line-wise parser raises every parse error.
     Returns (graph, LoadReport).
     """
@@ -161,15 +160,13 @@ def load_graph(path: str, directed: bool = False, mapping_path: str | None = Non
     remapped = bool(ids.size) and not (
         ids.size == int(ids[-1]) + 1 and ids[0] == 0
     )
-    map_file = None
     if remapped:
-        dense = np.searchsorted(ids, edges)
-        map_file = mapping_path or (path + ".idmap")
-        with open(map_file, "w", encoding="utf-8") as fh:
-            fh.write("# original_id remapped_id\n")
-            _write_int_pairs(fh, np.stack([ids, np.arange(ids.size)], axis=1))
-        edges = dense
+        edges = np.searchsorted(ids, edges)
         num_nodes = ids.size
+        if mapping_path is not None:
+            with open(mapping_path, "w", encoding="utf-8") as fh:
+                fh.write("# original_id remapped_id\n")
+                _write_int_pairs(fh, np.stack([ids, np.arange(ids.size)], axis=1))
     else:
         num_nodes = int(ids[-1]) + 1 if ids.size else 0
     g = build_directed(edges, num_nodes) if directed else build_undirected(edges, num_nodes)
@@ -179,7 +176,6 @@ def load_graph(path: str, directed: bool = False, mapping_path: str | None = Non
         num_edge_lines=edges.shape[0],
         num_ignored_lines=ignored,
         remapped=remapped,
-        mapping_path=map_file,
         id_map=ids if remapped else None,
     )
     return g, report
@@ -274,42 +270,54 @@ def write_csv(path: str, comment: str, header: list, rows: list) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_method(
-    method: str,
-    g,
-    s: SharingState,
-    n_samples: int,
-    rng,
-    d_bar: float | None = None,
-    walk_burn_in: int | None = None,
-    walk_thin: int | None = None,
-) -> float:
-    """One estimate by the named method with n_samples fresh samples."""
+def _draw(method: str, g, n_samples: int, rng, walk_burn_in, walk_thin) -> np.ndarray:
+    """One rep's n_samples samples for the named method, from its own generator."""
     if method == "vanilla":
-        nodes = sample_uniform_nodes(g, n_samples, rng)
-        return vanilla_estimate(exposure_bits(g, s, nodes)).estimate
+        return sample_uniform_nodes(g, n_samples, rng)
     if method == "fp":
-        return fp_estimate(g, sample_random_friends(g, n_samples, rng), s, d_bar).estimate
+        return sample_random_friends(g, n_samples, rng)
     if method == "fp-two-step":
-        return fp_estimate(g, sample_friend_two_step(g, n_samples, rng), s, d_bar).estimate
+        return sample_friend_two_step(g, n_samples, rng)
     if method == "fp-walk":
         candidates = np.flatnonzero(g.degrees > 0)
         start = int(candidates[rng.integers(candidates.size)])
-        friends = random_walk_friends(g, start, walk_burn_in, walk_thin, n_samples, rng)
-        return fp_estimate(g, friends, s, d_bar).estimate
+        return random_walk_friends(g, start, walk_burn_in, walk_thin, n_samples, rng)
     if method in DIRECTED_METHODS:
-        mode = method[2:]
-        samples = graphmod.sample_directed_many(g, mode, n_samples, rng)
-        return directed_estimates(g, mode, samples, s, d_bar).estimate
+        return graphmod.sample_directed_many(g, method[2:], n_samples, rng)
     raise ValueError(f"unknown method: {method!r}")
 
 
+def run_method(method: str, g, s: SharingState, n_samples: int, generators, d_bar: float | None = None,
+               walk_burn_in: int | None = None, walk_thin: int | None = None) -> np.ndarray:
+    """One estimate per generator by the named method, n_samples fresh samples each.
+
+    Rep r draws its samples from ``generators[r]`` as a single estimate
+    would; the estimator then runs once on the stacked (reps, n_samples)
+    array. A generator passed again to a later call continues its stream.
+    """
+    samples = np.stack([_draw(method, g, n_samples, rng, walk_burn_in, walk_thin) for rng in generators])
+    if method == "vanilla":
+        return vanilla_estimate(exposure_bits(g, s, samples.ravel()).reshape(samples.shape)).estimate
+    if method in DIRECTED_METHODS:
+        return directed_estimates(g, method[2:], samples, s, d_bar).estimate
+    return fp_estimate(g, samples, s, d_bar).estimate
+
+
 def _check_methods(methods, directed: bool) -> None:
+    if not methods:
+        raise ValueError("need at least one method")
     allowed = DIRECTED_METHODS if directed else UNDIRECTED_METHODS
     for m in methods:
         if m not in allowed:
             kind = "directed" if directed else "undirected"
             raise ValueError(f"method {m!r} not available on {kind} graphs (choose from {allowed})")
+
+
+def _check_counts(n_samples: int, reps: int) -> None:
+    if n_samples < 1:
+        raise ValueError("need n_samples >= 1")
+    if reps < 1:
+        raise ValueError("need reps >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +350,21 @@ def run_static_experiment(
 ) -> StaticResult:
     """reps independent estimates per method on a fixed (graph, sharing) pair.
 
-    Rep r draws its samples from the (seed, 0, r) stream, all methods in
-    order from the same stream, so adding a method changes later methods'
-    draws within a rep but rep streams stay independent.
+    Rep r draws its samples from the (seed, 0, r) stream. The rep
+    generators are made once and each method's run_method call continues
+    them, so within a rep the methods draw in the listed order from one
+    stream: adding a method changes later methods' draws, but rep streams
+    stay independent. Rows are ordered by rep, then method.
     """
-    if reps < 1:
-        raise ValueError("need reps >= 1")
     directed = isinstance(g, DiGraph)
     _check_methods(methods, directed)
+    _check_counts(n_samples, reps)
     f_bar = true_exposure(g, s)
-    rows = []
-    for rep in range(reps):
-        rng = make_generator(seed, 0, rep)
-        for method in methods:
-            est = run_method(method, g, s, n_samples, rng, d_bar, walk_burn_in, walk_thin)
-            rows.append((rep, method, est, abs(est - f_bar), f_bar))
+    generators = [make_generator(seed, 0, rep) for rep in range(reps)]
+    estimates = [run_method(m, g, s, n_samples, generators, d_bar, walk_burn_in, walk_thin).tolist()
+                 for m in methods]
+    rows = [(rep, m, est[rep], abs(est[rep] - f_bar), f_bar)
+            for rep in range(reps) for m, est in zip(methods, estimates)]
     verdict = var_v = var_fp = None
     if not directed and g.num_edges >= 1:
         verdict = condition_empirical(g, s)
@@ -455,11 +463,14 @@ def build_cell(cfg: GridConfig, cell_index: int, alpha: float, rkk_target, rho_t
 def run_grid(cfg: GridConfig, collect_ledger: bool = True):
     """Run every cell of the grid; returns (cells, ledger_rows, null_cells).
 
-    A cell whose sharing exposes nobody (true exposure 0) has no defined
-    percent error: it yields no GridCell row and is reported in
-    ``null_cells`` instead. Percent errors are 100 * |estimate - truth| / truth.
+    Rep r of every method draws from a fresh (seed, cell, r) stream, so
+    the methods of a cell see common random numbers. A cell whose sharing
+    exposes nobody (true exposure 0) has no defined percent error: it
+    yields no GridCell row and is reported in ``null_cells`` instead.
+    Percent errors are 100 * |estimate - truth| / truth.
     """
     _check_methods(cfg.methods, directed=False)
+    _check_counts(cfg.n_samples, cfg.reps)
     cells_out: list[GridCell] = []
     ledger: list[tuple] = []
     null_cells: list[tuple] = []
@@ -470,13 +481,12 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
             null_cells.append((cell_index, alpha, rkk_t, rho_t, p))
             continue
         for method in cfg.methods:
-            errors = np.empty(cfg.reps)
-            for rep in range(cfg.reps):
-                rng = make_generator(cfg.seed, cell_index, rep)
-                est = run_method(method, g, s, cfg.n_samples, rng)
-                errors[rep] = abs(est - f_bar)
-                if collect_ledger:
-                    ledger.append((cell_index, alpha, rkk_t, rho_t, p, method, rep, est, errors[rep], f_bar))
+            generators = [make_generator(cfg.seed, cell_index, rep) for rep in range(cfg.reps)]
+            estimates = run_method(method, g, s, cfg.n_samples, generators)
+            errors = np.abs(estimates - f_bar)
+            if collect_ledger:
+                ledger += [(cell_index, alpha, rkk_t, rho_t, p, method, rep, est, err, f_bar)
+                           for rep, (est, err) in enumerate(zip(estimates.tolist(), errors.tolist()))]
             pct = 100.0 * errors / f_bar
             cells_out.append(
                 GridCell(

@@ -1,15 +1,13 @@
 """Reproducible random-stream management.
 
 Every stochastic routine in this package takes a ``numpy.random.Generator``.
-This module is the bookkeeping layer on top: a (seed, stream_id) pair
-deterministically derives an independent generator, so concurrent workers
-(grid cells, Monte Carlo reps, cascade replicas) can own private streams
-without coordinating.
+This module is the bookkeeping layer on top: a seed plus integer stream
+coordinates deterministically derive an independent generator, so
+concurrent workers (grid cells, Monte Carlo reps, cascade replicas) can
+own private streams without coordinating.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +24,3 @@ def make_generator(seed: int, *stream: int) -> np.random.Generator:
     """
     entropy = tuple(int(s) & _MASK64 for s in (seed, *stream))
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """A reproducible, independent random stream identified by (seed, stream_id)."""
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at the start of this stream."""
-        return make_generator(self.seed, self.stream_id)

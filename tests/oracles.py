@@ -11,7 +11,21 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigs
 
-from exposure_lab import DiGraph, Graph, build_directed, build_undirected
+from exposure_lab import (
+    DiGraph,
+    Graph,
+    build_directed,
+    build_undirected,
+    directed_estimates,
+    exposure_bits,
+    fp_estimate,
+    random_walk_friends,
+    sample_directed_many,
+    sample_friend_two_step,
+    sample_random_friends,
+    sample_uniform_nodes,
+    vanilla_estimate,
+)
 
 # ---------------------------------------------------------------------------
 # Small named graphs
@@ -246,3 +260,34 @@ def reference_write_edge_list(path: str, g) -> None:
                  f" nodes={g.num_nodes} edges={g.num_edges}\n")
         for u, v in g.edge_array.tolist():
             fh.write(f"{u} {v}\n")
+
+
+# ---------------------------------------------------------------------------
+# Reference rep loop: one 1-D estimator call per rep
+# ---------------------------------------------------------------------------
+
+
+def reference_rep_estimates(method: str, g, s, n_samples: int, generators, d_bar=None,
+                            walk_burn_in=None, walk_thin=None) -> np.ndarray:
+    """One estimate per generator, each drawn and estimated on its own.
+
+    Rep r draws its samples from generators[r] exactly as a single estimate
+    would, and each rep calls the estimator once with its 1-D samples.
+    """
+    estimates = []
+    for rng in generators:
+        if method == "vanilla":
+            est = vanilla_estimate(exposure_bits(g, s, sample_uniform_nodes(g, n_samples, rng)))
+        elif method == "fp":
+            est = fp_estimate(g, sample_random_friends(g, n_samples, rng), s, d_bar)
+        elif method == "fp-two-step":
+            est = fp_estimate(g, sample_friend_two_step(g, n_samples, rng), s, d_bar)
+        elif method == "fp-walk":
+            candidates = np.flatnonzero(g.degrees > 0)
+            start = int(candidates[rng.integers(candidates.size)])
+            est = fp_estimate(g, random_walk_friends(g, start, walk_burn_in, walk_thin, n_samples, rng), s, d_bar)
+        else:
+            mode = method[2:]
+            est = directed_estimates(g, mode, sample_directed_many(g, mode, n_samples, rng), s, d_bar)
+        estimates.append(est.estimate)
+    return np.array(estimates)

@@ -6,6 +6,7 @@ import pytest
 from exposure_lab import (
     SharingState,
     build_undirected,
+    cascade,
     exposure_all,
     exposure_bits,
     icm_step,
@@ -64,6 +65,17 @@ class TestExposure:
                 assert exposure_bits(g, s, [v]).astype(int).tolist() == [expected[v]]
             assert exposure_all(g, s).astype(int).tolist() == expected
             assert exposure_bits(g, s, np.arange(g.num_nodes)).astype(int).tolist() == expected
+
+    def test_chunked_gather_matches_brute_force(self, monkeypatch):
+        # batches longer than a chunk, of every length mod 3, with repeats and isolated nodes
+        monkeypatch.setattr(cascade, "EXPOSURE_CHUNK", 3)
+        rng = make_generator(21)
+        for size in range(0, 14):
+            g = random_graph(rng, max_nodes=20, require_edge=False)
+            mask = random_sharing_mask(rng, g.num_nodes)
+            nodes = rng.integers(0, g.num_nodes, size=size)
+            expected = [exposure_oracle(g, mask, v) for v in nodes.tolist()]
+            assert exposure_bits(g, SharingState(mask.copy()), nodes).astype(int).tolist() == expected
 
 
 class TestTrueExposure:

@@ -22,6 +22,7 @@ from exposure_lab import (
     fp_estimate,
     make_generator,
     markovian_exposure_prob,
+    sample_directed_many,
     sample_random_friends,
     sharer_degree_sign_heuristic,
     true_exposure,
@@ -87,12 +88,6 @@ class TestFpEstimate:
         assert rep.estimate == pytest.approx(2.0)
         assert rep.d_bar == 2.0
 
-    def test_sample_ledger(self):
-        g = star(4)
-        s = sharing(g, [0])
-        rep = fp_estimate(g, [1, 0], s, keep_samples=True)
-        assert rep.samples == ((1, 1, 1), (0, 0, 4))
-
     def test_estimates_not_clamped(self):
         # single-draw values can exceed 1 by design; clamping would bias them
         g = star(9)
@@ -130,6 +125,46 @@ class TestFpEstimate:
         s = sharing(g, [0])
         with pytest.raises(ValueError, match="node 2 has degree 0"):
             fp_estimate(g, [1, 2, 1], s)
+
+
+class TestSampleRows:
+    """A 2-D sample array gives one estimate per row, the same as the 1-D call on that row."""
+
+    def test_one_dimensional_calls_return_floats(self):
+        g = star(4)
+        s = sharing(g, [0])
+        dg = build_directed([(0, 1), (1, 2), (2, 0)], 3)
+        ds = SharingState.from_sharers([0], 3)
+        reports = [vanilla_estimate([1, 0, 1]), fp_estimate(g, [1, 0, 2], s)]
+        reports += [directed_estimates(dg, mode, [0, 1, 2], ds) for mode in ("node", "friend", "follower")]
+        for rep in reports:
+            assert type(rep.estimate) is float
+            assert rep.n == 3
+
+    def test_rows_equal_one_dimensional_calls(self):
+        rng = make_generator(73)
+        for _ in range(20):
+            g = random_graph(rng, max_nodes=30)
+            s = SharingState(random_sharing_mask(rng, g.num_nodes))
+            friends = sample_random_friends(g, 6 * 40, rng).reshape(6, 40)
+            bits = exposure_bits(g, s, friends.ravel()).reshape(friends.shape)
+            dg = random_digraph(rng, max_nodes=30)
+            ds = SharingState(random_sharing_mask(rng, dg.num_nodes))
+            batched = [(vanilla_estimate(bits), [vanilla_estimate(row) for row in bits]),
+                       (fp_estimate(g, friends, s), [fp_estimate(g, row, s) for row in friends])]
+            for mode in ("node", "friend", "follower"):
+                samples = sample_directed_many(dg, mode, 6 * 40, rng).reshape(6, 40)
+                batched.append((directed_estimates(dg, mode, samples, ds, 1.5),
+                                [directed_estimates(dg, mode, row, ds, 1.5) for row in samples]))
+            for report, rows in batched:
+                assert report.estimate.shape == (6,) and report.n == 40
+                assert report.estimate.tolist() == [r.estimate for r in rows]
+
+    def test_degree_zero_sample_in_a_row_rejected(self):
+        g = build_undirected([(0, 1)], 3)
+        s = sharing(g, [0])
+        with pytest.raises(ValueError, match="node 2 has degree 0"):
+            fp_estimate(g, [[1, 0], [1, 2]], s)
 
 
 class TestDirectedEstimates:

@@ -16,7 +16,6 @@ from exposure_lab import (
     sample_friend_two_step,
     sample_random_friends,
     sample_uniform_nodes,
-    RngStream,
 )
 from exposure_lab.graph import _packed_key_base, gather_segments
 
@@ -173,8 +172,8 @@ class TestUniformNodeSampling:
 
     def test_distinct_streams_differ(self):
         g = build_undirected([], 100)
-        a = sample_uniform_nodes(g, 50, RngStream(3, 0).generator())
-        b = sample_uniform_nodes(g, 50, RngStream(3, 1).generator())
+        a = sample_uniform_nodes(g, 50, make_generator(3, 0))
+        b = sample_uniform_nodes(g, 50, make_generator(3, 1))
         assert not np.array_equal(a, b)
 
 
@@ -377,7 +376,7 @@ class TestDeterminism:
             lambda r: sample_directed_many(dg, "friend", 20, r).tolist(),
             lambda r: random_walk_friends(g, 0, 10, 2, 20, r).tolist(),
         ):
-            assert draw(RngStream(99, 5).generator()) == draw(RngStream(99, 5).generator())
+            assert draw(make_generator(99, 5)) == draw(make_generator(99, 5))
 
 
 class TestStructureChecks:

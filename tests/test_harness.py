@@ -1,16 +1,20 @@
 """File formats, the experiment grid, and the command-line surface."""
 
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
-from exposure_lab import SharingState
+from exposure_lab import SharingState, true_exposure
 from exposure_lab.cli import main
 from exposure_lab.harness import (
+    DIRECTED_METHODS,
+    UNDIRECTED_METHODS,
     GridConfig,
     aggregate_ledger,
+    build_cell,
     compact_nonisolated,
     format_value,
     grid_rows,
@@ -18,6 +22,7 @@ from exposure_lab.harness import (
     parse_grid_config,
     read_sharers,
     run_grid,
+    run_method,
     run_static_experiment,
     write_csv,
     write_edge_list,
@@ -26,7 +31,7 @@ from exposure_lab.harness import (
 
 from exposure_lab import build_directed, build_undirected, harness, make_generator
 
-from oracles import random_digraph, random_graph, reference_write_edge_list, star
+from oracles import random_digraph, random_graph, reference_rep_estimates, reference_write_edge_list, star
 
 
 class TestLoadGraph:
@@ -42,13 +47,21 @@ class TestLoadGraph:
     def test_sparse_ids_remapped_with_sidecar(self, tmp_path):
         f = tmp_path / "g.txt"
         f.write_text("5 900\n")
-        g, report = load_graph(str(f))
+        g, report = load_graph(str(f), mapping_path=str(tmp_path / "g.map"))
         assert g.num_nodes == 2
         assert g.num_edges == 1
         assert report.remapped
-        assert os.path.exists(report.mapping_path)
-        lines = [l for l in open(report.mapping_path) if not l.startswith("#")]
+        lines = [l for l in open(tmp_path / "g.map") if not l.startswith("#")]
         assert [l.split() for l in lines] == [["5", "0"], ["900", "1"]]
+
+    def test_sparse_ids_write_no_file_unless_asked(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("5 900\n900 7\n")
+        before = sorted(os.listdir(tmp_path))
+        g, report = load_graph(str(f))
+        assert sorted(os.listdir(tmp_path)) == before
+        assert report.remapped
+        assert report.id_map.tolist() == [5, 7, 900]
 
     def test_malformed_line_reports_number(self, tmp_path):
         f = tmp_path / "g.txt"
@@ -131,7 +144,7 @@ def _load_outcome(path, directed):
         else ("edge_array", "indptr", "indices")
     arrays = tuple(getattr(g, a).tolist() for a in names)
     fields = (report.num_nodes, report.num_edges, report.num_edge_lines, report.num_ignored_lines,
-              report.remapped, report.mapping_path, None if report.id_map is None else report.id_map.tolist())
+              report.remapped, None if report.id_map is None else report.id_map.tolist())
     return ("loaded", type(g), g.num_nodes, arrays, fields)
 
 
@@ -202,8 +215,8 @@ class TestBulkEdgeListWrite:
         monkeypatch.setattr(harness, "WRITE_CHUNK_ROWS", 2)
         f = tmp_path / "g.txt"
         f.write_text("5 900\n900 7\n7 12\n")
-        _, report = load_graph(str(f))
-        assert open(report.mapping_path, "rb").read() == b"# original_id remapped_id\n5 0\n7 1\n12 2\n900 3\n"
+        load_graph(str(f), mapping_path=str(tmp_path / "g.map"))
+        assert open(tmp_path / "g.map", "rb").read() == b"# original_id remapped_id\n5 0\n7 1\n12 2\n900 3\n"
 
 
 class TestSharerFiles:
@@ -335,6 +348,116 @@ class TestRunGrid:
             assert math.isfinite(c.rho_achieved)
 
 
+def _no_shaping(*args, **kwargs):
+    raise AssertionError("a cell was built before the run was checked")
+
+
+class TestDegenerateRuns:
+    """Zero reps, zero samples or no methods fail before any work is done."""
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("reps", 0, "reps >= 1"), ("n_samples", 0, "n_samples >= 1"), ("methods", (), "at least one method"),
+    ])
+    def test_grid_rejects_before_shaping(self, monkeypatch, field, value, message):
+        monkeypatch.setattr(harness, "build_cell", _no_shaping)
+        with pytest.raises(ValueError, match=message):
+            run_grid(dataclasses.replace(tiny_grid(), **{field: value}))
+
+    @pytest.mark.parametrize("methods,n_samples,message", [
+        (["vanilla"], 0, "n_samples >= 1"), (["fp-walk"], 0, "n_samples >= 1"), ([], 10, "at least one method"),
+    ])
+    def test_static_experiment_rejects(self, methods, n_samples, message):
+        g = star(4)
+        s = SharingState.from_sharers([0], 5)
+        with pytest.raises(ValueError, match=message):
+            run_static_experiment(g, s, methods, n_samples, 3, seed=0)
+
+    @pytest.mark.parametrize("line", ["reps = 0", "n_samples = 0", "methods = ,"])
+    def test_grid_cli_exit_code(self, tmp_path, monkeypatch, line):
+        monkeypatch.setattr(harness, "build_cell", _no_shaping)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"nodes = 120\nalphas = 2.5\nk_max = 25\nsharing_probs = 0.2\nseed = 6\n{line}\n")
+        out = tmp_path / "out.csv"
+        assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--method", ","], "at least one method"), (["--method", "vanilla", "--samples", "0"], "n_samples >= 1"),
+    ])
+    def test_estimate_cli_exit_code(self, tmp_path, capsys, flags, message):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n")
+        sharers = tmp_path / "s.txt"
+        sharers.write_text("1\n")
+        out = tmp_path / "out.csv"
+        assert main(["estimate", "--graph", str(graph), "--sharers", str(sharers),
+                     "--reps", "2", "--out", str(out)] + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _oracle_graphs():
+    """A 400-node undirected graph with isolated nodes, its sharers, and a directed graph."""
+    rng = make_generator(321)
+    g = build_undirected(rng.integers(0, 400, size=(700, 2)), 400)
+    s = SharingState.from_sharers(rng.choice(400, 12, replace=False), 400)
+    dg = build_directed(rng.integers(0, 400, size=(1600, 2)), 400)
+    return g, s, dg
+
+
+def _generators(seed, cell, reps):
+    return [make_generator(seed, cell, rep) for rep in range(reps)]
+
+
+class TestRunMethod:
+    """run_method's batched estimates equal one 1-D estimator call per rep."""
+
+    @pytest.mark.parametrize("d_bar", [None, 3.5])
+    @pytest.mark.parametrize("method", UNDIRECTED_METHODS + DIRECTED_METHODS)
+    def test_matches_reference_loop(self, method, d_bar):
+        g, s, dg = _oracle_graphs()
+        graph = dg if method in DIRECTED_METHODS else g
+        got = run_method(method, graph, s, 50, _generators(7, 0, 60), d_bar, walk_burn_in=300, walk_thin=3)
+        want = reference_rep_estimates(method, graph, s, 50, _generators(7, 0, 60), d_bar,
+                                       walk_burn_in=300, walk_thin=3)
+        assert got.shape == (60,)
+        assert np.array_equal(got, want)
+
+    def test_shared_generators_keep_method_order(self):
+        # one generator per rep serves every method in turn, a walk between two others
+        g, s, _ = _oracle_graphs()
+        got_gens, want_gens = _generators(8, 0, 40), _generators(8, 0, 40)
+        for method in ("vanilla", "fp-walk", "fp"):
+            got = run_method(method, g, s, 30, got_gens, walk_burn_in=200, walk_thin=2)
+            want = reference_rep_estimates(method, g, s, 30, want_gens, walk_burn_in=200, walk_thin=2)
+            assert np.array_equal(got, want)
+
+    def test_static_experiment_rows_match_reference(self):
+        g, s, _ = _oracle_graphs()
+        methods = ["vanilla", "fp-walk", "fp", "vanilla"]
+        result = run_static_experiment(g, s, methods, 30, 25, seed=4, walk_burn_in=200, walk_thin=2)
+        gens = _generators(4, 0, 25)
+        want = [reference_rep_estimates(m, g, s, 30, gens, walk_burn_in=200, walk_thin=2).tolist() for m in methods]
+        f_bar = result.true_exposure
+        assert result.rows == [(rep, m, est[rep], abs(est[rep] - f_bar), f_bar)
+                               for rep in range(25) for m, est in zip(methods, want)]
+
+    def test_grid_ledger_matches_reference(self):
+        cfg = tiny_grid()
+        _, ledger, _ = run_grid(cfg)
+        want = []
+        for cell_index, (alpha, rkk_t, rho_t, p) in enumerate(cfg.cells()):
+            g, s, _, _, _ = build_cell(cfg, cell_index, alpha, rkk_t, rho_t, p)
+            f_bar = true_exposure(g, s)
+            if f_bar == 0.0:
+                continue
+            for method in cfg.methods:
+                ests = reference_rep_estimates(method, g, s, cfg.n_samples, _generators(cfg.seed, cell_index, cfg.reps))
+                want += [(cell_index, alpha, rkk_t, rho_t, p, method, rep, est, abs(est - f_bar), f_bar)
+                         for rep, est in enumerate(ests.tolist())]
+        assert ledger == want
+
+
 class TestGridConfigFile:
     def test_parse(self, tmp_path):
         f = tmp_path / "grid.cfg"
@@ -454,10 +577,7 @@ class TestCli:
         assert "big.txt: line 2" in capsys.readouterr().err
 
     def test_grid_method_checked_before_shaping(self, tmp_path, capsys, monkeypatch):
-        def no_shaping(*args, **kwargs):
-            raise AssertionError("a cell was built before the methods were checked")
-
-        monkeypatch.setattr(harness, "build_cell", no_shaping)
+        monkeypatch.setattr(harness, "build_cell", _no_shaping)
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("nodes = 120\nalphas = 2.5\nk_max = 25\nsharing_probs = 0.2\n"
                        "methods = vanilla, d-node\nreps = 2\nseed = 6\n")
