@@ -52,6 +52,7 @@ from .graph import (
     average_degree,
     build_directed,
     build_undirected,
+    component_labels,
     is_bipartite,
     is_connected,
     random_walk_friends,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DiGraph, Graph, gather_segments
+from .graph import DiGraph, Graph, gather_segments, sorted_unique
 
 DEFAULT_SEED_COUNT = 10
 DEFAULT_INFECTION_PROB = 0.05
@@ -37,7 +37,7 @@ class SharingState:
         if new_sharers is None:
             self.new_sharers = self.sharers
         else:
-            self.new_sharers = np.unique(np.asarray(new_sharers, dtype=np.int64))
+            self.new_sharers = sorted_unique(np.asarray(new_sharers, dtype=np.int64))
         self.mask.setflags(write=False)
         self.sharers.setflags(write=False)
         self.new_sharers.setflags(write=False)
@@ -149,7 +149,7 @@ def icm_step(g: Graph, s: SharingState, p_inf: float, rng: np.random.Generator, 
         return SharingState(s.mask, np.empty(0, dtype=np.int64))
     targets = gather_segments(g.indptr, g.indices, sources)[0]
     targets = targets[~s.mask[targets]]  # one entry per (source, target) attempt
-    hits = np.unique(targets[rng.random(targets.shape[0]) < p_inf])
+    hits = targets[rng.random(targets.shape[0]) < p_inf]  # SharingState dedupes repeat hits
     if hits.size == 0:
         return SharingState(s.mask, hits)
     mask = s.mask.copy()

@@ -1,8 +1,8 @@
 """Command-line interface: exposure-lab {generate|estimate|grid|track|analyze}.
 
 Exit codes: 0 success, 2 input error, 3 warning (best-effort shaping
-stopped beyond tolerance, or a zero-exposure cell made percent errors
-undefined).
+stopped beyond tolerance, a zero-exposure cell made percent errors
+undefined, or fp-walk ran on a graph where its samples are biased).
 """
 
 from __future__ import annotations
@@ -176,10 +176,9 @@ def _cmd_estimate(args) -> int:
     if result.verdict is not None:
         pref = "fp" if result.verdict.fp_preferred else "vanilla"
         print(f"condition: lhs={result.verdict.lhs_value:.6g} preferred={pref} tie={result.verdict.tie}")
-    if result.zero_exposure:
-        print("warning: true exposure is 0; percent errors are undefined", file=sys.stderr)
-        return EXIT_WARNING
-    return EXIT_OK
+    for warning in result.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return EXIT_WARNING if result.warnings else EXIT_OK
 
 
 def _cmd_grid(args) -> int:

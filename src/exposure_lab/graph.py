@@ -38,12 +38,17 @@ def _packed_key_base(num_nodes) -> int:
     return num_nodes
 
 
-def _unique_pairs(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Distinct (src, dst) pairs as an (m, 2) array in lexicographic order."""
-    keys = np.sort(src * num_nodes + dst)
+def sorted_unique(values) -> np.ndarray:
+    """np.unique(values) for integer arrays: the distinct values, flattened and ascending, from one sort."""
+    keys = np.sort(values, axis=None)
     if keys.size:
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return np.stack(np.divmod(keys, num_nodes), axis=1)
+    return keys
+
+
+def _unique_pairs(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Distinct (src, dst) pairs as an (m, 2) array in lexicographic order."""
+    return np.stack(np.divmod(sorted_unique(src * num_nodes + dst), num_nodes), axis=1)
 
 
 def _csr_from_pairs(src: np.ndarray, dst: np.ndarray, num_nodes: int):
@@ -253,10 +258,10 @@ def random_walk_friends(
     """Degree-proportional node samples from a simple random walk.
 
     The first sample is the position after ``burn_in`` steps; each later
-    sample follows ``thin`` further steps. On a connected non-bipartite
-    graph the empirical distribution converges to d(v)/2|E| (callers are
-    responsible for checking those properties; see is_connected /
-    is_bipartite). Defaults: burn_in = 10|V|, thin = |V|.
+    sample follows ``thin`` further steps. The empirical distribution
+    converges to d(v)/2|E| only when the nodes of degree >= 1 form one
+    connected, non-bipartite graph; walk_precondition_failures checks
+    that. Defaults: burn_in = 10|V|, thin = |V|.
     """
     if burn_in is None:
         burn_in = WALK_BURN_IN_FACTOR * g.num_nodes
@@ -293,7 +298,7 @@ def random_walk_friends(
 
 
 # ---------------------------------------------------------------------------
-# Structure checks (utilities for random-walk preconditions)
+# Structure checks (the random-walk preconditions)
 # ---------------------------------------------------------------------------
 
 
@@ -312,36 +317,50 @@ def gather_segments(indptr: np.ndarray, indices: np.ndarray, rows) -> tuple:
     return indices[np.arange(int(bounds[-1])) + offsets], bounds
 
 
+def component_labels(edges, num_nodes: int) -> np.ndarray:
+    """Each node's smallest component member, by hook-and-jump labelling (Shiloach & Vishkin 1982).
+
+    A round hooks each root that an edge joins to a smaller root onto the
+    smallest such root, then jumps pointers until every label is a root.
+    """
+    labels = np.arange(num_nodes, dtype=np.int64)
+    u, v = _as_edge_array(edges).T
+    lu, lv = u, v  # every node starts as its own root
+    while u.size:
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+        lu, lv = labels[u], labels[v]
+        cross = lu != lv
+        u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
+    return labels
+
+
 def is_connected(g: Graph) -> bool:
     """True when every node is reachable from node 0 (vacuously for |V| <= 1)."""
-    if g.num_nodes <= 1:
-        return True
-    seen = np.zeros(g.num_nodes, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        nbrs = gather_segments(g.indptr, g.indices, frontier)[0]
-        fresh = np.unique(nbrs[~seen[nbrs]])
-        seen[fresh] = True
-        frontier = fresh
-    return bool(seen.all())
+    return bool((component_labels(g.edge_array, g.num_nodes) == 0).all())
 
 
 def is_bipartite(g: Graph) -> bool:
-    """True when the graph admits a 2-coloring (checked per component)."""
-    color = np.full(g.num_nodes, -1, dtype=np.int8)
-    for root in range(g.num_nodes):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        frontier = np.array([root], dtype=np.int64)
-        c = 0
-        while frontier.size:
-            nbrs = gather_segments(g.indptr, g.indices, frontier)[0]
-            if np.any(color[nbrs] == c):
-                return False
-            fresh = np.unique(nbrs[color[nbrs] == -1])
-            c ^= 1
-            color[fresh] = c
-            frontier = fresh
-    return True
+    """True when no node shares a label with its copy in the double cover, edges (u, v+n) and (u+n, v)."""
+    n, (u, v) = g.num_nodes, g.edge_array.T
+    labels = component_labels(np.concatenate([np.stack([u, v + n], 1), np.stack([u + n, v], 1)]), 2 * n)
+    return not np.any(labels[:n] == labels[n:])
+
+
+def walk_precondition_failures(g: Graph) -> tuple:
+    """Why random_walk_friends' samples are not degree-proportional on g; empty when they are.
+
+    The walk's law converges to d(v)/2|E| when the nodes of degree >= 1
+    form one connected, non-bipartite graph; isolated nodes are never
+    visited, so they do not count.
+    """
+    active = np.flatnonzero(g.degrees > 0)
+    components = np.count_nonzero(component_labels(g.edge_array, g.num_nodes)[active] == active)
+    if components > 1:
+        return (f"fp-walk samples are biased: the nodes with friends form {components} components, "
+                "and a walk never leaves the one it starts in",)
+    if components == 1 and is_bipartite(g):
+        return ("fp-walk samples are biased: the graph is bipartite, so a walk alternates between its two sides",)
+    return ()

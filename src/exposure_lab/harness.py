@@ -156,7 +156,7 @@ def load_graph(path: str, directed: bool = False, mapping_path: str | None = Non
         edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     else:
         edges, ignored = parsed
-    ids = np.unique(edges)
+    ids = graphmod.sorted_unique(edges)
     remapped = bool(ids.size) and not (
         ids.size == int(ids[-1]) + 1 and ids[0] == 0
     )
@@ -307,10 +307,12 @@ def _check_methods(methods, directed: bool) -> None:
     if not methods:
         raise ValueError("need at least one method")
     allowed = DIRECTED_METHODS if directed else UNDIRECTED_METHODS
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in allowed:
             kind = "directed" if directed else "undirected"
             raise ValueError(f"method {m!r} not available on {kind} graphs (choose from {allowed})")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} listed twice")
 
 
 def _check_counts(n_samples: int, reps: int) -> None:
@@ -327,14 +329,18 @@ def _check_counts(n_samples: int, reps: int) -> None:
 
 @dataclass(frozen=True)
 class StaticResult:
-    """Per-rep estimates for one (graph, sharing) pair, plus the analytics."""
+    """Per-rep estimates for one (graph, sharing) pair, plus the analytics.
+
+    ``warnings`` names each reason the rows are best-effort: a true
+    exposure of 0, or a graph on which fp-walk's samples are biased.
+    """
 
     rows: list  # (rep, method, estimate, abs_error, true_exposure)
     true_exposure: float
     verdict: ConditionVerdict | None
     var_vanilla_single: float | None
     var_fp_single: float | None
-    zero_exposure: bool
+    warnings: tuple
 
 
 def run_static_experiment(
@@ -354,7 +360,9 @@ def run_static_experiment(
     generators are made once and each method's run_method call continues
     them, so within a rep the methods draw in the listed order from one
     stream: adding a method changes later methods' draws, but rep streams
-    stay independent. Rows are ordered by rep, then method.
+    stay independent. Rows are ordered by rep, then method. With fp-walk
+    among the methods, the graph is checked once for the walk's
+    preconditions; a failure is reported in ``warnings``.
     """
     directed = isinstance(g, DiGraph)
     _check_methods(methods, directed)
@@ -370,7 +378,10 @@ def run_static_experiment(
         verdict = condition_empirical(g, s)
         var_v = exact_variance_vanilla(f_bar, 1)
         var_fp = exact_variance_fp(g, s, 1)
-    return StaticResult(rows, f_bar, verdict, var_v, var_fp, f_bar == 0.0)
+    warnings = graphmod.walk_precondition_failures(g) if "fp-walk" in methods else ()
+    if f_bar == 0.0:
+        warnings += ("true exposure is 0; percent errors are undefined",)
+    return StaticResult(rows, f_bar, verdict, var_v, var_fp, warnings)
 
 
 # ---------------------------------------------------------------------------

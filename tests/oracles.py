@@ -179,6 +179,50 @@ def enum_directed_expectation(g: DiGraph, mask: np.ndarray, mode: str) -> float:
     return total / g.num_edges
 
 
+def _adjacency_lists(g: Graph) -> list:
+    adj = [[] for _ in range(g.num_nodes)]
+    for u, v in g.edge_array.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def reference_component_labels(g: Graph) -> np.ndarray:
+    """Each node's smallest component member, by one BFS per component from its smallest id."""
+    adj = _adjacency_lists(g)
+    labels = [-1] * g.num_nodes
+    for root in range(g.num_nodes):
+        if labels[root] != -1:
+            continue
+        labels[root] = root
+        queue = [root]
+        for u in queue:
+            for v in adj[u]:
+                if labels[v] == -1:
+                    labels[v] = root
+                    queue.append(v)
+    return np.array(labels, dtype=np.int64)
+
+
+def reference_is_bipartite(g: Graph) -> bool:
+    """2-colouring by BFS: False as soon as an edge joins two nodes of one colour."""
+    adj = _adjacency_lists(g)
+    color = [-1] * g.num_nodes
+    for root in range(g.num_nodes):
+        if color[root] != -1:
+            continue
+        color[root] = 0
+        queue = [root]
+        for u in queue:
+            for v in adj[u]:
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Percolation threshold
 # ---------------------------------------------------------------------------

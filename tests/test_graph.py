@@ -5,9 +5,11 @@ import pytest
 from scipy import stats
 
 from exposure_lab import (
+    Graph,
     average_degree,
     build_directed,
     build_undirected,
+    component_labels,
     is_bipartite,
     is_connected,
     make_generator,
@@ -28,6 +30,8 @@ from oracles import (
     random_graph,
     reference_build_directed,
     reference_build_undirected,
+    reference_component_labels,
+    reference_is_bipartite,
     star,
     two_step_distribution_oracle,
 )
@@ -389,6 +393,82 @@ class TestStructureChecks:
         assert is_bipartite(cycle(6))
         assert not is_bipartite(cycle(5))
         assert not is_bipartite(complete(3))
+
+
+def relabeled(edges, order) -> Graph:
+    """The graph of ``edges`` over len(order) nodes with node i renamed order[i]."""
+    order = np.asarray(order, dtype=np.int64)
+    return build_undirected(order[np.asarray(edges, dtype=np.int64).reshape(-1, 2)], order.size)
+
+
+def path_orders(n: int, rng) -> dict:
+    """Ids along an n-node path: ascending, descending, zigzag (0, n-1, 1, n-2, ...) and random."""
+    zigzag = np.empty(n, dtype=np.int64)
+    zigzag[0::2] = np.arange((n + 1) // 2)
+    zigzag[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+    return {"ascending": np.arange(n), "descending": np.arange(n)[::-1], "zigzag": zigzag,
+            "random": rng.permutation(n)}
+
+
+class TestComponentLabels:
+    """component_labels, is_connected and is_bipartite against per-component BFS oracles."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        labels = component_labels(g.edge_array, g.num_nodes)
+        want = reference_component_labels(g)
+        assert labels.dtype == np.int64 and np.array_equal(labels, want)
+        assert is_connected(g) == bool((want == 0).all())
+        assert is_bipartite(g) == reference_is_bipartite(g)
+
+    def test_empty_and_single_node(self):
+        for n in (0, 1):
+            g = build_undirected([], n)
+            assert component_labels(g.edge_array, n).tolist() == list(range(n))
+            assert is_connected(g) and is_bipartite(g)
+            self.check(g)
+
+    def test_random_graphs_with_isolated_nodes(self):
+        rng = make_generator(707)
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            m = int(rng.integers(0, 2 * n))
+            self.check(build_undirected(rng.integers(0, n, size=(m, 2)), n))
+
+    @pytest.mark.parametrize("n", [2, 3, 1000, 1001])
+    def test_paths_in_every_id_order(self, n):
+        edges = [(i, i + 1) for i in range(n - 1)]
+        for name, order in path_orders(n, make_generator(708, n)).items():
+            g = relabeled(edges, order)
+            self.check(g)
+            assert is_connected(g) and is_bipartite(g), name
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 999, 1000])
+    def test_even_and_odd_cycles(self, n):
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        for order in path_orders(n, make_generator(709, n)).values():
+            g = relabeled(edges, order)
+            self.check(g)
+            assert is_bipartite(g) == (n % 2 == 0)
+
+    @pytest.mark.parametrize("sizes", [(3, 4), (4,)])
+    def test_thousands_of_triangles_and_squares(self, sizes):
+        rng = make_generator(710)
+        edges, n = [], 0
+        for k in rng.choice(sizes, size=3000).tolist():
+            edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+            n += k
+        g = relabeled(edges, rng.permutation(n))
+        self.check(g)
+        assert not is_connected(g) and is_bipartite(g) == (sizes == (4,))
+
+    def test_one_odd_component_breaks_bipartiteness(self):
+        # 200k isolated nodes plus an even and an odd cycle at the far end
+        n = 200_000
+        even = [(n - 10 + i, n - 10 + (i + 1) % 4) for i in range(4)]
+        odd = [(n - 5 + i, n - 5 + (i + 1) % 5) for i in range(5)]
+        assert is_bipartite(build_undirected(even, n))
+        assert not is_bipartite(build_undirected(even + odd, n))
 
 
 class TestGatherSegments:

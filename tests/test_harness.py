@@ -293,7 +293,7 @@ class TestStaticExperiment:
         g = star(4)
         s = SharingState.from_sharers([], 5)
         result = run_static_experiment(g, s, ["vanilla"], 10, 2, seed=0)
-        assert result.zero_exposure
+        assert result.warnings == ("true exposure is 0; percent errors are undefined",)
 
     def test_walk_and_two_step_methods_run(self):
         g = star(4)
@@ -372,7 +372,13 @@ class TestDegenerateRuns:
         with pytest.raises(ValueError, match=message):
             run_static_experiment(g, s, methods, n_samples, 3, seed=0)
 
-    @pytest.mark.parametrize("line", ["reps = 0", "n_samples = 0", "methods = ,"])
+    def test_static_experiment_rejects_repeated_method(self):
+        g = star(4)
+        s = SharingState.from_sharers([0], 5)
+        with pytest.raises(ValueError, match="'vanilla' listed twice"):
+            run_static_experiment(g, s, ["vanilla", "fp", "vanilla"], 5, 2, seed=0)
+
+    @pytest.mark.parametrize("line", ["reps = 0", "n_samples = 0", "methods = ,", "methods = vanilla, fp, vanilla"])
     def test_grid_cli_exit_code(self, tmp_path, monkeypatch, line):
         monkeypatch.setattr(harness, "build_cell", _no_shaping)
         cfg = tmp_path / "grid.cfg"
@@ -383,6 +389,7 @@ class TestDegenerateRuns:
 
     @pytest.mark.parametrize("flags,message", [
         (["--method", ","], "at least one method"), (["--method", "vanilla", "--samples", "0"], "n_samples >= 1"),
+        (["--method", "vanilla,vanilla"], "'vanilla' listed twice"),
     ])
     def test_estimate_cli_exit_code(self, tmp_path, capsys, flags, message):
         graph = tmp_path / "g.txt"
@@ -434,7 +441,7 @@ class TestRunMethod:
 
     def test_static_experiment_rows_match_reference(self):
         g, s, _ = _oracle_graphs()
-        methods = ["vanilla", "fp-walk", "fp", "vanilla"]
+        methods = ["vanilla", "fp-walk", "fp"]
         result = run_static_experiment(g, s, methods, 30, 25, seed=4, walk_burn_in=200, walk_thin=2)
         gens = _generators(4, 0, 25)
         want = [reference_rep_estimates(m, g, s, 30, gens, walk_burn_in=200, walk_thin=2).tolist() for m in methods]
@@ -593,3 +600,58 @@ class TestCli:
                      "--method", "vanilla", "--samples", "5", "--reps", "2",
                      "--out", str(tmp_path / "out.csv")])
         assert code == 3
+
+def _estimate_cli(tmp_path, edges, sharers, flags):
+    """Runs `estimate` on an edge list and a sharer list; returns (exit code, estimate column)."""
+    graph = tmp_path / "g.txt"
+    graph.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    sharer_file = tmp_path / "s.txt"
+    sharer_file.write_text("".join(f"{v}\n" for v in sharers))
+    out = tmp_path / "out.csv"
+    code = main(["estimate", "--graph", str(graph), "--sharers", str(sharer_file), "--out", str(out)] + flags)
+    rows = out.read_text().splitlines()[2:]
+    return code, [row.split(",")[2] for row in rows]
+
+
+class TestWalkPreconditions:
+    """fp-walk is unbiased only on a connected, non-bipartite graph of the nodes with friends."""
+
+    def test_disconnected_graph_exit_code(self, tmp_path, capsys):
+        # a triangle 0-1-2 with pendant 3, plus a K10 on nodes 4-13: walks started
+        # in the K10 never see the sharer's friends
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3)] + [(u, v) for u in range(4, 14) for v in range(u + 1, 14)]
+        code, estimates = _estimate_cli(tmp_path, edges, [0], [
+            "--method", "fp,fp-walk", "--samples", "200", "--reps", "5", "--walk-burn-in", "100", "--walk-thin", "3"])
+        assert code == 3
+        assert "fp-walk samples are biased: the nodes with friends form 2 components" in capsys.readouterr().err
+        assert len(estimates) == 10
+
+    def test_bipartite_star_exit_code(self, tmp_path, capsys):
+        # burn-in 50 is even, so each walk ends on the side it started on: the
+        # hub (estimate 0) a fifth of the time, a leaf (estimate 1.6) otherwise
+        code, estimates = _estimate_cli(tmp_path, [(0, 1), (0, 2), (0, 3), (0, 4)], [0], [
+            "--method", "fp-walk", "--samples", "1", "--reps", "400"])
+        assert code == 3
+        assert "fp-walk samples are biased: the graph is bipartite" in capsys.readouterr().err
+        assert set(estimates) == {"0", "1.6"}
+
+    def test_connected_non_bipartite_exit_code(self, tmp_path, capsys):
+        # star plus a triangle among three leaves; node 5 hangs off leaf 4
+        edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (1, 3), (4, 5)]
+        code, estimates = _estimate_cli(tmp_path, edges, [0], [
+            "--method", "vanilla,fp-walk", "--samples", "20", "--reps", "3", "--walk-burn-in", "60", "--walk-thin", "2"])
+        assert code == 0
+        assert "warning" not in capsys.readouterr().err
+        assert len(estimates) == 6
+
+    def test_isolated_nodes_do_not_count(self):
+        g = build_undirected([(0, 1), (1, 2), (0, 2)], 6)  # nodes 3-5 have no friends
+        s = SharingState.from_sharers([0], 6)
+        result = run_static_experiment(g, s, ["fp-walk"], 10, 2, seed=0, walk_burn_in=20, walk_thin=2)
+        assert result.warnings == ()
+
+    def test_checked_only_for_fp_walk(self):
+        s = SharingState.from_sharers([0], 5)
+        assert run_static_experiment(star(4), s, ["vanilla", "fp"], 10, 2, seed=0).warnings == ()
+        result = run_static_experiment(star(4), s, ["vanilla", "fp-walk"], 10, 2, seed=0)
+        assert len(result.warnings) == 1 and "bipartite" in result.warnings[0]
