@@ -52,8 +52,9 @@ from .rng import make_generator
 
 UNDIRECTED_METHODS = ("vanilla", "fp", "fp-walk", "fp-two-step")
 DIRECTED_METHODS = ("d-node", "d-friend", "d-follower")
-WRITE_CHUNK_ROWS = 1 << 16  # edge-list rows formatted per write
-_COMMENT_LINE = re.compile(rb"\n#[^\n]*")  # a '#' line with the newline before it
+WRITE_CHUNK_ROWS = 1 << 16  # id-file rows formatted per write
+_COMMENT_LINES = re.compile(r"\n[ \t]*#[^\n]*")  # a comment line with the newline before it
+_ID_TEXT = b"0123456789 \t\n"  # all an id file holds once comments are dropped
 _NODE_ID = re.compile(r"-?[0-9]+")  # ASCII digits; a sign only to report negative ids
 MAX_NODE_ID = 2**63 - 1
 _LINE_BLANKS = " \t\n"  # text mode reads \r\n and a lone \r as \n
@@ -77,21 +78,44 @@ class LoadReport:
     id_map: np.ndarray | None = None  # sorted original ids; dense id = index
 
 
-def _parse_edge_lines(path: str):
-    pairs = []
-    ignored = 0
+def _read_ids(path: str, count: int):
+    """The id rows of an edge file (``count`` 2) or a sharer file (``count`` 1).
+
+    One pass: text mode reads CRLF and a lone CR as LF; lines whose first
+    non-blank character is '#' are dropped; what is left must be ASCII
+    digits, spaces, tabs and newlines, with ``count`` ids on each non-blank
+    line. A file that fails the pass is scanned line by line, only to raise
+    its first bad line's error. Returns (ids of shape (rows, count), number
+    of blank and comment lines).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        body = _COMMENT_LINES.sub("", "\n" + text)  # the added newline precedes a comment on line 1
+        if not body.isascii() or body.encode("ascii").translate(None, _ID_TEXT):
+            raise ValueError("a character other than an ASCII digit, space or tab")
+        ids = (np.empty((0, count), dtype=np.int64) if body.isspace()
+               else np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2))
+        if ids.shape[1] != count:
+            raise ValueError(f"not {count} ids per line")
+    except ValueError:  # also invalid UTF-8, and loadtxt's ragged rows or ids beyond int64
+        _raise_first_bad_line(path, count)
+    num_lines = text.count("\n") + (len(text) > 0 and not text.endswith("\n"))
+    return ids, num_lines - ids.shape[0]
+
+
+def _raise_first_bad_line(path: str, count: int):
+    """Raise the error of an id file's first line that is neither blank, a comment nor ``count`` ids."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip(_LINE_BLANKS)
-            if not line or line.startswith("#"):
-                ignored += 1
-                continue
-            pairs.append(_node_ids(line, 2, path, lineno))
-    return pairs, ignored
+            if line and not line.startswith("#"):
+                _node_ids(line, count, path, lineno)
+    raise ValueError(f"{path}: not a file of {count} node id(s) per line")
 
 
-def _node_ids(line: str, count: int, path: str, lineno: int) -> list:
-    """The ``count`` ids of a data line: ASCII digits, at most MAX_NODE_ID."""
+def _node_ids(line: str, count: int, path: str, lineno: int) -> None:
+    """Raise unless a data line holds ``count`` ids: ASCII digits, at most MAX_NODE_ID."""
     parts = _FIELD_SEP.split(line)
     if len(parts) != count or not all(_NODE_ID.fullmatch(p) for p in parts):
         expected = "two node ids" if count == 2 else "a node id"
@@ -101,61 +125,21 @@ def _node_ids(line: str, count: int, path: str, lineno: int) -> list:
         raise ValueError(f"{path}: line {lineno}: node ids must be non-negative")
     if max(ids) > MAX_NODE_ID:
         raise ValueError(f"{path}: line {lineno}: node id above {MAX_NODE_ID}")
-    return ids
-
-
-def _parse_plain_edge_file(path: str):
-    """Bulk parse of a plain edge-list file; None when the file is not plain.
-
-    Plain: valid UTF-8 without carriage returns; every comment line has
-    its '#' in column 0; every other line holds only ASCII digits, spaces
-    and tabs, with exactly two ids when it is not blank. Such a file parses
-    to the same edges and line counts as _parse_edge_lines, which handles
-    (and reports the errors of) every other file. Returns (edges, ignored).
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if b"\r" in data:
-        return None
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    num_lines = data.count(b"\n") + (len(data) > 0 and not data.endswith(b"\n"))
-    body = _COMMENT_LINE.sub(b"", b"\n" + data)
-    if body.translate(None, b"0123456789 \t\n"):
-        return None
-    if body.isspace():  # blank lines only; body starts with the added newline
-        edges = np.empty((0, 2), dtype=np.int64)
-    else:
-        try:
-            edges = np.loadtxt(io.BytesIO(body), dtype=np.int64, comments=None, ndmin=2)
-        except ValueError:  # a line without two ids, or an id beyond int64
-            return None
-        if edges.shape[1] != 2:
-            return None
-    return edges, num_lines - edges.shape[0]
 
 
 def load_graph(path: str, directed: bool = False, mapping_path: str | None = None):
     """Load an edge-list file into a simplified Graph or DiGraph.
 
     One edge per line as two non-negative integers separated by spaces or tabs;
-    lines starting with '#' (and blank lines) are ignored; undirected files
-    may list an edge once in either orientation. Sparse ids are remapped to
-    a dense 0..n-1 range and kept in the report's ``id_map``; the mapping
-    is written to a file only when ``mapping_path`` is given. A plain file
-    is parsed in one bulk pass, any other line by line; both give the same
-    result and the line-wise parser raises every parse error.
+    LF, CRLF and a lone CR all end a line; blank lines, and lines whose
+    first non-blank character is '#', are ignored; undirected files may
+    list an edge once in either orientation. A bad line raises ValueError
+    naming the path and the first bad line's number. Sparse ids are
+    remapped to a dense 0..n-1 range and kept in the report's ``id_map``;
+    the mapping is written to a file only when ``mapping_path`` is given.
     Returns (graph, LoadReport).
     """
-    parsed = _parse_plain_edge_file(path)
-    if parsed is None:
-        pairs, ignored = _parse_edge_lines(path)
-        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    else:
-        edges, ignored = parsed
+    edges, ignored = _read_ids(path, 2)
     ids = graphmod.sorted_unique(edges)
     remapped = bool(ids.size) and not (
         ids.size == int(ids[-1]) + 1 and ids[0] == 0
@@ -164,9 +148,7 @@ def load_graph(path: str, directed: bool = False, mapping_path: str | None = Non
         edges = np.searchsorted(ids, edges)
         num_nodes = ids.size
         if mapping_path is not None:
-            with open(mapping_path, "w", encoding="utf-8") as fh:
-                fh.write("# original_id remapped_id\n")
-                _write_int_pairs(fh, np.stack([ids, np.arange(ids.size)], axis=1))
+            _write_id_rows(mapping_path, "original_id remapped_id", np.stack([ids, np.arange(ids.size)], axis=1))
     else:
         num_nodes = int(ids[-1]) + 1 if ids.size else 0
     g = build_directed(edges, num_nodes) if directed else build_undirected(edges, num_nodes)
@@ -195,50 +177,45 @@ def compact_nonisolated(g: Graph):
     return build_undirected(dense[g.edge_array], kept.size), kept
 
 
-def _write_int_pairs(fh, pairs: np.ndarray) -> None:
-    """'a b' lines, formatted WRITE_CHUNK_ROWS rows at a time to bound memory."""
-    for start in range(0, pairs.shape[0], WRITE_CHUNK_ROWS):
-        chunk = pairs[start : start + WRITE_CHUNK_ROWS]
-        fh.write(("%d %d\n" * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+def _write_id_rows(path: str, header: str, rows: np.ndarray) -> None:
+    """A '# header' line, then one line of space-separated ids per row of a 2-D array.
+
+    Rows are formatted WRITE_CHUNK_ROWS at a time to bound memory.
+    """
+    line = " ".join(["%d"] * rows.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {header}\n")
+        for start in range(0, rows.shape[0], WRITE_CHUNK_ROWS):
+            chunk = rows[start : start + WRITE_CHUNK_ROWS]
+            fh.write((line * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 def write_edge_list(path: str, g) -> None:
     """One edge per line; undirected edges written once as 'u v' with u <= v."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {'directed' if isinstance(g, DiGraph) else 'undirected'}"
-                 f" nodes={g.num_nodes} edges={g.num_edges}\n")
-        _write_int_pairs(fh, g.edge_array)
+    _write_id_rows(path, f"{'directed' if isinstance(g, DiGraph) else 'undirected'}"
+                         f" nodes={g.num_nodes} edges={g.num_edges}", g.edge_array)
 
 
 def read_sharers(path: str, num_nodes: int, id_map: np.ndarray | None = None) -> SharingState:
-    """Sharer-list file: one node id per line, '#' comments allowed.
+    """Sharer-list file: one node id per line, read by the edge-list rules.
 
     Pass the LoadReport's ``id_map`` when the graph file's sparse ids were
     remapped, so sharer ids written in the original id space land on the
-    right dense nodes.
+    right dense nodes. A sharer id that is not a node of the graph raises
+    ValueError naming the path and the id.
     """
-    sharers = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip(_LINE_BLANKS)
-            if not line or line.startswith("#"):
-                continue
-            sharers.extend(_node_ids(line, 1, path, lineno))
-    ids = np.array(sharers, dtype=np.int64)
-    if id_map is not None and ids.size:
-        pos = np.searchsorted(id_map, ids)
-        bad = (pos >= id_map.size) | (id_map[np.minimum(pos, id_map.size - 1)] != ids)
-        if bad.any():
-            raise ValueError(f"{path}: sharer id {int(ids[bad][0])} does not appear in the graph file")
-        ids = pos
-    return SharingState.from_sharers(ids, num_nodes)
+    ids = _read_ids(path, 1)[0][:, 0]
+    known = np.arange(num_nodes) if id_map is None else id_map
+    pos = np.searchsorted(known, ids)
+    found = pos < known.size
+    found[found] = known[pos[found]] == ids[found]
+    if not found.all():
+        raise ValueError(f"{path}: sharer id {int(ids[~found][0])} does not appear in the graph file")
+    return SharingState.from_sharers(pos, num_nodes)
 
 
 def write_sharers(path: str, s: SharingState) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# sharers={s.num_sharers} of nodes={s.num_nodes}\n")
-        for v in s.sharers.tolist():
-            fh.write(f"{v}\n")
+    _write_id_rows(path, f"sharers={s.num_sharers} of nodes={s.num_nodes}", s.sharers[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +257,8 @@ def _draw(method: str, g, n_samples: int, rng, walk_burn_in, walk_thin) -> np.nd
         return sample_friend_two_step(g, n_samples, rng)
     if method == "fp-walk":
         candidates = np.flatnonzero(g.degrees > 0)
+        if not candidates.size:
+            raise ValueError("fp-walk: cannot start a random walk on an edgeless graph")
         start = int(candidates[rng.integers(candidates.size)])
         return random_walk_friends(g, start, walk_burn_in, walk_thin, n_samples, rng)
     if method in DIRECTED_METHODS:
@@ -585,6 +564,8 @@ def parse_grid_config(path: str) -> GridConfig:
             if key in _GRID_LIST_KEYS:
                 conv = _GRID_LIST_KEYS[key]
                 values[key] = tuple(conv(tok.strip()) for tok in val.split(",") if tok.strip())
+                if not values[key]:
+                    raise ValueError(f"{path}: line {lineno}: {key} needs at least one value")
             elif key in _GRID_SCALAR_KEYS:
                 values[key] = _GRID_SCALAR_KEYS[key](val)
             else:

@@ -7,6 +7,8 @@ paths they are checking.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigs
@@ -304,6 +306,39 @@ def reference_write_edge_list(path: str, g) -> None:
                  f" nodes={g.num_nodes} edges={g.num_edges}\n")
         for u, v in g.edge_array.tolist():
             fh.write(f"{u} {v}\n")
+
+
+# ---------------------------------------------------------------------------
+# Reference id-file reader: one line at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_read_ids(path: str, count: int):
+    """(ids of shape (rows, count), number of ignored lines), read line by line.
+
+    Text mode ends a line at LF, CRLF or a lone CR. A blank line, or one whose
+    first non-blank character is '#', is ignored. Any other line must hold
+    ``count`` ids of ASCII digits, at most 2**63 - 1, separated by spaces or
+    tabs; the first line that does not raises ValueError with path and line.
+    """
+    expected = "two node ids" if count == 2 else "a node id"
+    rows, ignored = [], 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip(" \t\n")
+            if not line or line.startswith("#"):
+                ignored += 1
+                continue
+            parts = re.split(r"[ \t]+", line)
+            if len(parts) != count or not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
+                raise ValueError(f"{path}: line {lineno}: expected {expected}, got {line!r}")
+            ids = [int(p) for p in parts]
+            if min(ids) < 0:
+                raise ValueError(f"{path}: line {lineno}: node ids must be non-negative")
+            if max(ids) > 2**63 - 1:
+                raise ValueError(f"{path}: line {lineno}: node id above {2**63 - 1}")
+            rows.append(ids)
+    return np.array(rows, dtype=np.int64).reshape(-1, count), ignored
 
 
 # ---------------------------------------------------------------------------

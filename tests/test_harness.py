@@ -3,11 +3,12 @@
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
-from exposure_lab import SharingState, true_exposure
+from exposure_lab import DiGraph, Graph, SharingState, true_exposure
 from exposure_lab.cli import main
 from exposure_lab.harness import (
     DIRECTED_METHODS,
@@ -31,7 +32,16 @@ from exposure_lab.harness import (
 
 from exposure_lab import build_directed, build_undirected, harness, make_generator
 
-from oracles import random_digraph, random_graph, reference_rep_estimates, reference_write_edge_list, star
+from oracles import (
+    random_digraph,
+    random_graph,
+    reference_build_directed,
+    reference_build_undirected,
+    reference_read_ids,
+    reference_rep_estimates,
+    reference_write_edge_list,
+    star,
+)
 
 
 class TestLoadGraph:
@@ -100,37 +110,45 @@ class TestLoadGraph:
         assert g3 is g2 and kept3.size == 3
 
 
-# (name, file bytes, whether the bulk parser takes it)
+# (name, file bytes)
 PARSE_CASES = [
-    ("hash_after_leading_spaces", b"0 1\n   # note\n1 2\n", False),
-    ("hash_mid_line", b"0 1 # note\n1 2\n", False),
-    ("crlf", b"# header\r\n0 1\r\n1 2\r\n", False),
-    ("lone_cr", b"0 1\r1 2\n", False),
-    ("lone_cr_ends_a_comment", b"# a\r0 1\n", False),
-    ("tabs", b"0\t1\n1 \t 2\t\n", True),
-    ("blank_and_whitespace_lines", b"\n0 1\n   \n\t\n1 2\n\n", True),
-    ("no_final_newline", b"0 1\n1 2", True),
-    ("comments_anywhere", b"# a\n0 1\n#b # c\n\n1 2\n# end", True),
-    ("utf8_comment", "# \u00fcber \u2192 graph\n0 1\n".encode(), True),
-    ("one_id", b"0 1\n2\n", False),
-    ("three_ids_on_one_line", b"0 1\n1 2 3\n", False),
-    ("three_ids_on_every_line", b"0 1 2\n1 2 3\n", False),
-    ("negative_id", b"0 1\n-1 2\n", False),
-    ("plus_sign", b"+5 1\n1 0\n", False),
-    ("underscore", b"1_000 1\n", False),
-    ("non_ascii_digits", "\u0661 \u0662\n".encode(), False),
-    ("leading_zeros", b"007 1\n", True),
-    ("twenty_digit_id", b"12345678901234567890 1\n", False),
-    ("int64_max", b"9223372036854775807 0\n", True),
-    ("int64_max_plus_one", b"9223372036854775808 0\n", False),
-    ("invalid_utf8_in_edge_line", b"0 1\n\xff 2\n", False),
-    ("invalid_utf8_in_comment", b"# \xff\n0 1\n", False),
-    ("empty_file", b"", True),
-    ("header_only", b"# undirected nodes=0 edges=0\n", True),
-    ("whitespace_only", b" \n\t\n", True),
-    ("sparse_ids", b"5 900\n900 7\n", True),
-    ("dense_ids_with_gap", b"0 1\n3 4\n4 0\n", True),
-    ("duplicates_and_self_loops", b"0 1\n1 0\n2 2\n1 2\n", True),
+    ("hash_after_leading_spaces", b"0 1\n   # note\n1 2\n"),
+    ("hash_mid_line", b"0 1 # note\n1 2\n"),
+    ("crlf", b"# header\r\n0 1\r\n1 2\r\n"),
+    ("lone_cr", b"0 1\r1 2\n"),
+    ("lone_cr_ends_a_comment", b"# a\r0 1\n"),
+    ("tabs", b"0\t1\n1 \t 2\t\n"),
+    ("blank_and_whitespace_lines", b"\n0 1\n   \n\t\n1 2\n\n"),
+    ("no_final_newline", b"0 1\n1 2"),
+    ("comments_anywhere", b"# a\n0 1\n#b # c\n\n1 2\n# end"),
+    ("utf8_comment", "# \u00fcber \u2192 graph\n0 1\n".encode()),
+    ("one_id", b"0 1\n2\n"),
+    ("three_ids_on_one_line", b"0 1\n1 2 3\n"),
+    ("three_ids_on_every_line", b"0 1 2\n1 2 3\n"),
+    ("negative_id", b"0 1\n-1 2\n"),
+    ("plus_sign", b"+5 1\n1 0\n"),
+    ("underscore", b"1_000 1\n"),
+    ("non_ascii_digits", "\u0661 \u0662\n".encode()),
+    ("leading_zeros", b"007 1\n"),
+    ("twenty_digit_id", b"12345678901234567890 1\n"),
+    ("int64_max", b"9223372036854775807 0\n"),
+    ("int64_max_plus_one", b"9223372036854775808 0\n"),
+    ("invalid_utf8_in_edge_line", b"0 1\n\xff 2\n"),
+    ("invalid_utf8_in_comment", b"# \xff\n0 1\n"),
+    ("empty_file", b""),
+    ("header_only", b"# undirected nodes=0 edges=0\n"),
+    ("whitespace_only", b" \n\t\n"),
+    ("sparse_ids", b"5 900\n900 7\n"),
+    ("dense_ids_with_gap", b"0 1\n3 4\n4 0\n"),
+    ("duplicates_and_self_loops", b"0 1\n1 0\n2 2\n1 2\n"),
+    ("negative_id_before_malformed_line", b"0 1\n-3 2\n0 x\n"),
+    ("bad_line_after_5000_good_ones", b"0 1\n1 2\n" * 2500 + b"3 y\n"),
+    ("byte_order_mark", "\ufeff0 1\n1 2\n".encode()),
+    ("leading_zeros_25_digits", b"0000000000000000000000042 1\n"),
+    ("vertical_tab", b"0 1\n1\x0b2\n"),
+    ("tab_before_hash", b"0 1\n\t# note\n1 2\n"),
+    ("hash_only_lines", b"#\n0 1\n#\n#\n"),
+    ("final_comment_without_newline", b"0 1\n1 2\n# end"),
 ]
 
 
@@ -148,6 +166,34 @@ def _load_outcome(path, directed):
     return ("loaded", type(g), g.num_nodes, arrays, fields)
 
 
+def _reference_load_outcome(path, directed):
+    """_load_outcome's value, from the line-wise reader and the reference builders."""
+    try:
+        pairs, ignored = reference_read_ids(path, 2)
+    except Exception as exc:  # noqa: BLE001 -- the outcome under comparison
+        return ("raised", type(exc), str(exc))
+    ids = np.unique(pairs)
+    remapped = bool(ids.size) and ids[-1] != ids.size - 1
+    n = ids.size if remapped else int(ids[-1]) + 1 if ids.size else 0
+    arrays = (reference_build_directed if directed else reference_build_undirected)(np.searchsorted(ids, pairs), n)
+    fields = (n, arrays[0].shape[0], pairs.shape[0], ignored, remapped, ids.tolist() if remapped else None)
+    return ("loaded", DiGraph if directed else Graph, n, tuple(a.tolist() for a in arrays), fields)
+
+
+def _read_outcome(reader, path, count):
+    """A reader's ids and ignored-line count, or the exception type and message."""
+    try:
+        ids, ignored = reader(path, count)
+    except Exception as exc:  # noqa: BLE001 -- the outcome under comparison
+        return ("raised", type(exc), str(exc))
+    return ("read", ids.dtype, ids.shape, ids.tolist(), ignored)
+
+
+def _one_id_variant(data: bytes) -> bytes:
+    """A parse case read as a sharer file: each pair of ASCII-digit ids cut to its first."""
+    return re.sub(rb"([0-9]+)[ \t]+[0-9]+", rb"\1", data)
+
+
 class TestNodeIdSyntax:
     """Ids are ASCII digits within int64; any other id fails with path and line."""
 
@@ -159,21 +205,26 @@ class TestNodeIdSyntax:
         f.write_text("0 1\n" + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"g\.txt: line 2: "):
             load_graph(str(f))
+        for directed in (False, True):
+            assert _load_outcome(str(f), directed) == _reference_load_outcome(str(f), directed)
 
 
 class TestBulkEdgeListParse:
-    """The bulk path and the line-wise parser give identical results."""
+    """The single-pass reader gives the line-wise reference's ids, line counts and errors."""
 
     @pytest.mark.parametrize("directed", [False, True])
-    @pytest.mark.parametrize("name,data,plain", PARSE_CASES, ids=[c[0] for c in PARSE_CASES])
-    def test_bulk_and_line_wise_agree(self, tmp_path, monkeypatch, name, data, plain, directed):
+    @pytest.mark.parametrize("name,data", PARSE_CASES, ids=[c[0] for c in PARSE_CASES])
+    def test_bulk_and_line_wise_agree(self, tmp_path, name, data, directed):
         f = tmp_path / "g.txt"
         f.write_bytes(data)
-        assert (harness._parse_plain_edge_file(str(f)) is not None) == plain
-        bulk = _load_outcome(str(f), directed)
-        monkeypatch.setattr(harness, "_parse_plain_edge_file", lambda path: None)
-        line_wise = _load_outcome(str(f), directed)
-        assert bulk == line_wise
+        assert _read_outcome(harness._read_ids, str(f), 2) == _read_outcome(reference_read_ids, str(f), 2)
+        assert _load_outcome(str(f), directed) == _reference_load_outcome(str(f), directed)
+
+    @pytest.mark.parametrize("name,data", PARSE_CASES, ids=[c[0] for c in PARSE_CASES])
+    def test_sharer_files_agree(self, tmp_path, name, data):
+        f = tmp_path / "s.txt"
+        f.write_bytes(_one_id_variant(data))
+        assert _read_outcome(harness._read_ids, str(f), 1) == _read_outcome(reference_read_ids, str(f), 1)
 
     def test_bulk_line_counts(self, tmp_path):
         f = tmp_path / "g.txt"
@@ -183,15 +234,27 @@ class TestBulkEdgeListParse:
         assert g.edge_array.tolist() == [[0, 1], [1, 2]]
 
     def test_large_random_file_takes_bulk_path(self, tmp_path):
+        # the line scan only raises, so a returned result comes from the single pass
         rng = make_generator(311)
         edges = rng.integers(0, 3000, size=(20000, 2))
         f = tmp_path / "g.txt"
         f.write_text("# big\n" + "".join(f"{u}\t{v}\n" if i % 7 else f" {u}  {v} \n\n"
                                          for i, (u, v) in enumerate(edges.tolist())))
-        edges_read, ignored = harness._parse_plain_edge_file(str(f))
+        edges_read, ignored = harness._read_ids(str(f), 2)
         assert np.array_equal(edges_read, edges)
         assert ignored == 1 + (edges.shape[0] + 6) // 7
         assert np.array_equal(load_graph(str(f))[0].edge_array, build_undirected(edges, 3000).edge_array)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_bad_line_near_end_of_large_file(self, tmp_path, count):
+        # over 64 KB of mixed LF and CRLF lines, so text mode decodes the line scan's input in many chunks
+        good = "".join(" ".join([str(100000 + i)] * count) + ("\r\n" if i % 3 else "\n") for i in range(9000))
+        f = tmp_path / "ids.txt"
+        f.write_text("# ids\n" + good + "7 x\n0\n", encoding="utf-8", newline="")
+        assert f.stat().st_size > 64 * 1024
+        with pytest.raises(ValueError, match=r"ids\.txt: line 9002: expected "):
+            harness._read_ids(str(f), count)
+        assert _read_outcome(harness._read_ids, str(f), count) == _read_outcome(reference_read_ids, str(f), count)
 
 
 class TestBulkEdgeListWrite:
@@ -218,6 +281,14 @@ class TestBulkEdgeListWrite:
         load_graph(str(f), mapping_path=str(tmp_path / "g.map"))
         assert open(tmp_path / "g.map", "rb").read() == b"# original_id remapped_id\n5 0\n7 1\n12 2\n900 3\n"
 
+    def test_sharer_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "WRITE_CHUNK_ROWS", 2)
+        f = tmp_path / "s.txt"
+        write_sharers(str(f), SharingState.from_sharers([4, 1, 3], 6))
+        assert f.read_bytes() == b"# sharers=3 of nodes=6\n1\n3\n4\n"
+        write_sharers(str(f), SharingState.from_sharers([], 6))
+        assert f.read_bytes() == b"# sharers=0 of nodes=6\n"
+
 
 class TestSharerFiles:
     def test_roundtrip(self, tmp_path):
@@ -229,8 +300,8 @@ class TestSharerFiles:
 
     def test_out_of_range_rejected(self, tmp_path):
         f = tmp_path / "s.txt"
-        f.write_text("7\n")
-        with pytest.raises(ValueError):
+        f.write_text("# one sharer\n7\n")
+        with pytest.raises(ValueError, match=r"s\.txt: sharer id 7 does not appear in the graph file"):
             read_sharers(str(f), 5)
 
     def test_sharers_follow_graph_remapping(self, tmp_path):
@@ -251,6 +322,7 @@ class TestSharerFiles:
         f.write_text("0\n" + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"s\.txt: line 2: "):
             read_sharers(str(f), 5)
+        assert _read_outcome(harness._read_ids, str(f), 1) == _read_outcome(reference_read_ids, str(f), 1)
 
 
 class TestCsvConventions:
@@ -495,6 +567,18 @@ class TestGridConfigFile:
         with pytest.raises(ValueError, match="line 1"):
             parse_grid_config(str(f))
 
+    @pytest.mark.parametrize("key", ["alphas", "rkk_targets", "rho_targets", "sharing_probs", "methods"])
+    def test_empty_list_rejected(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.setattr(harness, "build_cell", _no_shaping)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"nodes = 120\n{key} = , \nreps = 2\n")
+        with pytest.raises(ValueError, match=f"line 2: {key} needs at least one value"):
+            parse_grid_config(str(cfg))
+        out = tmp_path / "out.csv"
+        assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{key} needs at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_key_rejected(self, tmp_path):
         f = tmp_path / "grid.cfg"
         f.write_text("reps = 5\nseed = 1\nREPS = 7\n")
@@ -643,6 +727,17 @@ class TestWalkPreconditions:
         assert code == 0
         assert "warning" not in capsys.readouterr().err
         assert len(estimates) == 6
+
+    def test_edgeless_graph_exit_code(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 0\n1 1\n")  # self-loops only: two nodes, no edges
+        sharers = tmp_path / "s.txt"
+        sharers.write_text("0\n")
+        out = tmp_path / "out.csv"
+        assert main(["estimate", "--graph", str(graph), "--sharers", str(sharers),
+                     "--method", "fp-walk", "--reps", "2", "--out", str(out)]) == 2
+        assert "fp-walk: cannot start a random walk on an edgeless graph" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_isolated_nodes_do_not_count(self):
         g = build_undirected([(0, 1), (1, 2), (0, 2)], 6)  # nodes 3-5 have no friends
