@@ -44,6 +44,8 @@ from .genmodel import (
     degree_sharing_correlation,
     powerlaw_degree_sequence,
     rewire_to_assortativity,
+    shape_network,
+    shaping_targets,
     swap_to_correlation,
 )
 from .graph import (

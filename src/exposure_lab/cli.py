@@ -13,18 +13,16 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import harness
+from . import cascade, genmodel, harness, tracking
 from .cascade import true_exposure
 from .estimators import condition_empirical, exact_variance_fp, exact_variance_vanilla
 from .genmodel import (
-    CorrelationTarget,
     assortativity_coefficient,
-    bernoulli_sharing,
     configuration_model,
     degree_sharing_correlation,
     powerlaw_degree_sequence,
-    rewire_to_assortativity,
-    swap_to_correlation,
+    shape_network,
+    shaping_targets,
 )
 from .graph import average_degree
 from .rng import make_generator
@@ -33,6 +31,11 @@ from .tracking import StepPolicy, run_tracking_experiment
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_WARNING = 3
+
+# track's network flags, for --nodes only: an omitted one stays out of the
+# parsed arguments, so --graph can tell that one was given
+_TRACK_NETWORK_DEFAULTS = {"alpha": 2.5, "kmin": 1, "kmax": None, "assortativity": None,
+                           "tolerance": genmodel.DEFAULT_TOLERANCE, "max_iters": genmodel.DEFAULT_MAX_ITERS}
 
 
 def _stamp(subcommand: str, args_text: str) -> str:
@@ -55,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sharing-prob", type=float, default=None)
     p.add_argument("--degree-sharing-corr", type=float, default=None,
                    help="target degree-sharing correlation (needs --sharing-prob)")
-    p.add_argument("--tolerance", type=float, default=0.01)
-    p.add_argument("--max-iters", type=int, default=100_000)
+    p.add_argument("--tolerance", type=float, default=genmodel.DEFAULT_TOLERANCE)
+    p.add_argument("--max-iters", type=int, default=genmodel.DEFAULT_MAX_ITERS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-graph", required=True)
     p.add_argument("--out-sharers", default=None)
@@ -84,24 +87,25 @@ def _build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph")
     src.add_argument("--nodes", type=int)
-    p.add_argument("--alpha", type=float, default=2.5)
-    p.add_argument("--kmin", type=int, default=1)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--assortativity", type=float, default=None)
-    p.add_argument("--tolerance", type=float, default=0.01)
-    p.add_argument("--max-iters", type=int, default=100_000)
+    net = p.add_argument_group("network recipe (with --nodes only)", argument_default=argparse.SUPPRESS)
+    net.add_argument("--alpha", type=float)
+    net.add_argument("--kmin", type=int)
+    net.add_argument("--kmax", type=int)
+    net.add_argument("--assortativity", type=float)
+    net.add_argument("--tolerance", type=float)
+    net.add_argument("--max-iters", type=int)
     p.add_argument("--model", choices=("icm", "ltm"), required=True)
-    p.add_argument("--p-inf", type=float, default=0.05)
-    p.add_argument("--theta", type=float, default=0.05)
+    p.add_argument("--p-inf", type=float, default=cascade.DEFAULT_INFECTION_PROB)
+    p.add_argument("--theta", type=float, default=cascade.DEFAULT_LTM_THRESHOLD)
     p.add_argument("--icm-retry", action="store_true",
                    help="re-attempt variant: every sharer retries each step")
     p.add_argument("--ltm-strict", action="store_true",
                    help="activate only when the sharing fraction strictly exceeds theta")
-    p.add_argument("--seeds-count", type=int, default=10)
+    p.add_argument("--seeds-count", type=int, default=cascade.DEFAULT_SEED_COUNT)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--updates-per-step", type=int, default=100)
+    p.add_argument("--updates-per-step", type=int, default=tracking.DEFAULT_UPDATES_PER_STEP)
     p.add_argument("--policy", choices=("decreasing", "constant"), default="constant")
-    p.add_argument("--epsilon", type=float, default=0.01)
+    p.add_argument("--epsilon", type=float, default=tracking.DEFAULT_STEP_SIZE)
     p.add_argument("--initial-estimate", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -120,47 +124,45 @@ def _load_graph(path: str, directed: bool = False):
     return g, report
 
 
-def _cmd_generate(args) -> int:
-    rng = make_generator(args.seed)
+def _shaped_network(args, rng, compact: bool, sharing_prob=None, rho_target=None):
+    """genmodel.shape_network on a network drawn from the generation flags, every input checked first."""
+    shaping = (args.assortativity, sharing_prob, rho_target, args.tolerance, args.max_iters)
+    shaping_targets(*shaping)
     seq = powerlaw_degree_sequence(args.nodes, args.alpha, args.kmin, rng, k_max=args.kmax)
     g = configuration_model(seq, rng)
     # edge-list files cannot carry isolated nodes (simplification can strand
     # a degree-1 node), so compact before shaping to keep the two output
     # files consistent on reload
-    g, kept = harness.compact_nonisolated(g)
-    if kept.size < args.nodes:
-        print(f"note: dropped {args.nodes - kept.size} isolated node(s) left by simplification")
-    missed = False
-    if args.assortativity is not None:
-        g, res = rewire_to_assortativity(
-            g, CorrelationTarget(args.assortativity, args.tolerance, args.max_iters), rng)
-        missed |= not res.converged
-        print(f"assortativity: target={args.assortativity} achieved={res.achieved:.6f} "
-              f"iterations={res.iterations} converged={res.converged}")
+    if compact:
+        g, kept = harness.compact_nonisolated(g)
+        if kept.size < args.nodes:
+            print(f"note: dropped {args.nodes - kept.size} isolated node(s) left by simplification")
+    g, s, rkk, rho = shape_network(g, rng, *shaping)
+    if args.assortativity is None:
+        print(f"assortativity: achieved={rkk.achieved:.6f} (unshaped)")
     else:
-        print(f"assortativity: achieved={assortativity_coefficient(g):.6f} (unshaped)")
+        print(f"assortativity: target={args.assortativity} achieved={rkk.achieved:.6f} "
+              f"iterations={rkk.iterations} converged={rkk.converged}")
+    return g, s, rkk, rho
+
+
+def _cmd_generate(args) -> int:
+    if args.out_sharers and args.sharing_prob is None:
+        raise ValueError("--out-sharers requires --sharing-prob")
+    g, s, rkk, rho = _shaped_network(args, make_generator(args.seed), compact=True,
+                                     sharing_prob=args.sharing_prob, rho_target=args.degree_sharing_corr)
     harness.write_edge_list(args.out_graph, g)
     print(f"graph: nodes={g.num_nodes} edges={g.num_edges} avg_degree={average_degree(g):.4f} -> {args.out_graph}")
-    if args.degree_sharing_corr is not None and args.sharing_prob is None:
-        raise ValueError("--degree-sharing-corr requires --sharing-prob")
-    if args.sharing_prob is not None:
-        s = bernoulli_sharing(g, args.sharing_prob, rng)
-        if args.degree_sharing_corr is not None:
-            if 0 < s.num_sharers < g.num_nodes:
-                s, res = swap_to_correlation(
-                    g, s, CorrelationTarget(args.degree_sharing_corr, args.tolerance, args.max_iters), rng)
-                missed |= not res.converged
-                print(f"degree-sharing correlation: target={args.degree_sharing_corr} "
-                      f"achieved={res.achieved:.6f} iterations={res.iterations} converged={res.converged}")
-            else:
-                missed = True
-                print("degree-sharing correlation: degenerate sharer set, swapping skipped")
-        if args.out_sharers:
-            harness.write_sharers(args.out_sharers, s)
-            print(f"sharers: count={s.num_sharers} -> {args.out_sharers}")
-    elif args.out_sharers:
-        raise ValueError("--out-sharers requires --sharing-prob")
-    return EXIT_WARNING if missed else EXIT_OK
+    if args.degree_sharing_corr is not None:
+        if 0 < s.num_sharers < g.num_nodes:
+            print(f"degree-sharing correlation: target={args.degree_sharing_corr} "
+                  f"achieved={rho.achieved:.6f} iterations={rho.iterations} converged={rho.converged}")
+        else:
+            print("degree-sharing correlation: degenerate sharer set, swapping skipped")
+    if args.out_sharers:
+        harness.write_sharers(args.out_sharers, s)
+        print(f"sharers: count={s.num_sharers} -> {args.out_sharers}")
+    return EXIT_OK if rkk.converged and rho.converged else EXIT_WARNING
 
 
 def _cmd_estimate(args) -> int:
@@ -203,18 +205,18 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    missed = False
     rng = make_generator(args.seed)
+    missed = False
     if args.graph is not None:
+        given = [flag for flag in _TRACK_NETWORK_DEFAULTS if flag in vars(args)]
+        if given:
+            raise ValueError(f"--{given[0].replace('_', '-')} applies only to a network generated with --nodes, "
+                             "not to --graph")
         g, _ = _load_graph(args.graph)
     else:
-        seq = powerlaw_degree_sequence(args.nodes, args.alpha, args.kmin, rng, k_max=args.kmax)
-        g = configuration_model(seq, rng)
-        if args.assortativity is not None:
-            g, res = rewire_to_assortativity(
-                g, CorrelationTarget(args.assortativity, args.tolerance, args.max_iters), rng)
-            missed |= not res.converged
-            print(f"assortativity: target={args.assortativity} achieved={res.achieved:.6f}")
+        args = argparse.Namespace(**{**_TRACK_NETWORK_DEFAULTS, **vars(args)})
+        g, _, rkk, _ = _shaped_network(args, rng, compact=False)
+        missed = not rkk.converged
     policy = StepPolicy(args.policy, args.epsilon)
     records = run_tracking_experiment(
         g,

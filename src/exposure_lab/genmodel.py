@@ -4,7 +4,8 @@ Power-law configuration-model graphs, degree-preserving rewiring that
 drives the assortativity coefficient toward a target, and sharing-label
 swapping that drives the degree-sharing correlation toward a target.
 Both shaping loops are budgeted: they stop at the tolerance or after
-max_iters attempts and report what they achieved.
+max_iters attempts and report what they achieved. ``shape_network``
+chains them into the one recipe that the grid and the CLI call.
 """
 
 from __future__ import annotations
@@ -220,10 +221,14 @@ def rewire_to_assortativity(
     return rewired, ShapingResult(current, iters, converged, trace)
 
 
-def bernoulli_sharing(g: Graph, p: float, rng: np.random.Generator) -> SharingState:
-    """Each node shares independently with probability p."""
+def _check_sharing_prob(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError("sharing probability must lie in [0, 1]")
+
+
+def bernoulli_sharing(g: Graph, p: float, rng: np.random.Generator) -> SharingState:
+    """Each node shares independently with probability p."""
+    _check_sharing_prob(p)
     return SharingState(rng.random(g.num_nodes) < p)
 
 
@@ -306,3 +311,37 @@ def swap_to_correlation(
         converged = abs(current - target.target) <= target.tolerance
     out = SharingState.from_sharers(np.array(sharers, dtype=np.int64), n)
     return out, ShapingResult(current, iters, converged, trace)
+
+
+def shaping_targets(rkk_target, sharing_prob, rho_target, tolerance=DEFAULT_TOLERANCE, max_iters=DEFAULT_MAX_ITERS):
+    """Check every input of ``shape_network``, drawing nothing; return its
+    (rkk, rho) CorrelationTargets, None for a skipped loop."""
+    if sharing_prob is not None:
+        _check_sharing_prob(sharing_prob)
+    elif rho_target is not None:
+        raise ValueError("a degree-sharing correlation target needs a sharing probability")
+    return tuple(None if t is None else CorrelationTarget(t, tolerance, max_iters) for t in (rkk_target, rho_target))
+
+
+def shape_network(g: Graph, rng: np.random.Generator, rkk_target=None, sharing_prob=None, rho_target=None,
+                  tolerance=DEFAULT_TOLERANCE, max_iters=DEFAULT_MAX_ITERS):
+    """The network recipe: rewire toward ``rkk_target``, draw Bernoulli(``sharing_prob``)
+    sharers, swap their labels toward ``rho_target``; every input is checked first.
+
+    Returns (graph, sharing, rkk, rho), a ShapingResult per loop. A skipped loop
+    (target None) reports (value, 0, True); a rho target with nobody or everyone
+    sharing, (value, 0, False). No ``sharing_prob``: sharing None, rho (nan, 0, True).
+    """
+    rkk_t, rho_t = shaping_targets(rkk_target, sharing_prob, rho_target, tolerance, max_iters)
+    if rkk_t is None:
+        rkk = ShapingResult(assortativity_coefficient(g), 0, True)
+    else:
+        g, rkk = rewire_to_assortativity(g, rkk_t, rng)
+    if sharing_prob is None:
+        return g, None, rkk, ShapingResult(math.nan, 0, True)
+    s = bernoulli_sharing(g, sharing_prob, rng)
+    if rho_t is not None and 0 < s.num_sharers < g.num_nodes:
+        s, rho = swap_to_correlation(g, s, rho_t, rng)
+    else:
+        rho = ShapingResult(degree_sharing_correlation(g, s), 0, rho_t is None)
+    return g, s, rkk, rho

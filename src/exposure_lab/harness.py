@@ -29,14 +29,12 @@ from .estimators import (
     vanilla_estimate,
 )
 from .genmodel import (
-    CorrelationTarget,
-    assortativity_coefficient,
-    bernoulli_sharing,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOLERANCE,
     configuration_model,
-    degree_sharing_correlation,
     powerlaw_degree_sequence,
-    rewire_to_assortativity,
-    swap_to_correlation,
+    shape_network,
+    shaping_targets,
 )
 from .graph import (
     DiGraph,
@@ -383,8 +381,8 @@ class GridConfig:
     n_samples: int = 100
     reps: int = 1000
     seed: int = 0
-    tolerance: float = 0.01
-    max_iters: int = 100_000
+    tolerance: float = DEFAULT_TOLERANCE
+    max_iters: int = DEFAULT_MAX_ITERS
 
     def cells(self):
         return list(itertools.product(self.alphas, self.rkk_targets, self.rho_targets, self.sharing_probs))
@@ -431,23 +429,9 @@ def build_cell(cfg: GridConfig, cell_index: int, alpha: float, rkk_target, rho_t
     """
     rng = make_generator(cfg.seed, cell_index)
     seq = powerlaw_degree_sequence(cfg.nodes, alpha, cfg.k_min, rng, k_max=cfg.k_max)
-    g = configuration_model(seq, rng)
-    missed = False
-    if rkk_target is None:
-        rkk_achieved = assortativity_coefficient(g)
-    else:
-        g, res = rewire_to_assortativity(g, CorrelationTarget(rkk_target, cfg.tolerance, cfg.max_iters), rng)
-        rkk_achieved = res.achieved
-        missed |= not res.converged
-    s = bernoulli_sharing(g, p, rng)
-    if rho_target is None or not 0 < s.num_sharers < g.num_nodes:
-        rho_achieved = degree_sharing_correlation(g, s)
-        missed |= rho_target is not None  # wanted shaping but the state is degenerate
-    else:
-        s, res = swap_to_correlation(g, s, CorrelationTarget(rho_target, cfg.tolerance, cfg.max_iters), rng)
-        rho_achieved = res.achieved
-        missed |= not res.converged
-    return g, s, rkk_achieved, rho_achieved, missed
+    g, s, rkk, rho = shape_network(configuration_model(seq, rng), rng, rkk_target, p, rho_target,
+                                   cfg.tolerance, cfg.max_iters)
+    return g, s, rkk.achieved, rho.achieved, not (rkk.converged and rho.converged)
 
 
 def run_grid(cfg: GridConfig, collect_ledger: bool = True):
@@ -457,10 +441,13 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
     the methods of a cell see common random numbers. A cell whose sharing
     exposes nobody (true exposure 0) has no defined percent error: it
     yields no GridCell row and is reported in ``null_cells`` instead.
-    Percent errors are 100 * |estimate - truth| / truth.
+    Percent errors are 100 * |estimate - truth| / truth. Every cell's
+    shaping inputs are checked before the first cell is built.
     """
     _check_methods(cfg.methods, directed=False)
     _check_counts(cfg.n_samples, cfg.reps)
+    for _alpha, rkk_t, rho_t, p in cfg.cells():
+        shaping_targets(rkk_t, p, rho_t, cfg.tolerance, cfg.max_iters)
     cells_out: list[GridCell] = []
     ledger: list[tuple] = []
     null_cells: list[tuple] = []
@@ -561,13 +548,14 @@ def parse_grid_config(path: str) -> GridConfig:
             val = val.strip()
             if key in values:
                 raise ValueError(f"{path}: line {lineno}: repeated key {key!r}")
-            if key in _GRID_LIST_KEYS:
-                conv = _GRID_LIST_KEYS[key]
-                values[key] = tuple(conv(tok.strip()) for tok in val.split(",") if tok.strip())
-                if not values[key]:
-                    raise ValueError(f"{path}: line {lineno}: {key} needs at least one value")
-            elif key in _GRID_SCALAR_KEYS:
-                values[key] = _GRID_SCALAR_KEYS[key](val)
-            else:
+            if key not in _GRID_LIST_KEYS and key not in _GRID_SCALAR_KEYS:
                 raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+            tokens = [tok.strip() for tok in val.split(",") if tok.strip()]
+            if key in _GRID_LIST_KEYS and not tokens:
+                raise ValueError(f"{path}: line {lineno}: {key} needs at least one value")
+            try:
+                values[key] = (tuple(map(_GRID_LIST_KEYS[key], tokens)) if key in _GRID_LIST_KEYS
+                               else _GRID_SCALAR_KEYS[key](val))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {key}: {exc}") from None
     return GridConfig(**values)

@@ -14,18 +14,24 @@ from scipy import sparse
 from scipy.sparse.linalg import eigs
 
 from exposure_lab import (
+    CorrelationTarget,
     DiGraph,
     Graph,
+    assortativity_coefficient,
+    bernoulli_sharing,
     build_directed,
     build_undirected,
+    degree_sharing_correlation,
     directed_estimates,
     exposure_bits,
     fp_estimate,
     random_walk_friends,
+    rewire_to_assortativity,
     sample_directed_many,
     sample_friend_two_step,
     sample_random_friends,
     sample_uniform_nodes,
+    swap_to_correlation,
     vanilla_estimate,
 )
 
@@ -370,3 +376,37 @@ def reference_rep_estimates(method: str, g, s, n_samples: int, generators, d_bar
             est = directed_estimates(g, mode, sample_directed_many(g, mode, n_samples, rng), s, d_bar)
         estimates.append(est.estimate)
     return np.array(estimates)
+
+
+# ---------------------------------------------------------------------------
+# Reference network recipe: the shaping steps written out one by one
+# ---------------------------------------------------------------------------
+
+
+def reference_shaped_network(g, rng, rkk_target, sharing_prob, rho_target, tolerance, max_iters):
+    """(graph, sharing, rkk_achieved, rho_achieved, missed) for a generated graph.
+
+    Rewire toward rkk_target unless it is None; then, unless sharing_prob
+    is None (sharing None, rho_achieved None), draw Bernoulli sharers and
+    swap them toward rho_target when it is set and the sharer set is
+    neither empty nor everyone. ``missed`` flags a loop that stopped beyond
+    tolerance, or a rho target with a sharer set that cannot be swapped.
+    """
+    missed = False
+    if rkk_target is None:
+        rkk_achieved = assortativity_coefficient(g)
+    else:
+        g, res = rewire_to_assortativity(g, CorrelationTarget(rkk_target, tolerance, max_iters), rng)
+        rkk_achieved = res.achieved
+        missed |= not res.converged
+    if sharing_prob is None:
+        return g, None, rkk_achieved, None, missed
+    s = bernoulli_sharing(g, sharing_prob, rng)
+    if rho_target is None or not 0 < s.num_sharers < g.num_nodes:
+        rho_achieved = degree_sharing_correlation(g, s)
+        missed |= rho_target is not None
+    else:
+        s, res = swap_to_correlation(g, s, CorrelationTarget(rho_target, tolerance, max_iters), rng)
+        rho_achieved = res.achieved
+        missed |= not res.converged
+    return g, s, rkk_achieved, rho_achieved, missed

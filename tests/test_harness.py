@@ -30,7 +30,17 @@ from exposure_lab.harness import (
     write_sharers,
 )
 
-from exposure_lab import build_directed, build_undirected, harness, make_generator
+from exposure_lab import (
+    StepPolicy,
+    build_directed,
+    build_undirected,
+    cli,
+    configuration_model,
+    harness,
+    make_generator,
+    powerlaw_degree_sequence,
+    run_tracking_experiment,
+)
 
 from oracles import (
     random_digraph,
@@ -39,6 +49,7 @@ from oracles import (
     reference_build_undirected,
     reference_read_ids,
     reference_rep_estimates,
+    reference_shaped_network,
     reference_write_edge_list,
     star,
 )
@@ -425,7 +436,7 @@ def _no_shaping(*args, **kwargs):
 
 
 class TestDegenerateRuns:
-    """Zero reps, zero samples or no methods fail before any work is done."""
+    """Bad run inputs (counts, methods, recipe targets, misplaced flags) fail before any work is done."""
 
     @pytest.mark.parametrize("field,value,message", [
         ("reps", 0, "reps >= 1"), ("n_samples", 0, "n_samples >= 1"), ("methods", (), "at least one method"),
@@ -457,6 +468,47 @@ class TestDegenerateRuns:
         cfg.write_text(f"nodes = 120\nalphas = 2.5\nk_max = 25\nsharing_probs = 0.2\nseed = 6\n{line}\n")
         out = tmp_path / "out.csv"
         assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines,message", [
+        ("sharing_probs = 0.2\nrho_targets = -0.2, 3", "correlation target must lie in [-1, 1]"),
+        ("sharing_probs = 0.05, 1.5", "sharing probability must lie in [0, 1]"),
+    ])
+    def test_grid_checks_every_cell_before_shaping(self, tmp_path, monkeypatch, capsys, lines, message):
+        monkeypatch.setattr(harness, "build_cell", _no_shaping)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"nodes = 120\nalphas = 2.5\nk_max = 25\nreps = 2\nseed = 6\n{lines}\n")
+        out = tmp_path / "out.csv"
+        assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--degree-sharing-corr", "0.2"], "correlation target needs a sharing probability"),
+        (["--sharing-prob", "1.5"], "sharing probability must lie in [0, 1]"),
+        (["--out-sharers", "s.txt"], "--out-sharers requires --sharing-prob"),
+        (["--sharing-prob", "0.1", "--degree-sharing-corr", "3"], "correlation target must lie in [-1, 1]"),
+        (["--assortativity", "0.1", "--tolerance", "0"], "tolerance must lie in (0, 1)"),
+    ])
+    def test_generate_rejects_before_drawing(self, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.setattr(harness, "build_cell", _no_shaping)
+        monkeypatch.setattr(cli, "configuration_model", _no_shaping)
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--nodes", "120", "--alpha", "2.5", "--out-graph", "g.txt"] + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--alpha", "2.5"), ("--kmin", "1"), ("--kmax", "10"), ("--assortativity", "0.3"),
+        ("--tolerance", "0.01"), ("--max-iters", "10"),
+    ])
+    def test_track_graph_rejects_network_flags(self, tmp_path, capsys, flag, value):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n2 0\n")
+        out = tmp_path / "out.csv"
+        assert main(["track", "--graph", str(graph), flag, value, "--model", "ltm", "--steps", "3",
+                     "--out", str(out)]) == 2
+        assert f"{flag} applies only to a network generated with --nodes" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,message", [
@@ -577,6 +629,20 @@ class TestGridConfigFile:
         out = tmp_path / "out.csv"
         assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"{key} needs at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("alphas = 2.5, x", "line 2: alphas: could not convert string to float: 'x'"),
+        ("nodes =", "line 2: nodes: invalid literal for int()"),
+        ("rkk_targets = none, high", "line 2: rkk_targets: could not convert"),
+    ])
+    def test_bad_value_names_path_line_and_key(self, tmp_path, monkeypatch, capsys, line, message):
+        monkeypatch.setattr(harness, "build_cell", _no_shaping)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"reps = 2\n{line}\n")
+        out = tmp_path / "out.csv"
+        assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeated_key_rejected(self, tmp_path):
@@ -750,3 +816,67 @@ class TestWalkPreconditions:
         assert run_static_experiment(star(4), s, ["vanilla", "fp"], 10, 2, seed=0).warnings == ()
         result = run_static_experiment(star(4), s, ["vanilla", "fp-walk"], 10, 2, seed=0)
         assert len(result.warnings) == 1 and "bipartite" in result.warnings[0]
+
+
+# (rkk target, sharing prob, rho target, tolerance, max_iters): shaped, unshaped,
+# no sharer under a rho target, stopped beyond tolerance, and a zero budget
+RECIPE_CASES = {
+    "shaped": (0.1, 0.05, 0.2, 0.01, 100_000),
+    "unshaped": (None, 0.05, None, 0.01, 100_000),
+    "degenerate": (-0.1, 0.0, 0.2, 0.01, 100_000),
+    "unconverged": (0.6, 0.05, -0.5, 0.01, 700),
+    "max-iters-0": (0.3, 0.1, 0.3, 0.01, 0),
+}
+
+
+class TestNetworkRecipe:
+    """build_cell, generate and track --nodes each match the reference recipe bit for bit."""
+
+    NODES, ALPHA, KMAX, SEED = 400, 2.5, 40, 17
+
+    def _drawn_graph(self, rng):
+        return configuration_model(powerlaw_degree_sequence(self.NODES, self.ALPHA, 1, rng, k_max=self.KMAX), rng)
+
+    def _flags(self, rkk, tolerance, max_iters):
+        rkk_flags = [] if rkk is None else ["--assortativity", str(rkk)]
+        return ["--nodes", str(self.NODES), "--alpha", str(self.ALPHA), "--kmax", str(self.KMAX),
+                "--seed", str(self.SEED), "--tolerance", str(tolerance), "--max-iters", str(max_iters)] + rkk_flags
+
+    @pytest.mark.parametrize("case", RECIPE_CASES)
+    def test_matches_reference(self, tmp_path, case):
+        rkk, p, rho, tolerance, max_iters = RECIPE_CASES[case]
+
+        cfg = GridConfig(nodes=self.NODES, k_max=self.KMAX, seed=self.SEED, tolerance=tolerance, max_iters=max_iters)
+        rng = make_generator(self.SEED, 3)
+        want = reference_shaped_network(self._drawn_graph(rng), rng, rkk, p, rho, tolerance, max_iters)
+        got = build_cell(cfg, 3, self.ALPHA, rkk, rho, p)
+        assert np.array_equal(got[0].edge_array, want[0].edge_array)
+        assert np.array_equal(got[1].mask, want[1].mask)
+        assert np.array_equal(got[2:4], want[2:4], equal_nan=True)
+        assert got[4] == want[4]
+
+        rng = make_generator(self.SEED)
+        g, _ = compact_nonisolated(self._drawn_graph(rng))
+        want = reference_shaped_network(g, rng, rkk, p, rho, tolerance, max_iters)
+        reference_write_edge_list(str(tmp_path / "want_g.txt"), want[0])
+        write_sharers(str(tmp_path / "want_s.txt"), want[1])
+        rho_flags = [] if rho is None else ["--degree-sharing-corr", str(rho)]
+        code = main(["generate", "--sharing-prob", str(p), "--out-graph", str(tmp_path / "g.txt"),
+                     "--out-sharers", str(tmp_path / "s.txt")] + rho_flags + self._flags(rkk, tolerance, max_iters))
+        assert code == (3 if want[4] else 0)
+        assert (tmp_path / "g.txt").read_bytes() == (tmp_path / "want_g.txt").read_bytes()
+        assert (tmp_path / "s.txt").read_bytes() == (tmp_path / "want_s.txt").read_bytes()
+
+        rng = make_generator(self.SEED)
+        want = reference_shaped_network(self._drawn_graph(rng), rng, rkk, None, None, tolerance, max_iters)
+        policy = StepPolicy("constant", 0.01)
+        records = run_tracking_experiment(want[0], model="icm", steps=4, schedule=10, vanilla_policy=policy,
+                                          fp_policy=policy, rng=rng)
+        want_body = [",".join(format_value(x) for x in (
+            r.step, r.true_exposure, r.vanilla_estimate, r.fp_estimate,
+            r.vanilla_abs_error, r.fp_abs_error, r.degree_sharing_corr)) for r in records]
+        out = tmp_path / "track.csv"
+        code = main(["track", "--model", "icm", "--steps", "4", "--updates-per-step", "10",
+                     "--out", str(out)] + self._flags(rkk, tolerance, max_iters))
+        assert code == (3 if want[4] else 0)
+        assert out.read_text().splitlines()[2:] == want_body
