@@ -42,6 +42,7 @@ from .genmodel import (
     bernoulli_sharing,
     configuration_model,
     degree_sharing_correlation,
+    powerlaw_cap,
     powerlaw_degree_sequence,
     rewire_to_assortativity,
     shape_network,

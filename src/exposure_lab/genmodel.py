@@ -3,9 +3,11 @@
 Power-law configuration-model graphs, degree-preserving rewiring that
 drives the assortativity coefficient toward a target, and sharing-label
 swapping that drives the degree-sharing correlation toward a target.
-Both shaping loops are budgeted: they stop at the tolerance or after
-max_iters attempts and report what they achieved. ``shape_network``
-chains them into the one recipe that the grid and the CLI call.
+Both shaping loops evaluate their proposals in batches, one numpy step
+per batch, and are budgeted: they stop at the tolerance (label swapping
+also at its degree floor or ceiling) or after max_iters proposals and
+report what they achieved. ``shape_network`` chains them into the one
+recipe that the grid and the CLI call.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .graph import Graph, build_undirected
 
 DEFAULT_TOLERANCE = 0.01
 DEFAULT_MAX_ITERS = 100_000
+REWIRE_BATCH_MIN, REWIRE_BATCH_MAX = 64, 4096  # rewiring proposals per step: m/8, clamped
+SWAP_BATCH = 256  # label-swap proposals per step
 
 
 @dataclass(frozen=True)
@@ -64,9 +68,23 @@ class ShapingResult:
     """Outcome of a best-effort shaping loop."""
 
     achieved: float
-    iterations: int
+    iterations: int  # proposals drawn, rejected and dropped ones included
     converged: bool
     trace: list = field(default_factory=list, repr=False)
+
+
+def powerlaw_cap(n: int, alpha: float, k_min: int = 1, k_max: int | None = None) -> int:
+    """Check the inputs of ``powerlaw_degree_sequence``, drawing nothing; return its degree cap."""
+    if n < 2:
+        raise ValueError("need at least two nodes")
+    if alpha <= 2.0:
+        raise ValueError("power-law exponent must exceed 2")
+    if k_min < 1:
+        raise ValueError("k_min must be >= 1")
+    cap = n - 1 if k_max is None else min(int(k_max), n - 1)
+    if cap < k_min:
+        raise ValueError("k_max must be >= k_min")
+    return cap
 
 
 def powerlaw_degree_sequence(
@@ -80,15 +98,7 @@ def powerlaw_degree_sequence(
     usual cure is a structural cutoff near sqrt(mean_degree * n). The
     first entry is altered by 1 if needed to make the sum even.
     """
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    if alpha <= 2.0:
-        raise ValueError("power-law exponent must exceed 2")
-    if k_min < 1:
-        raise ValueError("k_min must be >= 1")
-    cap = n - 1 if k_max is None else min(int(k_max), n - 1)
-    if cap < k_min:
-        raise ValueError("k_max must be >= k_min")
+    cap = powerlaw_cap(n, alpha, k_min, k_max)
     u = rng.random(n)
     draws = k_min * (1.0 - u) ** (-1.0 / (alpha - 1.0))
     degrees = np.minimum(np.ceil(draws).astype(np.int64), cap)
@@ -149,75 +159,106 @@ def assortativity_coefficient(g: Graph) -> float:
     return _pearson_from_moments(n_points, sum_x, sum_xx, sum_xy, sum_x, sum_xx)
 
 
+def _first_claims(slots: np.ndarray) -> np.ndarray:
+    """Rows of a (k, w) slot array none of whose slots appears in an earlier row.
+
+    In batch order these are the proposals that touch nothing an earlier
+    proposal touched, so they can all be applied at once.
+    """
+    flat = slots.ravel()
+    first = np.zeros(flat.size, dtype=bool)
+    first[np.unique(flat, return_index=True)[1]] = True
+    return first.reshape(slots.shape).all(axis=1)
+
+
+def _cut(accepted: np.ndarray, stop: np.ndarray, batch: int) -> tuple[int, int]:
+    """(moves to apply, proposals drawn) for a batch whose accepted proposal
+    indices are ``accepted``: everything up to the first move flagged ``stop``."""
+    hit = np.flatnonzero(stop)
+    if not hit.size:
+        return accepted.size, batch
+    return int(hit[0]) + 1, int(accepted[hit[0]]) + 1
+
+
 def rewire_to_assortativity(
     g: Graph, target: CorrelationTarget, rng: np.random.Generator, record_trace: bool = False
 ) -> tuple[Graph, ShapingResult]:
     """Degree-preserving rewiring toward a target assortativity coefficient.
 
-    Each iteration draws two distinct edges and, among the three pairings of
+    Each proposal draws two distinct edges and, among the three pairings of
     their four endpoints, keeps the one moving the coefficient furthest in
-    the needed direction; pairings creating self-loops or duplicate edges
-    are skipped. Rejected iterations still count against max_iters. Returns
-    a best-effort graph plus the achieved coefficient when the target is out
+    the needed direction; pairings creating self-loops or existing edges
+    are skipped. Proposals are evaluated K = clamp(m/8, 64, 4096) at a time
+    against the graph as it stood before the batch: of the accepted ones,
+    a proposal touching an edge, or creating an edge, that an earlier one
+    in the batch touched or created is dropped, and the batch is cut at the
+    first move that reaches the tolerance band or crosses the target, so
+    every applied move climbs. ``iterations`` counts the proposals drawn up
+    to the cut, rejected ones included, against max_iters. Returns a
+    best-effort graph plus the achieved coefficient when the target is out
     of reach.
     """
     if g.num_edges < 2:
         raise ValueError("rewiring needs at least two edges")
     n_points, sum_x, sum_xx, sum_xy = _assortativity_moments(g)
-    denom = sum_xx / n_points - (sum_x / n_points) ** 2
-    deg = g.degrees.astype(np.int64).tolist()
-
-    def rho(sxy: int) -> float:
-        return (sxy / n_points - (sum_x / n_points) ** 2) / denom
-
+    mean_sq = (sum_x / n_points) ** 2
+    denom = sum_xx / n_points - mean_sq
     if denom <= 0.0:  # regular graph: coefficient undefined, nothing to shape
         return g, ShapingResult(math.nan, 0, False)
 
-    eu = g.edge_array[:, 0].tolist()
-    ev = g.edge_array[:, 1].tolist()
-    edge_set = set(zip(eu, ev))
-    m = len(eu)
+    def rho(sxy):
+        return (sxy / n_points - mean_sq) / denom
+
+    n, m = g.num_nodes, g.num_edges
+    deg = g.degrees.astype(np.int64)  # degree products and gains fit int64 while degrees stay below 2**31
+    # the edges as ascending packed keys u*n + v (u < v); edge_array is sorted
+    keys = g.edge_array[:, 0] * n + g.edge_array[:, 1]
+    batch = min(max(m // 8, REWIRE_BATCH_MIN), REWIRE_BATCH_MAX)
+
+    def new_edge(p, q):
+        """Packed key of edge {p, q}, and whether it is neither a self-loop nor in the graph."""
+        key = np.minimum(p, q) * n + np.maximum(p, q)
+        return key, (p != q) & (keys[np.minimum(np.searchsorted(keys, key), m - 1)] != key)
+
     trace: list[float] = []
     current = rho(sum_xy)
     iters = 0
     converged = abs(current - target.target) <= target.tolerance
     while not converged and iters < target.max_iters:
-        iters += 1
-        i = int(rng.integers(m))
-        j = int(rng.integers(m - 1))
-        if j >= i:
-            j += 1
-        a, b = eu[i], ev[i]
-        c, d = eu[j], ev[j]
-        base = deg[a] * deg[b] + deg[c] * deg[d]
-        best_gain = 0
-        best_pairing = None
-        want_up = target.target > current
-        # keeping the current pairing is the zero-gain baseline; evaluate the
-        # two alternative pairings of the four endpoints against it
-        for (p, q), (r, t) in (((a, c), (b, d)), ((a, d), (b, c))):
-            if p == q or r == t:
-                continue
-            e1 = (p, q) if p <= q else (q, p)
-            e2 = (r, t) if r <= t else (t, r)
-            if e1 == e2 or e1 in edge_set or e2 in edge_set:
-                continue
-            gain = deg[p] * deg[q] + deg[r] * deg[t] - base
-            if (want_up and gain > best_gain) or (not want_up and gain < best_gain):
-                best_gain = gain
-                best_pairing = (e1, e2)
-        if best_pairing is not None:
-            edge_set.discard((eu[i], ev[i]))
-            edge_set.discard((eu[j], ev[j]))
-            (eu[i], ev[i]), (eu[j], ev[j]) = best_pairing
-            edge_set.add(best_pairing[0])
-            edge_set.add(best_pairing[1])
-            sum_xy += 2 * best_gain
+        k = min(batch, target.max_iters - iters)
+        i = rng.integers(m, size=k)
+        j = rng.integers(m - 1, size=k)
+        j += j >= i
+        a, b = np.divmod(keys[i], n)
+        c, d = np.divmod(keys[j], n)
+        up = target.target > current
+        # keeping the current pairing is the zero-gain baseline; row 0 scores the
+        # alternative pairing (a c)(b d) against it, row 1 (a d)(b c)
+        q, t = np.stack([c, d]), np.stack([d, c])
+        k1, ok1 = new_edge(a, q)
+        k2, ok2 = new_edge(b, t)
+        gain = deg[a] * deg[q] + deg[b] * deg[t] - (deg[a] * deg[b] + deg[c] * deg[d])
+        score = np.where(ok1 & ok2, gain if up else -gain, 0)
+        best = (np.argmax(score, axis=0), np.arange(k))  # a tie keeps (a c)(b d)
+        k1, k2, gain = k1[best], k2[best], gain[best]
+        acc = np.flatnonzero(score[best] > 0)
+        acc = acc[_first_claims(np.stack([i[acc], j[acc]], axis=1))]
+        acc = acc[_first_claims(np.stack([k1[acc], k2[acc]], axis=1))]
+        running = rho(sum_xy + 2 * np.cumsum(gain[acc]))
+        band = target.target - target.tolerance if up else target.target + target.tolerance
+        moves, drawn = _cut(acc, running >= band if up else running <= band, k)
+        iters += drawn
+        acc = acc[:moves]
+        if acc.size:
+            added = np.sort(np.concatenate([k1[acc], k2[acc]]))
+            keys = np.delete(keys, np.concatenate([i[acc], j[acc]]))
+            keys = np.insert(keys, np.searchsorted(keys, added), added)
+            sum_xy += 2 * int(gain[acc].sum())
             current = rho(sum_xy)
             if record_trace:
-                trace.append(current)
+                trace += running[:moves].tolist()
         converged = abs(current - target.target) <= target.tolerance
-    rewired = build_undirected(np.stack([eu, ev], axis=1), g.num_nodes)
+    rewired = build_undirected(np.stack(np.divmod(keys, n), axis=1), n)
     return rewired, ShapingResult(current, iters, converged, trace)
 
 
@@ -257,11 +298,18 @@ def swap_to_correlation(
 ) -> tuple[SharingState, ShapingResult]:
     """Sharer-label swapping toward a target degree-sharing correlation.
 
-    Each iteration draws one sharer u and one non-sharer v uniformly and
+    Each proposal draws one sharer u and one non-sharer v uniformly and
     swaps their labels when that moves the correlation toward the target
     (raise: swap if d(u) < d(v); lower: swap if d(u) > d(v); ties skipped).
-    The sharer count is exactly preserved. Stops at the tolerance or after
-    max_iters iterations, returning the achieved value either way.
+    Proposals are evaluated SWAP_BATCH at a time: of the accepted ones, a
+    proposal touching a sharer or non-sharer slot that an earlier one in
+    the batch touched is dropped, and the batch is cut at the first swap
+    that reaches the tolerance band, crosses the target, or reaches the
+    degree floor (sharers on the lowest degrees) or ceiling (on the
+    highest), past which no proposal can move. The sharer count is exactly
+    preserved. ``iterations`` counts the proposals drawn up to the cut
+    against max_iters; a loop stopped at its floor or ceiling reports the
+    proposals drawn up to it. Returns the achieved value either way.
     """
     n = g.num_nodes
     m = s.num_sharers
@@ -272,45 +320,47 @@ def swap_to_correlation(
     var_d = float(np.mean(d * d) - mean_d * mean_d)
     p_bar = m / n
     scale = math.sqrt(var_d) * math.sqrt(p_bar * (1.0 - p_bar))
+    if scale == 0.0:
+        return s, ShapingResult(math.nan, 0, False)
 
-    deg = d.tolist()
-    sharers = s.sharers.tolist()
-    others = np.flatnonzero(~s.mask).tolist()
-    pos_sharer = {v: i for i, v in enumerate(sharers)}
-    pos_other = {v: i for i, v in enumerate(others)}
-    total = sum(deg[v] for v in sharers)  # only moving part of the correlation
-
-    def rho(tot: int) -> float:
-        if scale == 0.0:
-            return math.nan
+    def rho(tot):
         return (tot / n - mean_d * p_bar) / scale
 
+    sharers = s.sharers.copy()
+    others = np.flatnonzero(~s.mask)
+    total = int(d[sharers].sum())  # only moving part of the correlation
+    ordered = np.sort(d)
+    floor, ceiling = int(ordered[:m].sum()), int(ordered[n - m :].sum())
     trace: list[float] = []
     current = rho(total)
     iters = 0
-    if math.isnan(current):
-        return s, ShapingResult(current, 0, False)
     converged = abs(current - target.target) <= target.tolerance
-    n_others = len(others)
     while not converged and iters < target.max_iters:
-        iters += 1
-        u = sharers[int(rng.integers(m))]
-        v = others[int(rng.integers(n_others))]
-        want_up = target.target > current
-        if (want_up and deg[u] < deg[v]) or (not want_up and deg[u] > deg[v]):
-            iu, iv = pos_sharer[u], pos_other[v]
-            sharers[iu], others[iv] = v, u
-            pos_sharer[v] = iu
-            pos_other[u] = iv
-            del pos_sharer[u]
-            del pos_other[v]
-            total += deg[v] - deg[u]
+        up = target.target > current
+        bound = ceiling if up else floor
+        if total == bound:  # no swap can move the total further this way
+            break
+        k = min(SWAP_BATCH, target.max_iters - iters)
+        iu = rng.integers(m, size=k)
+        iv = rng.integers(n - m, size=k)
+        gain = d[others[iv]] - d[sharers[iu]]
+        acc = np.flatnonzero(gain > 0 if up else gain < 0)
+        acc = acc[_first_claims(np.stack([iu[acc], iv[acc] + m], axis=1))]  # non-sharer slots after sharer slots
+        totals = total + np.cumsum(gain[acc])
+        running = rho(totals)
+        band = target.target - target.tolerance if up else target.target + target.tolerance
+        moves, drawn = _cut(acc, (running >= band if up else running <= band) | (totals == bound), k)
+        iters += drawn
+        acc = acc[:moves]
+        if acc.size:
+            su, sv = iu[acc], iv[acc]
+            sharers[su], others[sv] = others[sv], sharers[su]
+            total = int(totals[moves - 1])
             current = rho(total)
             if record_trace:
-                trace.append(current)
+                trace += running[:moves].tolist()
         converged = abs(current - target.target) <= target.tolerance
-    out = SharingState.from_sharers(np.array(sharers, dtype=np.int64), n)
-    return out, ShapingResult(current, iters, converged, trace)
+    return SharingState.from_sharers(sharers, n), ShapingResult(current, iters, converged, trace)
 
 
 def shaping_targets(rkk_target, sharing_prob, rho_target, tolerance=DEFAULT_TOLERANCE, max_iters=DEFAULT_MAX_ITERS):

@@ -23,8 +23,6 @@ from .estimators import (
     ConditionVerdict,
     condition_empirical,
     directed_estimates,
-    exact_variance_fp,
-    exact_variance_vanilla,
     fp_estimate,
     vanilla_estimate,
 )
@@ -32,6 +30,7 @@ from .genmodel import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOLERANCE,
     configuration_model,
+    powerlaw_cap,
     powerlaw_degree_sequence,
     shape_network,
     shaping_targets,
@@ -306,7 +305,7 @@ def _check_counts(n_samples: int, reps: int) -> None:
 
 @dataclass(frozen=True)
 class StaticResult:
-    """Per-rep estimates for one (graph, sharing) pair, plus the analytics.
+    """Per-rep estimates for one (graph, sharing) pair, plus the condition verdict.
 
     ``warnings`` names each reason the rows are best-effort: a true
     exposure of 0, or a graph on which fp-walk's samples are biased.
@@ -315,8 +314,6 @@ class StaticResult:
     rows: list  # (rep, method, estimate, abs_error, true_exposure)
     true_exposure: float
     verdict: ConditionVerdict | None
-    var_vanilla_single: float | None
-    var_fp_single: float | None
     warnings: tuple
 
 
@@ -350,15 +347,11 @@ def run_static_experiment(
                  for m in methods]
     rows = [(rep, m, est[rep], abs(est[rep] - f_bar), f_bar)
             for rep in range(reps) for m, est in zip(methods, estimates)]
-    verdict = var_v = var_fp = None
-    if not directed and g.num_edges >= 1:
-        verdict = condition_empirical(g, s)
-        var_v = exact_variance_vanilla(f_bar, 1)
-        var_fp = exact_variance_fp(g, s, 1)
+    verdict = condition_empirical(g, s) if not directed and g.num_edges >= 1 else None
     warnings = graphmod.walk_precondition_failures(g) if "fp-walk" in methods else ()
     if f_bar == 0.0:
         warnings += ("true exposure is 0; percent errors are undefined",)
-    return StaticResult(rows, f_bar, verdict, var_v, var_fp, warnings)
+    return StaticResult(rows, f_bar, verdict, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +431,18 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
     """Run every cell of the grid; returns (cells, ledger_rows, null_cells).
 
     Rep r of every method draws from a fresh (seed, cell, r) stream, so
-    the methods of a cell see common random numbers. A cell whose sharing
-    exposes nobody (true exposure 0) has no defined percent error: it
-    yields no GridCell row and is reported in ``null_cells`` instead.
+    the methods of a cell see common random numbers: the stream is made
+    once per cell and rewound to its start before each method. A cell
+    whose sharing exposes nobody (true exposure 0) has no defined percent
+    error: it yields no GridCell row and is reported in ``null_cells``
+    instead.
     Percent errors are 100 * |estimate - truth| / truth. Every cell's
-    shaping inputs are checked before the first cell is built.
+    degree and shaping inputs are checked before the first cell is built.
     """
     _check_methods(cfg.methods, directed=False)
     _check_counts(cfg.n_samples, cfg.reps)
-    for _alpha, rkk_t, rho_t, p in cfg.cells():
+    for alpha, rkk_t, rho_t, p in cfg.cells():
+        powerlaw_cap(cfg.nodes, alpha, cfg.k_min, cfg.k_max)
         shaping_targets(rkk_t, p, rho_t, cfg.tolerance, cfg.max_iters)
     cells_out: list[GridCell] = []
     ledger: list[tuple] = []
@@ -457,8 +453,11 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
         if f_bar == 0.0:
             null_cells.append((cell_index, alpha, rkk_t, rho_t, p))
             continue
+        generators = [make_generator(cfg.seed, cell_index, rep) for rep in range(cfg.reps)]
+        fresh = [rng.bit_generator.state for rng in generators]
         for method in cfg.methods:
-            generators = [make_generator(cfg.seed, cell_index, rep) for rep in range(cfg.reps)]
+            for rng, state in zip(generators, fresh):
+                rng.bit_generator.state = state
             estimates = run_method(method, g, s, cfg.n_samples, generators)
             errors = np.abs(estimates - f_bar)
             if collect_ledger:

@@ -19,8 +19,9 @@ from exposure_lab import (
     rewire_to_assortativity,
     swap_to_correlation,
 )
+from exposure_lab.genmodel import REWIRE_BATCH_MAX, REWIRE_BATCH_MIN, SWAP_BATCH
 
-from oracles import assortativity_oracle, pearson_oracle, random_graph, star
+from oracles import assortativity_oracle, pearson_oracle, random_graph, reference_build_undirected, star
 
 
 class TestPowerlawDegreeSequence:
@@ -320,3 +321,99 @@ class TestSwapToCorrelation:
         with pytest.raises(ValueError):
             swap_to_correlation(g, SharingState.from_sharers(list(range(5)), 5),
                                 CorrelationTarget(0.2), make_generator(0))
+
+
+def _shaped_family(seed, nodes=2000, p=0.05):
+    """A grid-style graph (power law 2.5, k <= 85) and its Bernoulli sharers."""
+    rng = make_generator(64, seed)
+    g = configuration_model(powerlaw_degree_sequence(nodes, 2.5, 1, rng, k_max=85), rng)
+    return g, bernoulli_sharing(g, p, rng), rng
+
+
+def _extreme_correlation(g, m, highest):
+    """The correlation with the m sharers on the m highest (or lowest) degrees."""
+    order = np.argsort(g.degrees, kind="stable")
+    mask = np.zeros(g.num_nodes)
+    mask[order[-m:] if highest else order[:m]] = 1.0
+    return pearson_oracle(g.degrees, mask)
+
+
+class TestBatchedShaping:
+    """The batched loops against the oracles: stops, exact moments, budgets."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("target", [-0.9, 0.95])
+    def test_swap_stops_exactly_at_floor_or_ceiling(self, seed, target):
+        g, s, rng = _shaped_family(seed)
+        bound = _extreme_correlation(g, s.num_sharers, highest=target > 0)
+        assert abs(bound - target) > 0.01  # the target lies beyond the reachable range
+        out, res = swap_to_correlation(g, s, CorrelationTarget(target, 0.01, 300_000), rng)
+        assert res.achieved == pytest.approx(bound, abs=1e-12)
+        assert degree_sharing_correlation(g, out) == pytest.approx(bound, abs=1e-12)
+        assert res.iterations < 300_000
+        assert not res.converged
+        assert out.num_sharers == s.num_sharers
+
+    @pytest.mark.parametrize("sharers,target", [([0], -0.9), ([1, 2, 3, 4], 0.9)])
+    def test_swap_bound_stop_counts_proposals_up_to_it(self, sharers, target):
+        # on a star every proposal swaps the hub with a leaf, which reaches the
+        # floor (-0.25) or ceiling (+0.25) at once: exactly one proposal is drawn
+        out, res = swap_to_correlation(star(4), SharingState.from_sharers(sharers, 5),
+                                       CorrelationTarget(target, 0.01, 1000), make_generator(69))
+        assert (res.iterations, res.converged) == (1, False)
+        assert res.achieved == pytest.approx(math.copysign(0.25, target), abs=1e-12)
+        assert out.num_sharers == len(sharers)
+
+    def test_swap_floor_stop_draws_nothing_more(self):
+        # starting at the floor, a lowering loop draws no proposal
+        g, s, rng = _shaped_family(0)
+        order = np.argsort(g.degrees, kind="stable")
+        at_floor = SharingState.from_sharers(order[: s.num_sharers], g.num_nodes)
+        state = rng.bit_generator.state
+        out, res = swap_to_correlation(g, at_floor, CorrelationTarget(-0.9, 0.01, 1000), rng)
+        assert (res.iterations, res.converged) == (0, False)
+        assert np.array_equal(out.mask, at_floor.mask)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("target", [-0.3, 0.4])
+    def test_rewired_graph_matches_reference_build(self, seed, target):
+        rng = make_generator(65, seed)
+        g = random_graph(rng, max_nodes=80, min_nodes=40, p=0.12) if seed % 2 else _shaped_family(seed)[0]
+        if math.isnan(assortativity_coefficient(g)):
+            pytest.skip("degenerate draw")
+        rewired, res = rewire_to_assortativity(g, CorrelationTarget(target, 0.005, 20_000), rng)
+        edge_array, indptr, indices = reference_build_undirected(rewired.edge_array, g.num_nodes)
+        assert np.array_equal(rewired.edge_array, edge_array)
+        assert np.array_equal(rewired.indptr, indptr)
+        assert np.array_equal(rewired.indices, indices)
+        assert np.array_equal(rewired.degrees, g.degrees)
+        assert rewired.num_edges == g.num_edges
+        assert res.achieved == pytest.approx(assortativity_coefficient(rewired), abs=1e-12)
+        assert res.achieved == pytest.approx(assortativity_oracle(rewired), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("target", [-0.1, 0.3])
+    def test_swap_achieved_matches_recomputation(self, seed, target):
+        g, s, rng = _shaped_family(seed, nodes=600, p=0.2)
+        out, res = swap_to_correlation(g, s, CorrelationTarget(target, 0.005, 20_000), rng)
+        assert res.converged
+        assert res.achieved == pytest.approx(degree_sharing_correlation(g, out), abs=1e-12)
+        assert res.achieved == pytest.approx(pearson_oracle(g.degrees, out.mask.astype(float)), abs=1e-12)
+
+    def test_rewire_budgets_count_every_proposal(self):
+        # 0.99 is out of reach, so every budget is spent to the last proposal
+        g, _, _ = _shaped_family(0, nodes=300)
+        k = min(max(g.num_edges // 8, REWIRE_BATCH_MIN), REWIRE_BATCH_MAX)
+        for budget in (0, 1, 7, k - 1, k, k + 1, 3 * k + 5):
+            _, res = rewire_to_assortativity(g, CorrelationTarget(0.99, 0.01, budget), make_generator(66))
+            assert res.iterations == budget
+            assert not res.converged
+
+    def test_swap_budgets_count_every_proposal(self):
+        # -0.9 is below the floor, which takes far more than SWAP_BATCH + 1 proposals to reach
+        g, s, _ = _shaped_family(1)
+        for budget in (0, 1, 7, SWAP_BATCH - 1, SWAP_BATCH, SWAP_BATCH + 1):
+            _, res = swap_to_correlation(g, s, CorrelationTarget(-0.9, 0.01, budget), make_generator(67))
+            assert res.iterations == budget
+            assert not res.converged

@@ -483,6 +483,21 @@ class TestDegenerateRuns:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines,message", [
+        ("nodes = 120\nalphas = 2.5, 1.5", "power-law exponent must exceed 2"),
+        ("nodes = 1\nalphas = 2.5", "need at least two nodes"),
+        ("nodes = 120\nalphas = 2.5\nk_min = 0", "k_min must be >= 1"),
+        ("nodes = 120\nalphas = 2.5, 2.8\nk_min = 30", "k_max must be >= k_min"),
+    ])
+    def test_grid_checks_every_cells_degrees_before_shaping(self, tmp_path, monkeypatch, capsys, lines, message):
+        monkeypatch.setattr(harness, "build_cell", _no_shaping)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"k_max = 25\nsharing_probs = 0.2\nreps = 2\nseed = 6\n{lines}\n")
+        out = tmp_path / "out.csv"
+        assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,message", [
         (["--degree-sharing-corr", "0.2"], "correlation target needs a sharing probability"),
         (["--sharing-prob", "1.5"], "sharing probability must lie in [0, 1]"),
@@ -587,6 +602,29 @@ class TestRunMethod:
                 want += [(cell_index, alpha, rkk_t, rho_t, p, method, rep, est, abs(est - f_bar), f_bar)
                          for rep, est in enumerate(ests.tolist())]
         assert ledger == want
+
+    def test_grid_rows_match_fresh_generators_per_method(self):
+        # run_grid rewinds each rep's generator before each method; making the
+        # generators afresh per method must give the same summary and ledger rows
+        cfg = dataclasses.replace(tiny_grid(), methods=("vanilla", "fp-walk", "fp"))
+        cells, ledger, _ = run_grid(cfg)
+        want_rows, want_ledger = [], []
+        for cell_index, (alpha, rkk_t, rho_t, p) in enumerate(cfg.cells()):
+            g, s, rkk_a, rho_a, _ = build_cell(cfg, cell_index, alpha, rkk_t, rho_t, p)
+            f_bar = true_exposure(g, s)
+            if f_bar == 0.0:
+                continue
+            for method in cfg.methods:
+                ests = run_method(method, g, s, cfg.n_samples, _generators(cfg.seed, cell_index, cfg.reps))
+                errs = np.abs(ests - f_bar)
+                pct = 100.0 * errs / f_bar
+                want_rows.append((cell_index, alpha, rkk_t, rkk_a, rho_t, rho_a, p, method, cfg.n_samples, cfg.reps,
+                                  f_bar, float(errs.mean()), float(pct.mean()),
+                                  float(pct.std(ddof=1) / math.sqrt(cfg.reps))))
+                want_ledger += [(cell_index, alpha, rkk_t, rho_t, p, method, rep, est, err, f_bar)
+                                for rep, (est, err) in enumerate(zip(ests.tolist(), errs.tolist()))]
+        assert grid_rows(cells) == want_rows
+        assert ledger == want_ledger
 
 
 class TestGridConfigFile:
