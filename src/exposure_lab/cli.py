@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input error, 3 warning (best-effort shaping
 stopped beyond tolerance, a zero-exposure cell made percent errors
-undefined, or fp-walk ran on a graph where its samples are biased).
+undefined, or fp-walk ran on a graph or grid cell where its samples are
+biased).
 """
 
 from __future__ import annotations
@@ -193,15 +194,20 @@ def _cmd_grid(args) -> int:
         harness.write_csv(args.ledger_out, _stamp("grid-ledger", f"config={args.config} seed={cfg.seed}"),
                           harness.LEDGER_HEADER, ledger)
         print(f"ledger: {len(ledger)} rows -> {args.ledger_out}")
-    missed = [c for c in cells if c.shaping_missed]
-    for cell in missed[:5]:
+    per_cell = {c.cell_index: c for c in cells}.values()  # one row per cell: its rows share the flags
+    missed = [c for c in per_cell if c.shaping_missed]
+    for cell in missed:
         print(f"warning: cell {cell.cell_index} shaping stopped beyond tolerance "
               f"(rkk {cell.rkk_target}->{cell.rkk_achieved:.4f}, rho {cell.rho_target}->{cell.rho_achieved:.4f})",
               file=sys.stderr)
+    biased = [c for c in per_cell if c.walk_failures]
+    for cell in biased:
+        for failure in cell.walk_failures:
+            print(f"warning: cell {cell.cell_index}: {failure}", file=sys.stderr)
     for cell in null_cells:
         print(f"warning: cell {cell[0]} has zero true exposure (alpha={cell[1]}, p={cell[4]}); recorded as null",
               file=sys.stderr)
-    return EXIT_WARNING if missed or null_cells else EXIT_OK
+    return EXIT_WARNING if missed or biased or null_cells else EXIT_OK
 
 
 def _cmd_track(args) -> int:

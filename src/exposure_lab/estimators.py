@@ -68,6 +68,31 @@ def _reject_degree_zero(samples: np.ndarray, degrees: np.ndarray, what: str) -> 
                          f"degree-corrected samples need {what} >= 1")
 
 
+# sampling mode -> (the degrees that correct its samples, their name in errors)
+_CORRECTIONS = {"fp": ("degrees", "degree"), "friend": ("out_degrees", "out-degree"),
+                "follower": ("in_degrees", "in-degree")}
+
+
+def estimate_from_bits(g, mode: str, samples: np.ndarray, bits: np.ndarray, d_bar: float | None = None):
+    """The estimate of one sampling mode from its samples and their exposure bits.
+
+    Reduces over the last axis as the estimators do. mode 'node' (uniform
+    nodes) gives the mean of the bits, the vanilla estimate. 'fp' (random
+    friends of an undirected graph), 'friend' and 'follower' give d_bar
+    times the mean of bit / degree, corrected by degree, out-degree and
+    in-degree; d_bar defaults to average_degree(g), and a sample whose
+    correcting degree is 0 raises ValueError.
+    """
+    if mode == "node":
+        return _row_means(np.asarray(bits, dtype=float))
+    attr, what = _CORRECTIONS[mode]
+    if d_bar is None:
+        d_bar = average_degree(g)
+    degrees = getattr(g, attr)[samples]
+    _reject_degree_zero(samples, degrees, what)
+    return float(d_bar) * _row_means(bits / degrees)
+
+
 def fp_estimate(g: Graph, friends, s: SharingState, d_bar: float | None = None) -> EstimatorReport:
     """Friendship-paradox estimate from random-friend samples.
 
@@ -84,9 +109,7 @@ def fp_estimate(g: Graph, friends, s: SharingState, d_bar: float | None = None) 
         raise ValueError("friend sampling requires at least one edge")
     if d_bar is None:
         d_bar = average_degree(g)
-    degrees = g.degrees[friends]
-    _reject_degree_zero(friends, degrees, "degree")
-    estimate = d_bar * _row_means(_exposed(g, s, friends) / degrees)
+    estimate = estimate_from_bits(g, "fp", friends, _exposed(g, s, friends), d_bar)
     return EstimatorReport("fp", estimate, friends.shape[-1], float(d_bar))
 
 
@@ -106,18 +129,14 @@ def directed_estimates(g: DiGraph, mode: str, samples, s: SharingState,
         raise ValueError("need at least one sample")
     if mode not in ("node", "friend", "follower"):
         raise ValueError(f"unknown estimator mode: {mode!r}")
-    exposed = _exposed(g, s, samples)
     if mode == "node":
-        estimate = _row_means(exposed)
         d_bar = math.nan if d_bar is None else float(d_bar)
     else:
         if g.num_edges < 1:
             raise ValueError(f"{mode} sampling requires at least one edge")
         if d_bar is None:
             d_bar = average_degree(g)
-        degrees = (g.out_degrees if mode == "friend" else g.in_degrees)[samples]
-        _reject_degree_zero(samples, degrees, "out-degree" if mode == "friend" else "in-degree")
-        estimate = float(d_bar) * _row_means(exposed / degrees)
+    estimate = estimate_from_bits(g, mode, samples, _exposed(g, s, samples), d_bar)
     return EstimatorReport(f"directed_{mode}", estimate, samples.shape[-1], float(d_bar))
 
 

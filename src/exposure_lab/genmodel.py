@@ -196,7 +196,7 @@ def rewire_to_assortativity(
     every applied move climbs. ``iterations`` counts the proposals drawn up
     to the cut, rejected ones included, against max_iters. Returns a
     best-effort graph plus the achieved coefficient when the target is out
-    of reach.
+    of reach, and the input graph itself when no move was applied.
     """
     if g.num_edges < 2:
         raise ValueError("rewiring needs at least two edges")
@@ -223,6 +223,7 @@ def rewire_to_assortativity(
     trace: list[float] = []
     current = rho(sum_xy)
     iters = 0
+    moved = False
     converged = abs(current - target.target) <= target.tolerance
     while not converged and iters < target.max_iters:
         k = min(batch, target.max_iters - iters)
@@ -250,6 +251,7 @@ def rewire_to_assortativity(
         iters += drawn
         acc = acc[:moves]
         if acc.size:
+            moved = True
             added = np.sort(np.concatenate([k1[acc], k2[acc]]))
             keys = np.delete(keys, np.concatenate([i[acc], j[acc]]))
             keys = np.insert(keys, np.searchsorted(keys, added), added)
@@ -258,8 +260,10 @@ def rewire_to_assortativity(
             if record_trace:
                 trace += running[:moves].tolist()
         converged = abs(current - target.target) <= target.tolerance
-    rewired = build_undirected(np.stack(np.divmod(keys, n), axis=1), n)
-    return rewired, ShapingResult(current, iters, converged, trace)
+    result = ShapingResult(current, iters, converged, trace)
+    if not moved:
+        return g, result
+    return build_undirected(np.stack(np.divmod(keys, n), axis=1), n), result
 
 
 def _check_sharing_prob(p: float) -> None:
@@ -334,6 +338,7 @@ def swap_to_correlation(
     trace: list[float] = []
     current = rho(total)
     iters = 0
+    moved = False
     converged = abs(current - target.target) <= target.tolerance
     while not converged and iters < target.max_iters:
         up = target.target > current

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 WALK_BURN_IN_FACTOR = 10  # default burn-in = 10 * |V|, a conservative mixing heuristic
+WALK_CHUNK_UNIFORMS = 1 << 16  # uniforms per draw of random_walk_friends: bounds its block's memory
 
 
 def _as_edge_array(edges) -> np.ndarray:
@@ -193,18 +194,18 @@ def average_degree(g) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sampling primitives
+# Sampling primitives: ``size`` is a sample count or a shape such as (reps, n)
 # ---------------------------------------------------------------------------
 
 
-def sample_uniform_nodes(g, size: int, rng: np.random.Generator) -> np.ndarray:
+def sample_uniform_nodes(g, size: int | tuple, rng: np.random.Generator) -> np.ndarray:
     """``size`` nodes drawn uniformly from V, with replacement."""
     if g.num_nodes < 1:
         raise ValueError("cannot sample a node from an empty graph")
     return rng.integers(0, g.num_nodes, size=size)
 
 
-def sample_random_friends(g: Graph, size: int, rng: np.random.Generator) -> np.ndarray:
+def sample_random_friends(g: Graph, size: int | tuple, rng: np.random.Generator) -> np.ndarray:
     """``size`` random friends: each a uniform edge, then a fair coin on its two endpoints.
 
     Returns node v with probability d(v) / 2|E| per draw.
@@ -216,7 +217,7 @@ def sample_random_friends(g: Graph, size: int, rng: np.random.Generator) -> np.n
     return g.edge_array[idx, side]
 
 
-def sample_friend_two_step(g: Graph, size: int, rng: np.random.Generator) -> np.ndarray:
+def sample_friend_two_step(g: Graph, size: int | tuple, rng: np.random.Generator) -> np.ndarray:
     """``size`` uniform neighbors of uniform non-isolated anchor nodes.
 
     Returns v with probability (1/|V'|) * sum over u in N(v) of 1/d(u) per
@@ -230,7 +231,7 @@ def sample_friend_two_step(g: Graph, size: int, rng: np.random.Generator) -> np.
     return g.indices[g.indptr[anchors] + rng.integers(0, g.degrees[anchors])]
 
 
-def sample_directed_many(g: DiGraph, mode: str, size: int, rng: np.random.Generator) -> np.ndarray:
+def sample_directed_many(g: DiGraph, mode: str, size: int | tuple, rng: np.random.Generator) -> np.ndarray:
     """``size`` samples of a directed graph as nodes, friends, or followers.
 
     node: uniform over V. friend: the source end of a uniform link,
@@ -249,19 +250,26 @@ def sample_directed_many(g: DiGraph, mode: str, size: int, rng: np.random.Genera
 
 def random_walk_friends(
     g: Graph,
-    start: int,
+    start,
     burn_in: int | None = None,
     thin: int | None = None,
     num_samples: int = 1,
     rng: np.random.Generator = None,
 ) -> np.ndarray:
-    """Degree-proportional node samples from a simple random walk.
+    """Degree-proportional node samples from simple random walks.
 
-    The first sample is the position after ``burn_in`` steps; each later
-    sample follows ``thin`` further steps. The empirical distribution
-    converges to d(v)/2|E| only when the nodes of degree >= 1 form one
-    connected, non-bipartite graph; walk_precondition_failures checks
-    that. Defaults: burn_in = 10|V|, thin = |V|.
+    ``start`` is one node, or a 1-D array of R nodes whose R walkers step
+    in lockstep: one CSR gather per step serves them all. Step t of walker
+    k moves to neighbor floor(u * d) of its d neighbors, u being entry
+    (t, k) of a (steps, R) block of uniforms drawn WALK_CHUNK_UNIFORMS at a
+    time, so a walker's path does not depend on R or on the chunking, and a
+    scalar start reads the uniforms ``rng.random(steps)`` would give. The
+    first sample is the position after ``burn_in`` steps; each later sample
+    follows ``thin`` further steps. Returns num_samples nodes for a scalar
+    start, an (R, num_samples) array otherwise. The samples converge to
+    d(v)/2|E| only when the nodes of degree >= 1 form one connected,
+    non-bipartite graph; walk_precondition_failures checks that. Defaults:
+    burn_in = 10|V|, thin = |V|.
     """
     if burn_in is None:
         burn_in = WALK_BURN_IN_FACTOR * g.num_nodes
@@ -273,28 +281,26 @@ def random_walk_friends(
         raise ValueError("burn_in must be >= 0")
     if num_samples < 0:
         raise ValueError("num_samples must be >= 0")
-    if not (0 <= start < g.num_nodes) or g.degree(start) == 0:
+    starts = np.asarray(start, dtype=np.int64)
+    cur = starts.reshape(-1)
+    if ((cur < 0) | (cur >= g.num_nodes)).any() or (g.degrees[cur] == 0).any():
         raise ValueError("walk start must be a node with degree >= 1")
 
-    out = np.empty(num_samples, dtype=np.int64)
-    if num_samples == 0:
-        return out
-    total_steps = burn_in + (num_samples - 1) * thin
-    # Plain-list walk: per-step cost dominates, so avoid numpy scalar indexing.
-    uniforms = rng.random(total_steps).tolist()
-    indptr = g.indptr.tolist()
-    indices = g.indices.tolist()
-    cur = int(start)
-    pos = 0
-    for i in range(num_samples):
-        for _ in range(burn_in if i == 0 else thin):
-            lo = indptr[cur]
-            deg = indptr[cur + 1] - lo
-            j = int(uniforms[pos] * deg)
-            cur = indices[lo + (j if j < deg else deg - 1)]
-            pos += 1
-        out[i] = cur
-    return out
+    out = np.empty((num_samples, cur.size), dtype=np.int64)  # transposed on return
+    total_steps = burn_in + (num_samples - 1) * thin if num_samples else 0
+    if num_samples and burn_in == 0:
+        out[0] = cur
+    # u < 1 is a multiple of 2**-53, so u * d rounds below d for any degree d < 2**53
+    indptr, indices, degrees = g.indptr, g.indices, g.degrees
+    rows = max(WALK_CHUNK_UNIFORMS // max(cur.size, 1), 1)
+    step = 0
+    while step < total_steps:
+        for u in rng.random((min(rows, total_steps - step), cur.size)):
+            cur = indices[indptr[cur] + (u * degrees[cur]).astype(np.int64)]
+            step += 1
+            if step >= burn_in and (step - burn_in) % thin == 0:
+                out[(step - burn_in) // thin] = cur
+    return np.ascontiguousarray(out.T) if starts.ndim else out[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +348,20 @@ def is_connected(g: Graph) -> bool:
     return bool((component_labels(g.edge_array, g.num_nodes) == 0).all())
 
 
-def is_bipartite(g: Graph) -> bool:
-    """True when no node shares a label with its copy in the double cover, edges (u, v+n) and (u+n, v)."""
+def _double_cover_labels(g: Graph) -> np.ndarray:
+    """component_labels of the bipartite double cover: node v and its copy v + n, edges (u, v+n) and (u+n, v).
+
+    A bipartite component lifts to two components, one holding each side's
+    copies, and any other component to one that holds both copies of each node.
+    """
     n, (u, v) = g.num_nodes, g.edge_array.T
-    labels = component_labels(np.concatenate([np.stack([u, v + n], 1), np.stack([u + n, v], 1)]), 2 * n)
-    return not np.any(labels[:n] == labels[n:])
+    return component_labels(np.concatenate([np.stack([u, v + n], 1), np.stack([u + n, v], 1)]), 2 * n)
+
+
+def is_bipartite(g: Graph) -> bool:
+    """True when no node shares a label with its copy in the bipartite double cover."""
+    labels = _double_cover_labels(g)
+    return not np.any(labels[: g.num_nodes] == labels[g.num_nodes :])
 
 
 def walk_precondition_failures(g: Graph) -> tuple:
@@ -354,13 +369,17 @@ def walk_precondition_failures(g: Graph) -> tuple:
 
     The walk's law converges to d(v)/2|E| when the nodes of degree >= 1
     form one connected, non-bipartite graph; isolated nodes are never
-    visited, so they do not count.
+    visited, so they do not count. One labelling of the double cover
+    answers both: a component is named by the smaller label of its nodes'
+    two copies, and it is bipartite when those copies' labels differ.
     """
     active = np.flatnonzero(g.degrees > 0)
-    components = np.count_nonzero(component_labels(g.edge_array, g.num_nodes)[active] == active)
+    labels = _double_cover_labels(g)
+    own, copy = labels[active], labels[active + g.num_nodes]
+    components = sorted_unique(np.minimum(own, copy)).size
     if components > 1:
         return (f"fp-walk samples are biased: the nodes with friends form {components} components, "
                 "and a walk never leaves the one it starts in",)
-    if components == 1 and is_bipartite(g):
+    if components == 1 and (own != copy).all():
         return ("fp-walk samples are biased: the graph is bipartite, so a walk alternates between its two sides",)
     return ()

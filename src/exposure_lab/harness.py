@@ -18,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as graphmod
-from .cascade import SharingState, exposure_bits, true_exposure
-from .estimators import (
-    ConditionVerdict,
-    condition_empirical,
-    directed_estimates,
-    fp_estimate,
-    vanilla_estimate,
-)
+from .cascade import SharingState, exposure_all, true_exposure
+from .estimators import ConditionVerdict, condition_empirical, estimate_from_bits
 from .genmodel import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOLERANCE,
@@ -49,6 +43,9 @@ from .rng import make_generator
 
 UNDIRECTED_METHODS = ("vanilla", "fp", "fp-walk", "fp-two-step")
 DIRECTED_METHODS = ("d-node", "d-friend", "d-follower")
+METHODS = UNDIRECTED_METHODS + DIRECTED_METHODS  # a method's place here fixes its stream
+_SAMPLING_MODES = {"vanilla": "node", "fp": "fp", "fp-walk": "fp", "fp-two-step": "fp",
+                   "d-node": "node", "d-friend": "friend", "d-follower": "follower"}
 WRITE_CHUNK_ROWS = 1 << 16  # id-file rows formatted per write
 _COMMENT_LINES = re.compile(r"\n[ \t]*#[^\n]*")  # a comment line with the newline before it
 _ID_TEXT = b"0123456789 \t\n"  # all an id file holds once comments are dropped
@@ -244,39 +241,48 @@ def write_csv(path: str, comment: str, header: list, rows: list) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _draw(method: str, g, n_samples: int, rng, walk_burn_in, walk_thin) -> np.ndarray:
-    """One rep's n_samples samples for the named method, from its own generator."""
+def method_generator(seed: int, cell: int, method: str) -> np.random.Generator:
+    """The stream that draws every sample of ``method`` in one grid cell (cell 0 for a static experiment).
+
+    Its coordinates are fixed by the method's name, so adding or reordering
+    methods leaves each method's draws unchanged. They never end in 0:
+    make_generator(seed, cell, 0) is make_generator(seed, cell), the stream
+    that builds the cell's graph.
+    """
+    return make_generator(seed, cell, 1 + METHODS.index(method))
+
+
+def _draw(method: str, g, n_samples: int, reps: int, rng, walk_burn_in, walk_thin) -> np.ndarray:
+    """A (reps, n_samples) block of samples for the named method, from one generator."""
     if method == "vanilla":
-        return sample_uniform_nodes(g, n_samples, rng)
+        return sample_uniform_nodes(g, (reps, n_samples), rng)
     if method == "fp":
-        return sample_random_friends(g, n_samples, rng)
+        return sample_random_friends(g, (reps, n_samples), rng)
     if method == "fp-two-step":
-        return sample_friend_two_step(g, n_samples, rng)
+        return sample_friend_two_step(g, (reps, n_samples), rng)
     if method == "fp-walk":
         candidates = np.flatnonzero(g.degrees > 0)
         if not candidates.size:
             raise ValueError("fp-walk: cannot start a random walk on an edgeless graph")
-        start = int(candidates[rng.integers(candidates.size)])
-        return random_walk_friends(g, start, walk_burn_in, walk_thin, n_samples, rng)
+        starts = candidates[rng.integers(candidates.size, size=reps)]
+        return random_walk_friends(g, starts, walk_burn_in, walk_thin, n_samples, rng)
     if method in DIRECTED_METHODS:
-        return graphmod.sample_directed_many(g, method[2:], n_samples, rng)
+        return graphmod.sample_directed_many(g, method[2:], (reps, n_samples), rng)
     raise ValueError(f"unknown method: {method!r}")
 
 
-def run_method(method: str, g, s: SharingState, n_samples: int, generators, d_bar: float | None = None,
+def run_method(method: str, g, exposed: np.ndarray, n_samples: int, reps: int, rng, d_bar: float | None = None,
                walk_burn_in: int | None = None, walk_thin: int | None = None) -> np.ndarray:
-    """One estimate per generator by the named method, n_samples fresh samples each.
+    """reps estimates by the named method, n_samples fresh samples each.
 
-    Rep r draws its samples from ``generators[r]`` as a single estimate
-    would; the estimator then runs once on the stacked (reps, n_samples)
-    array. A generator passed again to a later call continues its stream.
+    The samples are one (reps, n_samples) block drawn from ``rng``; their
+    exposure bits are read from ``exposed``, the graph's exposure vector
+    (``exposure_all``), and the estimator runs once on the block. Row r's
+    estimate equals a 1-D estimator call on row r's samples. fp-walk draws
+    the reps' start nodes, then walks them in lockstep.
     """
-    samples = np.stack([_draw(method, g, n_samples, rng, walk_burn_in, walk_thin) for rng in generators])
-    if method == "vanilla":
-        return vanilla_estimate(exposure_bits(g, s, samples.ravel()).reshape(samples.shape)).estimate
-    if method in DIRECTED_METHODS:
-        return directed_estimates(g, method[2:], samples, s, d_bar).estimate
-    return fp_estimate(g, samples, s, d_bar).estimate
+    samples = _draw(method, g, n_samples, reps, rng, walk_burn_in, walk_thin)
+    return estimate_from_bits(g, _SAMPLING_MODES[method], samples, exposed[samples], d_bar)
 
 
 def _check_methods(methods, directed: bool) -> None:
@@ -330,21 +336,19 @@ def run_static_experiment(
 ) -> StaticResult:
     """reps independent estimates per method on a fixed (graph, sharing) pair.
 
-    Rep r draws its samples from the (seed, 0, r) stream. The rep
-    generators are made once and each method's run_method call continues
-    them, so within a rep the methods draw in the listed order from one
-    stream: adding a method changes later methods' draws, but rep streams
-    stay independent. Rows are ordered by rep, then method. With fp-walk
-    among the methods, the graph is checked once for the walk's
-    preconditions; a failure is reported in ``warnings``.
+    Each method draws all its reps from its own (seed, 0, method) stream
+    (``method_generator``), so adding or reordering methods leaves the
+    other methods' estimates unchanged. Rows are ordered by rep, then
+    method. With fp-walk among the methods, the graph is checked once for
+    the walk's preconditions; a failure is reported in ``warnings``.
     """
     directed = isinstance(g, DiGraph)
     _check_methods(methods, directed)
     _check_counts(n_samples, reps)
     f_bar = true_exposure(g, s)
-    generators = [make_generator(seed, 0, rep) for rep in range(reps)]
-    estimates = [run_method(m, g, s, n_samples, generators, d_bar, walk_burn_in, walk_thin).tolist()
-                 for m in methods]
+    exposed = exposure_all(g, s)
+    estimates = [run_method(m, g, exposed, n_samples, reps, method_generator(seed, 0, m), d_bar,
+                            walk_burn_in, walk_thin).tolist() for m in methods]
     rows = [(rep, m, est[rep], abs(est[rep] - f_bar), f_bar)
             for rep in range(reps) for m, est in zip(methods, estimates)]
     verdict = condition_empirical(g, s) if not directed and g.num_edges >= 1 else None
@@ -400,6 +404,7 @@ class GridCell:
     mean_abs_error_pct: float | None
     std_error_pct: float | None
     shaping_missed: bool
+    walk_failures: tuple  # why fp-walk's samples are biased on the cell's graph; () unless fp-walk is listed
 
 
 GRID_HEADER = [
@@ -430,12 +435,13 @@ def build_cell(cfg: GridConfig, cell_index: int, alpha: float, rkk_target, rho_t
 def run_grid(cfg: GridConfig, collect_ledger: bool = True):
     """Run every cell of the grid; returns (cells, ledger_rows, null_cells).
 
-    Rep r of every method draws from a fresh (seed, cell, r) stream, so
-    the methods of a cell see common random numbers: the stream is made
-    once per cell and rewound to its start before each method. A cell
-    whose sharing exposes nobody (true exposure 0) has no defined percent
-    error: it yields no GridCell row and is reported in ``null_cells``
-    instead.
+    Each method draws all reps of a cell from its own (seed, cell, method)
+    stream (``method_generator``), so adding or reordering methods leaves
+    the other methods' rows unchanged. A cell whose sharing exposes nobody
+    (true exposure 0) has no defined percent error: it yields no GridCell
+    row and is reported in ``null_cells`` instead. With fp-walk among the
+    methods, each cell's graph is checked for the walk's preconditions and
+    a failure is recorded in its rows' ``walk_failures``.
     Percent errors are 100 * |estimate - truth| / truth. Every cell's
     degree and shaping inputs are checked before the first cell is built.
     """
@@ -453,12 +459,11 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
         if f_bar == 0.0:
             null_cells.append((cell_index, alpha, rkk_t, rho_t, p))
             continue
-        generators = [make_generator(cfg.seed, cell_index, rep) for rep in range(cfg.reps)]
-        fresh = [rng.bit_generator.state for rng in generators]
+        exposed = exposure_all(g, s)
+        walk_failures = graphmod.walk_precondition_failures(g) if "fp-walk" in cfg.methods else ()
         for method in cfg.methods:
-            for rng, state in zip(generators, fresh):
-                rng.bit_generator.state = state
-            estimates = run_method(method, g, s, cfg.n_samples, generators)
+            estimates = run_method(method, g, exposed, cfg.n_samples, cfg.reps,
+                                   method_generator(cfg.seed, cell_index, method))
             errors = np.abs(estimates - f_bar)
             if collect_ledger:
                 ledger += [(cell_index, alpha, rkk_t, rho_t, p, method, rep, est, err, f_bar)
@@ -481,6 +486,7 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
                     mean_abs_error_pct=float(pct.mean()),
                     std_error_pct=float(pct.std(ddof=1) / math.sqrt(cfg.reps)) if cfg.reps > 1 else None,
                     shaping_missed=missed,
+                    walk_failures=walk_failures,
                 )
             )
     return cells_out, ledger, null_cells

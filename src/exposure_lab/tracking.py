@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cascade
-from .cascade import SharingState, exposure_all, exposure_bits
+from .cascade import exposure_all
 from .genmodel import degree_sharing_correlation
 from .graph import Graph, average_degree, gather_segments, sample_random_friends, sample_uniform_nodes
 
@@ -60,24 +60,25 @@ def make_tracker(kind: str, policy: StepPolicy, initial_estimate: float = 0.0) -
 
 
 def tracker_update(
-    state: TrackerState, g: Graph, s_t: SharingState, rng: np.random.Generator, count: int = 1
+    state: TrackerState, g: Graph, exposed: np.ndarray, rng: np.random.Generator, count: int = 1
 ) -> TrackerState:
-    """``count`` tracker updates against the sharing snapshot s_t, from one batch.
+    """``count`` tracker updates against one sharing snapshot, from one batch.
 
-    vanilla: observe f(X) for fresh uniform nodes X. fp: observe
-    d_bar * f(Y)/d(Y) for fresh random friends Y. All ``count`` samples are
-    drawn at once and their observations folded in order through the
-    scalar recursion, so the result equals ``count`` single updates fed the
-    same observations. Returns the new state; the input is not mutated.
+    ``exposed`` is the snapshot's exposure vector (``exposure_all``), from
+    which the samples' exposure bits f are read. vanilla: observe f(X) for
+    fresh uniform nodes X. fp: observe d_bar * f(Y)/d(Y) for fresh random
+    friends Y. All ``count`` samples are drawn at once and their
+    observations folded in order through the scalar recursion, so the
+    result equals ``count`` single updates fed the same observations.
+    Returns the new state; the input is not mutated.
     """
     if state.kind == "vanilla":
-        nodes = sample_uniform_nodes(g, count, rng)
-        obs = exposure_bits(g, s_t, nodes)
+        obs = exposed[sample_uniform_nodes(g, count, rng)]
     else:
         if g.num_edges < 1:
             raise ValueError("the fp tracker needs at least one edge")
         nodes = sample_random_friends(g, count, rng)
-        obs = average_degree(g) * exposure_bits(g, s_t, nodes) / g.degrees[nodes]
+        obs = average_degree(g) * exposed[nodes] / g.degrees[nodes]
     estimate, n, step = state.estimate, state.updates_done, state.policy.step
     for o in obs.tolist():
         n += 1
@@ -143,8 +144,8 @@ def run_tracking_experiment(
             exposed[gather_segments(g.indptr, g.indices, state.new_sharers)[0]] = True
             f_bar = float(exposed.mean())
             corr = degree_sharing_correlation(g, state)
-        vanilla = tracker_update(vanilla, g, state, rng, schedule)
-        fp = tracker_update(fp, g, state, rng, schedule)
+        vanilla = tracker_update(vanilla, g, exposed, rng, schedule)
+        fp = tracker_update(fp, g, exposed, rng, schedule)
         records.append(
             TrackRecord(
                 step=t,

@@ -348,34 +348,64 @@ def reference_read_ids(path: str, count: int):
 
 
 # ---------------------------------------------------------------------------
-# Reference rep loop: one 1-D estimator call per rep
+# Reference estimate paths: a block of samples, one 1-D estimator call per row
 # ---------------------------------------------------------------------------
 
 
-def reference_rep_estimates(method: str, g, s, n_samples: int, generators, d_bar=None,
-                            walk_burn_in=None, walk_thin=None) -> np.ndarray:
-    """One estimate per generator, each drawn and estimated on its own.
+def reference_method_rows(method: str, g, s, n_samples: int, reps: int, rng, d_bar=None,
+                          walk_burn_in=None, walk_thin=None) -> np.ndarray:
+    """reps estimates from one (reps, n_samples) block drawn from ``rng`` through the public samplers.
 
-    Rep r draws its samples from generators[r] exactly as a single estimate
-    would, and each rep calls the estimator once with its 1-D samples.
+    fp-walk first draws the reps' start nodes, uniform over the nodes with
+    friends. Each row's bits come from exposure_bits and its estimate from
+    one 1-D estimator call.
     """
+    shape = (reps, n_samples)
+    if method == "vanilla":
+        block = sample_uniform_nodes(g, shape, rng)
+    elif method == "fp":
+        block = sample_random_friends(g, shape, rng)
+    elif method == "fp-two-step":
+        block = sample_friend_two_step(g, shape, rng)
+    elif method == "fp-walk":
+        candidates = np.flatnonzero(g.degrees > 0)
+        starts = candidates[rng.integers(candidates.size, size=reps)]
+        block = random_walk_friends(g, starts, walk_burn_in, walk_thin, n_samples, rng)
+    else:
+        block = sample_directed_many(g, method[2:], shape, rng)
     estimates = []
-    for rng in generators:
+    for row in block:
         if method == "vanilla":
-            est = vanilla_estimate(exposure_bits(g, s, sample_uniform_nodes(g, n_samples, rng)))
-        elif method == "fp":
-            est = fp_estimate(g, sample_random_friends(g, n_samples, rng), s, d_bar)
-        elif method == "fp-two-step":
-            est = fp_estimate(g, sample_friend_two_step(g, n_samples, rng), s, d_bar)
-        elif method == "fp-walk":
-            candidates = np.flatnonzero(g.degrees > 0)
-            start = int(candidates[rng.integers(candidates.size)])
-            est = fp_estimate(g, random_walk_friends(g, start, walk_burn_in, walk_thin, n_samples, rng), s, d_bar)
+            est = vanilla_estimate(exposure_bits(g, s, row))
+        elif method.startswith("d-"):
+            est = directed_estimates(g, method[2:], row, s, d_bar)
         else:
-            mode = method[2:]
-            est = directed_estimates(g, mode, sample_directed_many(g, mode, n_samples, rng), s, d_bar)
+            est = fp_estimate(g, row, s, d_bar)
         estimates.append(est.estimate)
     return np.array(estimates)
+
+
+def reference_walk(g: Graph, start: int, burn_in: int, thin: int, num_samples: int, uniforms) -> list:
+    """One walker's samples, stepping to neighbor int(u * d) of its d ascending neighbors for each uniform u."""
+    adj = [sorted(nbrs) for nbrs in _adjacency_lists(g)]
+    positions = [int(start)]
+    for u in uniforms[: burn_in + (num_samples - 1) * thin]:
+        nbrs = adj[positions[-1]]
+        positions.append(nbrs[int(u * len(nbrs))])
+    return [positions[burn_in + i * thin] for i in range(num_samples)]
+
+
+def reference_walk_precondition_failures(g: Graph) -> tuple:
+    """The walk's precondition failures in two passes: count the components
+    of the nodes with friends by BFS, then 2-colour the graph."""
+    labels = reference_component_labels(g)
+    components = len({int(labels[v]) for v in range(g.num_nodes) if g.degree(v) > 0})
+    if components > 1:
+        return (f"fp-walk samples are biased: the nodes with friends form {components} components, "
+                "and a walk never leaves the one it starts in",)
+    if components == 1 and reference_is_bipartite(g):
+        return ("fp-walk samples are biased: the graph is bipartite, so a walk alternates between its two sides",)
+    return ()
 
 
 # ---------------------------------------------------------------------------

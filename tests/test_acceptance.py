@@ -29,6 +29,7 @@ from exposure_lab import (
     configuration_model,
     exact_variance_fp,
     exact_variance_vanilla,
+    exposure_all,
     exposure_bits,
     is_bipartite,
     is_connected,
@@ -41,7 +42,7 @@ from exposure_lab import (
     sample_random_friends,
     true_exposure,
 )
-from exposure_lab.harness import GridConfig, build_cell, run_method
+from exposure_lab.harness import GridConfig, build_cell, method_generator, run_method
 
 from oracles import (
     enum_directed_expectation,
@@ -168,8 +169,9 @@ class TestEstimatorOrderingsOnShapedGrids:
                              n_samples=100, reps=500, seed=seed, max_iters=300_000)
             g, s, _, _, _ = build_cell(cfg, 0, alpha, rkk, rho, p)
             f_bar = true_exposure(g, s)
-            generators = [make_generator(seed, 0, rep) for rep in range(500)]
-            err = {m: float(np.abs(run_method(m, g, s, 100, generators) - f_bar).sum()) for m in ("vanilla", "fp")}
+            exposed = exposure_all(g, s)
+            err = {m: float(np.abs(run_method(m, g, exposed, 100, 500, method_generator(seed, 0, m)) - f_bar).sum())
+                   for m in ("vanilla", "fp")}
             winner = "fp" if err["fp"] < err["vanilla"] else "vanilla"
             wins += winner == expect
             margins.append(round(100 * (err["vanilla"] - err["fp"]) / err["vanilla"], 1))

@@ -189,6 +189,23 @@ class TestRewireToAssortativity:
             else:
                 assert res.achieved <= -0.15
 
+    @pytest.mark.parametrize("case", ["zero budget", "target met", "every proposal rejected"])
+    def test_no_move_returns_the_input_graph(self, case):
+        # a star's hub pairs with every leaf, so each pairing of two of its
+        # edges makes a self-loop or an edge it already has
+        g = star(6) if case == "every proposal rejected" else random_graph(make_generator(54), 40, 0.2, 30)
+        target = {"zero budget": CorrelationTarget(0.5, 0.01, 0),
+                  "target met": CorrelationTarget(assortativity_coefficient(g), 0.01, 1000),
+                  "every proposal rejected": CorrelationTarget(0.0, 0.01, 500)}[case]
+        want = reference_build_undirected(g.edge_array, g.num_nodes)
+        rewired, res = rewire_to_assortativity(g, target, make_generator(55))
+        assert rewired is g
+        for got, ref in zip((rewired.edge_array, rewired.indptr, rewired.indices), want):
+            assert np.array_equal(got, ref)
+        assert res.iterations == target.max_iters * (case == "every proposal rejected")
+        assert res.converged == (case == "target met")
+        assert res.achieved == assortativity_coefficient(g)
+
     def test_too_few_edges_rejected(self):
         with pytest.raises(ValueError):
             rewire_to_assortativity(build_undirected([(0, 1)], 2),

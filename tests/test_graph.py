@@ -19,7 +19,8 @@ from exposure_lab import (
     sample_random_friends,
     sample_uniform_nodes,
 )
-from exposure_lab.graph import _packed_key_base, gather_segments
+from exposure_lab import graph as graphmod
+from exposure_lab.graph import _packed_key_base, gather_segments, walk_precondition_failures
 
 from oracles import (
     complete,
@@ -32,6 +33,8 @@ from oracles import (
     reference_build_undirected,
     reference_component_labels,
     reference_is_bipartite,
+    reference_walk,
+    reference_walk_precondition_failures,
     star,
     two_step_distribution_oracle,
 )
@@ -337,6 +340,59 @@ class TestRandomWalk:
         assert draws.shape == (10,)
 
 
+class TestLockstepWalk:
+    """R walkers stepped together against a scalar reference walk per walker, fed column k of the same uniforms."""
+
+    @staticmethod
+    def case(rng):
+        """(graph, 1-8 starts with friends, burn_in, thin, num_samples), burn_in 0 included."""
+        g = random_graph(rng, max_nodes=30, p=0.2)
+        candidates = np.flatnonzero(g.degrees > 0)
+        starts = candidates[rng.integers(candidates.size, size=int(rng.integers(1, 9)))]
+        return g, starts, int(rng.integers(0, 40)), int(rng.integers(1, 5)), int(rng.integers(1, 15))
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_matches_per_walker_reference(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(graphmod, "WALK_CHUNK_UNIFORMS", chunk)
+        rng = make_generator(720)
+        for trial in range(60):
+            g, starts, burn_in, thin, num_samples = self.case(rng)
+            walk_rng = make_generator(721, trial)
+            got = random_walk_friends(g, starts, burn_in, thin, num_samples, walk_rng)
+            steps = burn_in + (num_samples - 1) * thin
+            replay = make_generator(721, trial)
+            uniforms = replay.random((steps, starts.size))
+            assert got.shape == (starts.size, num_samples)
+            for k, start in enumerate(starts.tolist()):
+                assert got[k].tolist() == reference_walk(g, start, burn_in, thin, num_samples, uniforms[:, k])
+            assert walk_rng.random() == replay.random()  # the walk drew exactly steps * R uniforms
+
+    def test_scalar_start_is_one_walker(self):
+        rng = make_generator(722)
+        for trial in range(40):
+            g, starts, burn_in, thin, num_samples = self.case(rng)
+            start = int(starts[0])
+            got = random_walk_friends(g, start, burn_in, thin, num_samples, make_generator(723, trial))
+            uniforms = make_generator(723, trial).random(burn_in + (num_samples - 1) * thin)
+            assert got.shape == (num_samples,)
+            assert got.tolist() == reference_walk(g, start, burn_in, thin, num_samples, uniforms)
+            one = random_walk_friends(g, np.array([start]), burn_in, thin, num_samples, make_generator(723, trial))
+            assert one.tolist() == [got.tolist()]
+
+    def test_no_samples_draw_nothing(self):
+        rng = make_generator(724)
+        got = random_walk_friends(complete(4), np.array([0, 1, 2]), 30, 5, 0, rng)
+        assert got.shape == (3, 0)
+        assert rng.random() == make_generator(724).random()
+
+    def test_every_start_checked(self):
+        g = build_undirected([(0, 1), (1, 2)], 4)  # node 3 is isolated
+        for starts in ([0, 3], [1, 4], [-1, 0]):
+            with pytest.raises(ValueError, match="walk start must be a node with degree >= 1"):
+                random_walk_friends(g, np.array(starts), 5, 1, 2, make_generator(0))
+
+
 class TestAverageDegree:
     def test_star(self):
         assert average_degree(star(4)) == pytest.approx(1.6)
@@ -420,6 +476,7 @@ class TestComponentLabels:
         assert labels.dtype == np.int64 and np.array_equal(labels, want)
         assert is_connected(g) == bool((want == 0).all())
         assert is_bipartite(g) == reference_is_bipartite(g)
+        assert walk_precondition_failures(g) == reference_walk_precondition_failures(g)
 
     def test_empty_and_single_node(self):
         for n in (0, 1):
@@ -469,6 +526,36 @@ class TestComponentLabels:
         odd = [(n - 5 + i, n - 5 + (i + 1) % 5) for i in range(5)]
         assert is_bipartite(build_undirected(even, n))
         assert not is_bipartite(build_undirected(even + odd, n))
+
+
+class TestWalkPreconditionOracle:
+    """walk_precondition_failures, one double-cover labelling, against BFS counting and 2-colouring."""
+
+    CASES = {
+        "connected, odd cycle": [(0, 1), (1, 2), (2, 0), (2, 3)],
+        "connected, bipartite": [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)],
+        "two odd components": [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+        "two even components": [(0, 1), (2, 3), (3, 4)],
+        "odd and even components": [(0, 1), (1, 2), (2, 0), (3, 4)],
+        "isolated nodes only": [],
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_named_graphs(self, name):
+        for order in path_orders(9, make_generator(711)).values():
+            g = relabeled(self.CASES[name], order)
+            assert walk_precondition_failures(g) == reference_walk_precondition_failures(g), name
+
+    def test_random_mixtures(self):
+        rng = make_generator(712)
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            g = build_undirected(rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2)), n)
+            want = reference_walk_precondition_failures(g)
+            assert walk_precondition_failures(g) == want
+            seen.add("bipartite" if want and "bipartite" in want[0] else "components" if want else "none")
+        assert seen == {"none", "components", "bipartite"}
 
 
 class TestGatherSegments:

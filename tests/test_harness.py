@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from exposure_lab import DiGraph, Graph, SharingState, true_exposure
+from exposure_lab import DiGraph, Graph, SharingState, exposure_all, true_exposure
 from exposure_lab.cli import main
 from exposure_lab.harness import (
     DIRECTED_METHODS,
@@ -47,9 +47,10 @@ from oracles import (
     random_graph,
     reference_build_directed,
     reference_build_undirected,
+    reference_method_rows,
     reference_read_ids,
-    reference_rep_estimates,
     reference_shaped_network,
+    reference_walk_precondition_failures,
     reference_write_edge_list,
     star,
 )
@@ -551,39 +552,43 @@ def _oracle_graphs():
     return g, s, dg
 
 
-def _generators(seed, cell, reps):
-    return [make_generator(seed, cell, rep) for rep in range(reps)]
+def _stream(seed, cell, method):
+    """The (seed, cell, method) stream of the grid and estimate convention, spelled out."""
+    return make_generator(seed, cell, 1 + (UNDIRECTED_METHODS + DIRECTED_METHODS).index(method))
 
 
 class TestRunMethod:
-    """run_method's batched estimates equal one 1-D estimator call per rep."""
+    """run_method's block estimates equal one 1-D estimator call per row of the same block."""
 
     @pytest.mark.parametrize("d_bar", [None, 3.5])
     @pytest.mark.parametrize("method", UNDIRECTED_METHODS + DIRECTED_METHODS)
     def test_matches_reference_loop(self, method, d_bar):
         g, s, dg = _oracle_graphs()
         graph = dg if method in DIRECTED_METHODS else g
-        got = run_method(method, graph, s, 50, _generators(7, 0, 60), d_bar, walk_burn_in=300, walk_thin=3)
-        want = reference_rep_estimates(method, graph, s, 50, _generators(7, 0, 60), d_bar,
-                                       walk_burn_in=300, walk_thin=3)
+        got_rng, want_rng = make_generator(7, 0, 1), make_generator(7, 0, 1)
+        got = run_method(method, graph, exposure_all(graph, s), 50, 60, got_rng, d_bar,
+                         walk_burn_in=300, walk_thin=3)
+        want = reference_method_rows(method, graph, s, 50, 60, want_rng, d_bar, walk_burn_in=300, walk_thin=3)
         assert got.shape == (60,)
         assert np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()  # both drew exactly the block
 
     def test_shared_generators_keep_method_order(self):
-        # one generator per rep serves every method in turn, a walk between two others
+        # one generator passed to each method in turn, a walk between two others, continues its stream
         g, s, _ = _oracle_graphs()
-        got_gens, want_gens = _generators(8, 0, 40), _generators(8, 0, 40)
+        exposed = exposure_all(g, s)
+        got_rng, want_rng = make_generator(8), make_generator(8)
         for method in ("vanilla", "fp-walk", "fp"):
-            got = run_method(method, g, s, 30, got_gens, walk_burn_in=200, walk_thin=2)
-            want = reference_rep_estimates(method, g, s, 30, want_gens, walk_burn_in=200, walk_thin=2)
+            got = run_method(method, g, exposed, 30, 40, got_rng, walk_burn_in=200, walk_thin=2)
+            want = reference_method_rows(method, g, s, 30, 40, want_rng, walk_burn_in=200, walk_thin=2)
             assert np.array_equal(got, want)
 
     def test_static_experiment_rows_match_reference(self):
         g, s, _ = _oracle_graphs()
         methods = ["vanilla", "fp-walk", "fp"]
         result = run_static_experiment(g, s, methods, 30, 25, seed=4, walk_burn_in=200, walk_thin=2)
-        gens = _generators(4, 0, 25)
-        want = [reference_rep_estimates(m, g, s, 30, gens, walk_burn_in=200, walk_thin=2).tolist() for m in methods]
+        want = [reference_method_rows(m, g, s, 30, 25, _stream(4, 0, m), walk_burn_in=200, walk_thin=2).tolist()
+                for m in methods]
         f_bar = result.true_exposure
         assert result.rows == [(rep, m, est[rep], abs(est[rep] - f_bar), f_bar)
                                for rep in range(25) for m, est in zip(methods, want)]
@@ -598,14 +603,14 @@ class TestRunMethod:
             if f_bar == 0.0:
                 continue
             for method in cfg.methods:
-                ests = reference_rep_estimates(method, g, s, cfg.n_samples, _generators(cfg.seed, cell_index, cfg.reps))
+                ests = reference_method_rows(method, g, s, cfg.n_samples, cfg.reps,
+                                             _stream(cfg.seed, cell_index, method))
                 want += [(cell_index, alpha, rkk_t, rho_t, p, method, rep, est, abs(est - f_bar), f_bar)
                          for rep, est in enumerate(ests.tolist())]
         assert ledger == want
 
     def test_grid_rows_match_fresh_generators_per_method(self):
-        # run_grid rewinds each rep's generator before each method; making the
-        # generators afresh per method must give the same summary and ledger rows
+        # each method of a cell draws every rep from a fresh (seed, cell, method) stream
         cfg = dataclasses.replace(tiny_grid(), methods=("vanilla", "fp-walk", "fp"))
         cells, ledger, _ = run_grid(cfg)
         want_rows, want_ledger = [], []
@@ -615,7 +620,8 @@ class TestRunMethod:
             if f_bar == 0.0:
                 continue
             for method in cfg.methods:
-                ests = run_method(method, g, s, cfg.n_samples, _generators(cfg.seed, cell_index, cfg.reps))
+                ests = run_method(method, g, exposure_all(g, s), cfg.n_samples, cfg.reps,
+                                  _stream(cfg.seed, cell_index, method))
                 errs = np.abs(ests - f_bar)
                 pct = 100.0 * errs / f_bar
                 want_rows.append((cell_index, alpha, rkk_t, rkk_a, rho_t, rho_a, p, method, cfg.n_samples, cfg.reps,
@@ -625,6 +631,47 @@ class TestRunMethod:
                                 for rep, (est, err) in enumerate(zip(ests.tolist(), errs.tolist()))]
         assert grid_rows(cells) == want_rows
         assert ledger == want_ledger
+
+
+class TestMethodStreams:
+    """A method's stream is fixed by its name: other methods never move its rows."""
+
+    @staticmethod
+    def by_method(rows, method_at):
+        """Rows grouped by their method column, which is dropped."""
+        out = {}
+        for row in rows:
+            out.setdefault(row[method_at], []).append(row[:method_at] + row[method_at + 1:])
+        return out
+
+    def test_adding_or_reordering_methods_keeps_each_methods_grid_rows(self):
+        base = dataclasses.replace(tiny_grid(), methods=("fp", "vanilla"))
+        runs = [run_grid(dataclasses.replace(base, methods=methods))
+                for methods in (("fp", "vanilla"), ("vanilla", "fp"), ("fp-two-step", "vanilla", "fp-walk", "fp"))]
+        summaries = [self.by_method(grid_rows(cells), 7) for cells, _, _ in runs]
+        ledgers = [self.by_method(ledger, 5) for _, ledger, _ in runs]
+        for method in ("fp", "vanilla"):
+            assert summaries[0][method] == summaries[1][method] == summaries[2][method]
+            assert ledgers[0][method] == ledgers[1][method] == ledgers[2][method]
+
+    def test_adding_or_reordering_methods_keeps_each_methods_estimates(self):
+        g, s, _ = _oracle_graphs()
+        runs = [run_static_experiment(g, s, methods, 20, 15, seed=9, walk_burn_in=50, walk_thin=2).rows
+                for methods in (["fp-walk", "vanilla"], ["vanilla", "fp-walk"], ["fp", "vanilla", "fp-two-step", "fp-walk"])]
+        estimates = [self.by_method(rows, 1) for rows in runs]
+        for method in ("fp-walk", "vanilla"):
+            assert estimates[0][method] == estimates[1][method] == estimates[2][method]
+
+    def test_no_method_stream_is_a_cell_build_stream(self):
+        # SeedSequence pads entropy with zeros: coordinates ending in 0 alias the shorter tuple
+        assert make_generator(3, 2, 0).random() == make_generator(3, 2).random()
+        for seed in (0, 3, 2**40):
+            for cell in range(4):
+                builds = {tuple(make_generator(seed, c).random(4)) for c in range(5)}
+                for method in UNDIRECTED_METHODS + DIRECTED_METHODS:
+                    draws = harness.method_generator(seed, cell, method).random(4)
+                    assert np.array_equal(draws, _stream(seed, cell, method).random(4))
+                    assert tuple(draws) not in builds
 
 
 class TestGridConfigFile:
@@ -749,6 +796,19 @@ class TestCli:
         # identical bodies; only the timestamped comment line may differ
         assert outs[0][1:] == outs[1][1:]
 
+    def test_grid_names_each_missed_cell_once(self, tmp_path, capsys):
+        # a -0.2 degree-sharing target at 5-7% sharing lies below each cell's degree floor
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("nodes = 500\nalphas = 2.5\nk_max = 40\nrho_targets = -0.2\nsharing_probs = 0.05, 0.06, 0.07\n"
+                       "methods = vanilla, fp, fp-two-step\nn_samples = 20\nreps = 5\nseed = 1\n")
+        out = tmp_path / "out.csv"
+        assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 3
+        assert len(out.read_text().splitlines()) == 2 + 9
+        err = capsys.readouterr().err.splitlines()
+        for cell in range(3):
+            assert sum(line.startswith(f"warning: cell {cell} shaping stopped beyond tolerance") for line in err) == 1
+        assert len(err) == 3
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         assert main(["estimate", "--graph", str(tmp_path / "missing.txt"),
                      "--sharers", str(tmp_path / "also_missing.txt"),
@@ -854,6 +914,47 @@ class TestWalkPreconditions:
         assert run_static_experiment(star(4), s, ["vanilla", "fp"], 10, 2, seed=0).warnings == ()
         result = run_static_experiment(star(4), s, ["vanilla", "fp-walk"], 10, 2, seed=0)
         assert len(result.warnings) == 1 and "bipartite" in result.warnings[0]
+
+
+# 60 nodes of degree 2 (k_max 2): every cell's graph is a union of cycles
+CYCLES_GRID = "nodes = 60\nalphas = 3.0\nk_max = 2\nsharing_probs = 0.2, 0.3, 0.4\nn_samples = 5\nreps = 4\nseed = 6\n"
+
+
+class TestGridWalkPreconditions:
+    """With fp-walk listed, the grid checks every cell's graph and flags each failing cell once (exit 3)."""
+
+    def test_rows_carry_their_cells_failures(self):
+        cfg = GridConfig(nodes=60, alphas=(3.0,), k_max=2, sharing_probs=(0.2, 0.3, 0.4),
+                         methods=("vanilla", "fp-walk"), n_samples=5, reps=4, seed=6)
+        cells, _, _ = run_grid(cfg)
+        assert len(cells) == 6
+        for c in cells:
+            g, _, _, _, _ = build_cell(cfg, c.cell_index, *cfg.cells()[c.cell_index])
+            assert c.walk_failures == reference_walk_precondition_failures(g)
+            assert "components" in c.walk_failures[0]
+
+    def test_cli_names_each_failing_cell_once(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(CYCLES_GRID + "methods = vanilla, fp-walk, fp\n")
+        assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        for cell in range(3):
+            named = [line for line in err if line.startswith(f"warning: cell {cell}: ")]
+            assert len(named) == 1 and "fp-walk samples are biased" in named[0]
+        assert len(err) == 3
+
+    def test_checked_only_for_fp_walk(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(CYCLES_GRID + "methods = vanilla, fp\n")
+        assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_connected_cell_passes(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("nodes = 120\nalphas = 2.5\nk_max = 25\nsharing_probs = 0.2\nmethods = vanilla, fp-walk\n"
+                       "n_samples = 5\nreps = 4\nseed = 6\n")
+        assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 # (rkk target, sharing prob, rho target, tolerance, max_iters): shaped, unshaped,

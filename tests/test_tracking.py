@@ -13,6 +13,7 @@ from exposure_lab import (
     degree_sharing_correlation,
     exact_variance_fp,
     exact_variance_vanilla,
+    exposure_all,
     exposure_bits,
     icm_step,
     ltm_step,
@@ -48,9 +49,9 @@ def check_closed_form_mean_and_variance(batch):
         estimates = np.empty((replicas, len(states)))
         for r in range(replicas):
             state = make_tracker(kind, StepPolicy("constant", eps), initial_estimate=start)
-            for t, s in enumerate(states):
+            for t, exposed in enumerate(exposure_all(g, s) for s in states):
                 for _ in range(updates // batch):
-                    state = tracker_update(state, g, s, rng, batch)
+                    state = tracker_update(state, g, exposed, rng, batch)
                 estimates[r, t] = state.estimate
         m, v = start, 0.0
         for t, s in enumerate(states):
@@ -88,7 +89,7 @@ class TestTrackerUpdate:
         g = complete(3)
         s = sharing(g, [0, 1, 2])
         state = make_tracker("vanilla", StepPolicy("constant", 0.01))
-        state = tracker_update(state, g, s, make_generator(90))
+        state = tracker_update(state, g, exposure_all(g, s), make_generator(90))
         assert state.estimate == pytest.approx(0.01)
         assert state.updates_done == 1
 
@@ -97,7 +98,7 @@ class TestTrackerUpdate:
         s = sharing(g, [0])
         for kind in ("vanilla", "fp"):
             state = make_tracker(kind, StepPolicy("decreasing"), initial_estimate=0.77)
-            new = tracker_update(state, g, s, make_generator(91))
+            new = tracker_update(state, g, exposure_all(g, s), make_generator(91))
             # step = 1 at n = 1 wipes out the initial value entirely
             obs_candidates = {0.0, 1.0} if kind == "vanilla" else {0.0, 1.6}
             assert new.estimate in obs_candidates
@@ -107,8 +108,9 @@ class TestTrackerUpdate:
         s = sharing(g, [0])
         state = make_tracker("vanilla", StepPolicy("constant", 0.01))
         rng = make_generator(92)
+        exposed = exposure_all(g, s)
         for _ in range(100_000):
-            state = tracker_update(state, g, s, rng)
+            state = tracker_update(state, g, exposed, rng)
         assert abs(state.estimate - true_exposure(g, s)) < 0.05
 
     def test_decreasing_steps_equal_running_mean(self):
@@ -118,10 +120,11 @@ class TestTrackerUpdate:
         s = sharing(g, [1])
         state = make_tracker("fp", StepPolicy("decreasing"))
         rng = make_generator(93)
+        exposed = exposure_all(g, s)
         total = 0.0
         for i in range(1, 501):
             prev = state.estimate
-            state = tracker_update(state, g, s, rng)
+            state = tracker_update(state, g, exposed, rng)
             obs = prev + i * (state.estimate - prev)
             total += obs
             assert state.estimate == pytest.approx(total / i, abs=1e-12)
@@ -134,16 +137,18 @@ class TestTrackerUpdate:
 
     def test_batch_equals_sequential_recursion(self):
         # one call of count=U folds, in draw order, the observations that the
-        # same generator's samples give through exposure_bits; the arithmetic
-        # is the scalar recursion, so the estimates agree exactly
+        # same generator's samples give through exposure_bits, while the
+        # tracker reads the exposure vector; the arithmetic is the scalar
+        # recursion, so the estimates agree exactly
         rng = make_generator(102)
         g = random_graph(rng, max_nodes=30, min_nodes=10)
         s = SharingState(random_sharing_mask(rng, g.num_nodes))
+        exposed = exposure_all(g, s)
         updates = 37
         for kind in ("vanilla", "fp"):
             for policy in (StepPolicy("decreasing"), StepPolicy("constant", 0.05)):
-                start = tracker_update(make_tracker(kind, policy, 0.4), g, s, make_generator(103))
-                batched = tracker_update(start, g, s, make_generator(104), count=updates)
+                start = tracker_update(make_tracker(kind, policy, 0.4), g, exposed, make_generator(103))
+                batched = tracker_update(start, g, exposed, make_generator(104), count=updates)
                 replay = make_generator(104)
                 if kind == "vanilla":
                     obs = exposure_bits(g, s, sample_uniform_nodes(g, updates, replay)).astype(float)
@@ -161,15 +166,16 @@ class TestTrackerUpdate:
         g = random_graph(rng, max_nodes=20)
         s = SharingState(random_sharing_mask(rng, g.num_nodes))
         state = make_tracker("vanilla", StepPolicy("constant", 0.2), initial_estimate=0.5)
+        exposed = exposure_all(g, s)
         for _ in range(2000):
-            state = tracker_update(state, g, s, rng)
+            state = tracker_update(state, g, exposed, rng)
             assert 0.0 <= state.estimate <= 1.0
 
     def test_fp_needs_edges(self):
         g = build_undirected([], 3)
         state = make_tracker("fp", StepPolicy("constant", 0.01))
         with pytest.raises(ValueError):
-            tracker_update(state, g, SharingState.from_sharers([0], 3), make_generator(0))
+            tracker_update(state, g, exposure_all(g, SharingState.from_sharers([0], 3)), make_generator(0))
 
 
 class TestRunTrackingExperiment:
