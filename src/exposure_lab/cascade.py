@@ -59,10 +59,6 @@ class SharingState:
     def num_sharers(self) -> int:
         return self.sharers.shape[0]
 
-    @property
-    def sharing_fraction(self) -> float:
-        return self.num_sharers / self.num_nodes if self.num_nodes else 0.0
-
     def __repr__(self) -> str:
         return f"SharingState(num_nodes={self.num_nodes}, num_sharers={self.num_sharers})"
 
@@ -74,24 +70,25 @@ def _friend_csr(g):
     return g.indptr, g.indices
 
 
+def _sharing_counts(indptr: np.ndarray, indices: np.ndarray, s: SharingState) -> np.ndarray:
+    """Sharers in each CSR row ``indices[indptr[r]:indptr[r + 1]]``; all zeros when there are no entries."""
+    csum = np.concatenate(([0], np.cumsum(s.mask[indices])))
+    return csum[indptr[1:]] - csum[indptr[:-1]]
+
+
 def exposure_bits(g, s: SharingState, nodes) -> np.ndarray:
     """Exposure indicator for a batch of nodes: does some friend of each node share?"""
     nodes = np.asarray(nodes, dtype=np.int64)
     out = np.empty(nodes.shape[0], dtype=bool)
     for lo in range(0, nodes.shape[0], EXPOSURE_CHUNK):
         friends, bounds = gather_segments(*_friend_csr(g), nodes[lo : lo + EXPOSURE_CHUNK])
-        csum = np.concatenate(([0], np.cumsum(s.mask[friends])))
-        out[lo : lo + EXPOSURE_CHUNK] = (csum[bounds[1:]] - csum[bounds[:-1]]) > 0
+        out[lo : lo + EXPOSURE_CHUNK] = _sharing_counts(bounds, friends, s) > 0
     return out
 
 
 def exposure_all(g, s: SharingState) -> np.ndarray:
     """Exposure indicator for every node, computed in one vectorized pass."""
-    indptr, indices = _friend_csr(g)
-    if indices.shape[0] == 0:
-        return np.zeros(g.num_nodes, dtype=bool)
-    csum = np.concatenate(([0], np.cumsum(s.mask[indices])))
-    return (csum[indptr[1:]] - csum[indptr[:-1]]) > 0
+    return _sharing_counts(*_friend_csr(g), s) > 0
 
 
 def true_exposure(g, s: SharingState) -> float:
@@ -113,8 +110,6 @@ class CascadeTrajectory:
 
     activation: np.ndarray = field(repr=False)
     steps: int
-    model_tag: str = "icm"
-    params: dict = field(default_factory=dict)
     fixed_point_step: int | None = None
 
     def state(self, t: int) -> SharingState:
@@ -166,10 +161,7 @@ def ltm_step(g: Graph, s: SharingState, theta: float, strict: bool = False) -> S
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
-    if g.indices.shape[0] == 0:
-        return SharingState(s.mask, np.empty(0, dtype=np.int64))
-    csum = np.concatenate(([0], np.cumsum(s.mask[g.indices])))
-    counts = csum[g.indptr[1:]] - csum[g.indptr[:-1]]
+    counts = _sharing_counts(g.indptr, g.indices, s)
     eligible = (~s.mask) & (g.degrees > 0)
     frac = np.zeros(g.num_nodes)
     frac[eligible] = counts[eligible] / g.degrees[eligible]
@@ -213,7 +205,6 @@ def run_cascade(
     state = SharingState.from_sharers(seeds, g.num_nodes)
     activation = np.full(g.num_nodes, -1, dtype=np.int32)
     activation[state.sharers] = 0
-    params = {"p_inf": p_inf} if model == "icm" else {"theta": theta}
     fixed_point = None
     # A stalled step is a true fixed point for LTM (deterministic) and for
     # single-attempt ICM (empty frontier); the retry variant can stall by
@@ -229,4 +220,4 @@ def run_cascade(
             break
         activation[state.new_sharers] = t
     activation.setflags(write=False)
-    return CascadeTrajectory(activation, steps, model, params, fixed_point)
+    return CascadeTrajectory(activation, steps, fixed_point)

@@ -47,11 +47,6 @@ def _row_means(values: np.ndarray):
     return float(means) if means.ndim == 0 else means
 
 
-def _exposed(g, s: SharingState, samples: np.ndarray) -> np.ndarray:
-    """Exposure bits of a sample array of any shape, from one exposure_bits call."""
-    return exposure_bits(g, s, samples.ravel()).reshape(samples.shape)
-
-
 def vanilla_estimate(exposures) -> EstimatorReport:
     """Mean of exposure bits from uniformly sampled nodes."""
     bits = np.asarray(exposures, dtype=float)
@@ -102,15 +97,7 @@ def fp_estimate(g: Graph, friends, s: SharingState, d_bar: float | None = None) 
     A sample of degree 0 cannot come from friend sampling and raises
     ValueError.
     """
-    friends = np.asarray(friends, dtype=np.int64)
-    if friends.size < 1:
-        raise ValueError("need at least one sample")
-    if g.num_edges < 1:
-        raise ValueError("friend sampling requires at least one edge")
-    if d_bar is None:
-        d_bar = average_degree(g)
-    estimate = estimate_from_bits(g, "fp", friends, _exposed(g, s, friends), d_bar)
-    return EstimatorReport("fp", estimate, friends.shape[-1], float(d_bar))
+    return _sampled_report(g, "fp", "fp", friends, s, d_bar)
 
 
 def directed_estimates(g: DiGraph, mode: str, samples, s: SharingState,
@@ -124,20 +111,22 @@ def directed_estimates(g: DiGraph, mode: str, samples, s: SharingState,
     (an account the node follows) shared. A friend (follower) sample with
     out-degree (in-degree) 0 raises ValueError.
     """
+    return _sampled_report(g, f"directed_{mode}", mode, samples, s, d_bar)
+
+
+def _sampled_report(g, kind: str, mode: str, samples, s: SharingState, d_bar: float | None) -> EstimatorReport:
+    """The one body of fp_estimate and directed_estimates: a report of ``kind`` from samples of ``mode``."""
     samples = np.asarray(samples, dtype=np.int64)
     if samples.size < 1:
         raise ValueError("need at least one sample")
-    if mode not in ("node", "friend", "follower"):
+    if kind not in ("fp", "directed_node", "directed_friend", "directed_follower"):
         raise ValueError(f"unknown estimator mode: {mode!r}")
-    if mode == "node":
-        d_bar = math.nan if d_bar is None else float(d_bar)
-    else:
-        if g.num_edges < 1:
-            raise ValueError(f"{mode} sampling requires at least one edge")
-        if d_bar is None:
-            d_bar = average_degree(g)
-    estimate = estimate_from_bits(g, mode, samples, _exposed(g, s, samples), d_bar)
-    return EstimatorReport(f"directed_{mode}", estimate, samples.shape[-1], float(d_bar))
+    if mode != "node" and g.num_edges < 1:
+        raise ValueError(f"{'friend' if mode == 'fp' else mode} sampling requires at least one edge")
+    if d_bar is None:
+        d_bar = math.nan if mode == "node" else average_degree(g)
+    bits = exposure_bits(g, s, samples.ravel()).reshape(samples.shape)
+    return EstimatorReport(kind, estimate_from_bits(g, mode, samples, bits, d_bar), samples.shape[-1], float(d_bar))
 
 
 # ---------------------------------------------------------------------------

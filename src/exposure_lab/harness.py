@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as graphmod
-from .cascade import SharingState, exposure_all, true_exposure
+from .cascade import SharingState, exposure_all
 from .estimators import ConditionVerdict, condition_empirical, estimate_from_bits
 from .genmodel import (
     DEFAULT_MAX_ITERS,
@@ -345,8 +345,10 @@ def run_static_experiment(
     directed = isinstance(g, DiGraph)
     _check_methods(methods, directed)
     _check_counts(n_samples, reps)
-    f_bar = true_exposure(g, s)
+    if g.num_nodes < 1:
+        raise ValueError("true exposure is undefined on an empty graph")
     exposed = exposure_all(g, s)
+    f_bar = float(exposed.mean())
     estimates = [run_method(m, g, exposed, n_samples, reps, method_generator(seed, 0, m), d_bar,
                             walk_burn_in, walk_thin).tolist() for m in methods]
     rows = [(rep, m, est[rep], abs(est[rep] - f_bar), f_bar)
@@ -455,11 +457,11 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
     null_cells: list[tuple] = []
     for cell_index, (alpha, rkk_t, rho_t, p) in enumerate(cfg.cells()):
         g, s, rkk_a, rho_a, missed = build_cell(cfg, cell_index, alpha, rkk_t, rho_t, p)
-        f_bar = true_exposure(g, s)
+        exposed = exposure_all(g, s)
+        f_bar = float(exposed.mean())
         if f_bar == 0.0:
             null_cells.append((cell_index, alpha, rkk_t, rho_t, p))
             continue
-        exposed = exposure_all(g, s)
         walk_failures = graphmod.walk_precondition_failures(g) if "fp-walk" in cfg.methods else ()
         for method in cfg.methods:
             estimates = run_method(method, g, exposed, cfg.n_samples, cfg.reps,
@@ -493,14 +495,8 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
 
 
 def grid_rows(cells: list) -> list:
-    return [
-        (
-            c.cell_index, c.alpha, c.rkk_target, c.rkk_achieved, c.rho_target, c.rho_achieved,
-            c.sharing_prob, c.method, c.n_samples, c.reps, c.true_exposure,
-            c.mean_abs_error, c.mean_abs_error_pct, c.std_error_pct,
-        )
-        for c in cells
-    ]
+    """One CSV row per GridCell: its GRID_HEADER fields, in header order."""
+    return [tuple(getattr(c, column) for column in GRID_HEADER) for c in cells]
 
 
 def aggregate_ledger(ledger: list) -> dict:

@@ -5,6 +5,7 @@ import pytest
 
 from exposure_lab import (
     SharingState,
+    build_directed,
     build_undirected,
     cascade,
     exposure_all,
@@ -76,6 +77,43 @@ class TestExposure:
             nodes = rng.integers(0, g.num_nodes, size=size)
             expected = [exposure_oracle(g, mask, v) for v in nodes.tolist()]
             assert exposure_bits(g, SharingState(mask.copy()), nodes).astype(int).tolist() == expected
+
+
+EDGELESS = [build_undirected([], 5), build_directed([], 4), build_undirected([], 0), build_directed([], 0)]
+EDGELESS_IDS = ["undirected", "directed", "no-nodes", "directed-no-nodes"]
+
+
+class TestEdgelessGraphs:
+    """Without friend lists every row's sharing count is 0: nobody is exposed and LTM adds nobody."""
+
+    @pytest.mark.parametrize("g", EDGELESS, ids=EDGELESS_IDS)
+    @pytest.mark.parametrize("everyone_shares", [False, True])
+    def test_exposure_matches_oracle(self, g, everyone_shares):
+        mask = np.full(g.num_nodes, everyone_shares)
+        s = SharingState(mask.copy())
+        expected = [exposure_oracle(g, mask, v) for v in range(g.num_nodes)]
+        assert expected == [0] * g.num_nodes
+        exposed = exposure_all(g, s)
+        assert exposed.dtype == bool and exposed.astype(int).tolist() == expected
+        nodes = np.repeat(np.arange(g.num_nodes), 2)
+        bits = exposure_bits(g, s, nodes)
+        assert bits.dtype == bool and bits.astype(int).tolist() == [expected[v] for v in nodes.tolist()]
+
+    @pytest.mark.parametrize("n", [5, 0])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_ltm_step_adds_nobody(self, n, strict):
+        g = build_undirected([], n)
+        for sharers in ([], list(range(0, n, 2))):
+            s = sharing(g, sharers)
+            nxt = ltm_step(g, s, 0.05, strict=strict)
+            assert nxt.mask.tolist() == s.mask.tolist()
+            assert nxt.new_sharers.dtype == np.int64 and nxt.new_sharers.size == 0
+
+    def test_ltm_cascade_stops_at_its_seeds(self):
+        g = build_undirected([], 5)
+        traj = run_cascade(g, "ltm", 3, seeds=[1, 3])
+        assert traj.fixed_point_step == 0
+        assert traj.activation.tolist() == [-1, 0, -1, 0, -1]
 
 
 class TestTrueExposure:

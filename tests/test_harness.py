@@ -436,6 +436,10 @@ def _no_shaping(*args, **kwargs):
     raise AssertionError("a cell was built before the run was checked")
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("samples were drawn before the input was checked")
+
+
 class TestDegenerateRuns:
     """Bad run inputs (counts, methods, recipe targets, misplaced flags) fail before any work is done."""
 
@@ -461,6 +465,25 @@ class TestDegenerateRuns:
         s = SharingState.from_sharers([0], 5)
         with pytest.raises(ValueError, match="'vanilla' listed twice"):
             run_static_experiment(g, s, ["vanilla", "fp", "vanilla"], 5, 2, seed=0)
+
+    def test_static_experiment_rejects_an_empty_graph_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_method", _no_draw)
+        with pytest.raises(ValueError, match="true exposure is undefined on an empty graph"):
+            run_static_experiment(build_undirected([], 0), SharingState.from_sharers([], 0),
+                                  ["vanilla", "fp"], 5, 2, seed=0)
+
+    @pytest.mark.parametrize("text", ["", "# no edges\n"])
+    def test_estimate_cli_rejects_an_empty_edge_file(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.setattr(harness, "run_method", _no_draw)
+        graph = tmp_path / "g.txt"
+        graph.write_text(text)
+        sharers = tmp_path / "s.txt"
+        sharers.write_text("")
+        out = tmp_path / "out.csv"
+        assert main(["estimate", "--graph", str(graph), "--sharers", str(sharers),
+                     "--method", "vanilla,fp", "--reps", "2", "--out", str(out)]) == 2
+        assert "true exposure is undefined on an empty graph" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", ["reps = 0", "n_samples = 0", "methods = ,", "methods = vanilla, fp, vanilla"])
     def test_grid_cli_exit_code(self, tmp_path, monkeypatch, line):
