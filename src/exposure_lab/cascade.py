@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DiGraph, Graph, gather_segments, sorted_unique
+from .graph import DiGraph, Graph, _freeze, gather_segments, sorted_unique
 
 DEFAULT_SEED_COUNT = 10
 DEFAULT_INFECTION_PROB = 0.05
@@ -38,9 +38,7 @@ class SharingState:
             self.new_sharers = self.sharers
         else:
             self.new_sharers = sorted_unique(np.asarray(new_sharers, dtype=np.int64))
-        self.mask.setflags(write=False)
-        self.sharers.setflags(write=False)
-        self.new_sharers.setflags(write=False)
+        _freeze(self.mask, self.sharers, self.new_sharers)
 
     @classmethod
     def from_sharers(cls, sharers, num_nodes: int) -> "SharingState":
@@ -129,6 +127,22 @@ class CascadeTrajectory:
         return np.cumsum(np.bincount(act[act >= 0], minlength=self.steps + 1))
 
 
+def _cascade_csr(g):
+    """The friend CSR a cascade spreads over; cascades need an undirected graph."""
+    if isinstance(g, DiGraph):
+        raise ValueError("cascades run on undirected graphs, not on a DiGraph")
+    return g.indptr, g.indices
+
+
+def _next_state(s: SharingState, hits: np.ndarray) -> SharingState:
+    """The state after a step: s's sharers plus ``hits``, who are its new sharers."""
+    if hits.size == 0:
+        return SharingState(s.mask, hits)
+    mask = s.mask.copy()
+    mask[hits] = True
+    return SharingState(mask, hits)
+
+
 def icm_step(g: Graph, s: SharingState, p_inf: float, rng: np.random.Generator, retry: bool = False) -> SharingState:
     """One independent-cascade step.
 
@@ -139,17 +153,9 @@ def icm_step(g: Graph, s: SharingState, p_inf: float, rng: np.random.Generator, 
     """
     if not 0.0 <= p_inf <= 1.0:
         raise ValueError("infection probability must lie in [0, 1]")
-    sources = s.sharers if retry else s.new_sharers
-    if sources.size == 0:
-        return SharingState(s.mask, np.empty(0, dtype=np.int64))
-    targets = gather_segments(g.indptr, g.indices, sources)[0]
+    targets = gather_segments(*_cascade_csr(g), s.sharers if retry else s.new_sharers)[0]
     targets = targets[~s.mask[targets]]  # one entry per (source, target) attempt
-    hits = targets[rng.random(targets.shape[0]) < p_inf]  # SharingState dedupes repeat hits
-    if hits.size == 0:
-        return SharingState(s.mask, hits)
-    mask = s.mask.copy()
-    mask[hits] = True
-    return SharingState(mask, hits)
+    return _next_state(s, targets[rng.random(targets.shape[0]) < p_inf])  # SharingState dedupes repeat hits
 
 
 def ltm_step(g: Graph, s: SharingState, theta: float, strict: bool = False) -> SharingState:
@@ -161,17 +167,12 @@ def ltm_step(g: Graph, s: SharingState, theta: float, strict: bool = False) -> S
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
-    counts = _sharing_counts(g.indptr, g.indices, s)
+    counts = _sharing_counts(*_cascade_csr(g), s)
     eligible = (~s.mask) & (g.degrees > 0)
     frac = np.zeros(g.num_nodes)
     frac[eligible] = counts[eligible] / g.degrees[eligible]
     fires = frac > theta if strict else frac >= theta
-    hits = np.flatnonzero(eligible & fires)
-    if hits.size == 0:
-        return SharingState(s.mask, hits)
-    mask = s.mask.copy()
-    mask[hits] = True
-    return SharingState(mask, hits)
+    return _next_state(s, np.flatnonzero(eligible & fires))
 
 
 def run_cascade(

@@ -9,6 +9,7 @@ biased).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from datetime import datetime, timezone
 
@@ -52,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="synthesize a shaped power-law network and sharing labels")
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--kmin", type=int, default=1)
+    p.add_argument("--kmin", type=int, default=1,
+                   help="power-law scale: degrees are at least kmin+1, unless --kmax caps them at kmin")
     p.add_argument("--kmax", type=int, default=None,
                    help="degree cap (default nodes-1); a structural cutoff helps shaping succeed")
     p.add_argument("--assortativity", type=float, default=None, help="target assortativity (omit to skip rewiring)")
@@ -241,12 +243,8 @@ def _cmd_track(args) -> int:
     )
     header = ["step", "true_exposure", "vanilla_est", "fp_est",
               "vanilla_abs_err", "fp_abs_err", "degree_sharing_corr"]
-    rows = [
-        (r.step, r.true_exposure, r.vanilla_estimate, r.fp_estimate,
-         r.vanilla_abs_error, r.fp_abs_error, r.degree_sharing_corr)
-        for r in records
-    ]
-    harness.write_csv(args.out, _stamp("track", f"model={args.model} seed={args.seed}"), header, rows)
+    harness.write_csv(args.out, _stamp("track", f"model={args.model} seed={args.seed}"), header,
+                      [dataclasses.astuple(r) for r in records])
     if records:
         v_err = float(np.mean([r.vanilla_abs_error for r in records]))
         f_err = float(np.mean([r.fp_abs_error for r in records]))

@@ -90,13 +90,16 @@ def powerlaw_cap(n: int, alpha: float, k_min: int = 1, k_max: int | None = None)
 def powerlaw_degree_sequence(
     n: int, alpha: float, k_min: int = 1, rng: np.random.Generator = None, k_max: int | None = None
 ) -> DegreeSequence:
-    """Degrees drawn from a continuous power law on [k_min, inf), rounded up.
+    """Degrees drawn from a continuous power law of scale k_min, rounded up.
 
-    alpha must exceed 2 (finite mean). Degrees are capped at n-1, or at
-    ``k_max`` when given: heavy tails routinely produce hubs so large that
-    a simple graph cannot realize assortative mixing around them, and the
-    usual cure is a structural cutoff near sqrt(mean_degree * n). The
-    first entry is altered by 1 if needed to make the sum even.
+    A draw exceeds k_min almost surely, so degrees are at least k_min + 1
+    unless ``k_max`` caps them at k_min: not the integer law of
+    ``PowerLawDegrees(alpha, k_min)``. alpha must exceed 2 (finite mean).
+    Degrees are capped at n-1, or at ``k_max`` when given: heavy tails
+    routinely produce hubs so large that a simple graph cannot realize
+    assortative mixing around them, and the usual cure is a structural
+    cutoff near sqrt(mean_degree * n). The first entry is altered by 1 if
+    needed to make the sum even.
     """
     cap = powerlaw_cap(n, alpha, k_min, k_max)
     u = rng.random(n)

@@ -47,14 +47,22 @@ def sorted_unique(values) -> np.ndarray:
     return keys
 
 
-def _unique_pairs(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Distinct (src, dst) pairs as an (m, 2) array in lexicographic order."""
-    return np.stack(np.divmod(sorted_unique(src * num_nodes + dst), num_nodes), axis=1)
+def _simple_edges(edges, num_nodes, directed: bool) -> tuple:
+    """Checked (n, edge_array): the distinct non-loop pairs in lexicographic order, undirected ones as u <= v."""
+    num_nodes = _packed_key_base(num_nodes)
+    e = _as_edge_array(edges)
+    if e.size and (e.min() < 0 or e.max() >= num_nodes):
+        raise ValueError(f"edge endpoint out of range [0, {num_nodes})")
+    src, dst = e[:, 0], e[:, 1]
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    keep = src != dst
+    keys = sorted_unique(src[keep] * num_nodes + dst[keep])
+    return num_nodes, np.stack(np.divmod(keys, num_nodes), axis=1)
 
 
 def _csr_from_pairs(src: np.ndarray, dst: np.ndarray, num_nodes: int):
-    """Sorted-CSR adjacency from (src, dst) pairs. dst lists sorted per row."""
-    num_nodes = _packed_key_base(num_nodes)
+    """Sorted-CSR adjacency from (src, dst) pairs on a checked node count. dst lists sorted per row."""
     indices = np.sort(src * num_nodes + dst) % num_nodes
     counts = np.bincount(src, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
@@ -78,12 +86,12 @@ class Graph:
 
     __slots__ = ("num_nodes", "indptr", "indices", "edge_array", "degrees")
 
-    def __init__(self, num_nodes: int, indptr, indices, edge_array):
+    def __init__(self, num_nodes: int, edge_array):
         self.num_nodes = int(num_nodes)
-        self.indptr = indptr
-        self.indices = indices
         self.edge_array = edge_array
-        self.degrees = indptr[1:] - indptr[:-1]
+        u, v = edge_array[:, 0], edge_array[:, 1]
+        self.indptr, self.indices = _csr_from_pairs(np.concatenate([u, v]), np.concatenate([v, u]), num_nodes)
+        self.degrees = self.indptr[1:] - self.indptr[:-1]
         _freeze(self.indptr, self.indices, self.edge_array, self.degrees)
 
     @property
@@ -159,29 +167,12 @@ def build_undirected(edges, num_nodes: int) -> Graph:
     Self-loops are dropped, parallel edges (in either orientation)
     collapsed. Endpoints must lie in [0, num_nodes).
     """
-    num_nodes = _packed_key_base(num_nodes)
-    e = _as_edge_array(edges)
-    if e.size and (e.min() < 0 or e.max() >= num_nodes):
-        raise ValueError(f"edge endpoint out of range [0, {num_nodes})")
-    lo = np.minimum(e[:, 0], e[:, 1])
-    hi = np.maximum(e[:, 0], e[:, 1])
-    keep = lo != hi
-    edge_array = _unique_pairs(lo[keep], hi[keep], num_nodes)
-    src = np.concatenate([edge_array[:, 0], edge_array[:, 1]])
-    dst = np.concatenate([edge_array[:, 1], edge_array[:, 0]])
-    indptr, indices = _csr_from_pairs(src, dst, num_nodes)
-    return Graph(num_nodes, indptr, indices, edge_array)
+    return Graph(*_simple_edges(edges, num_nodes, directed=False))
 
 
 def build_directed(edges, num_nodes: int) -> DiGraph:
     """Build a simple directed graph: self-loops dropped, duplicate (u, v) collapsed."""
-    num_nodes = _packed_key_base(num_nodes)
-    e = _as_edge_array(edges)
-    if e.size and (e.min() < 0 or e.max() >= num_nodes):
-        raise ValueError(f"edge endpoint out of range [0, {num_nodes})")
-    keep = e[:, 0] != e[:, 1]
-    edge_array = _unique_pairs(e[keep, 0], e[keep, 1], num_nodes)
-    return DiGraph(num_nodes, edge_array)
+    return DiGraph(*_simple_edges(edges, num_nodes, directed=True))
 
 
 def average_degree(g) -> float:

@@ -105,19 +105,15 @@ def run_tracking_experiment(
     model: str,
     steps: int,
     schedule: int = DEFAULT_UPDATES_PER_STEP,
-    vanilla_policy: StepPolicy | None = None,
-    fp_policy: StepPolicy | None = None,
-    seeds=None,
-    seed_count: int = cascade.DEFAULT_SEED_COUNT,
-    p_inf: float = cascade.DEFAULT_INFECTION_PROB,
-    theta: float = cascade.DEFAULT_LTM_THRESHOLD,
+    vanilla_policy: StepPolicy = StepPolicy(),
+    fp_policy: StepPolicy = StepPolicy(),
     rng: np.random.Generator = None,
     initial_estimate: float = 0.0,
-    icm_retry: bool = False,
-    ltm_strict: bool = False,
+    **cascade_args,
 ) -> list[TrackRecord]:
     """Run one cascade with ``run_cascade``, then let both trackers chase its exposure.
 
+    Other keywords (seeds, seed_count, p_inf, theta, ...) go to ``run_cascade``.
     Per diffusion step t = 1..steps: mark the friends of the step's new
     sharers exposed (exposure only grows) to get the exact exposed fraction,
     then make ``schedule`` updates for the vanilla tracker and then for the
@@ -127,12 +123,7 @@ def run_tracking_experiment(
     """
     if schedule < 1:
         raise ValueError("need at least one update per diffusion step")
-    if vanilla_policy is None:
-        vanilla_policy = StepPolicy()
-    if fp_policy is None:
-        fp_policy = StepPolicy()
-    traj = cascade.run_cascade(g, model, steps, seeds=seeds, seed_count=seed_count, p_inf=p_inf,
-                               theta=theta, rng=rng, icm_retry=icm_retry, ltm_strict=ltm_strict)
+    traj = cascade.run_cascade(g, model, steps, rng=rng, **cascade_args)
     last = steps if traj.fixed_point_step is None else traj.fixed_point_step
     exposed = exposure_all(g, traj.state(0))
     vanilla = make_tracker("vanilla", vanilla_policy, initial_estimate)

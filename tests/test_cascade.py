@@ -222,6 +222,12 @@ class TestLtm:
         nxt = ltm_step(g, sharing(g, [0]), 0.05)
         assert not nxt.mask[2]
 
+    @pytest.mark.parametrize("theta", [0.0, -0.1, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, theta):
+        g = star(4)
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\]"):
+            ltm_step(g, sharing(g, [0]), theta)
+
     def test_deterministic_and_consumes_no_rng(self):
         rng = make_generator(27)
         g = random_graph(rng, max_nodes=30)
@@ -310,6 +316,27 @@ class TestRunCascade:
                 stopped += 1
                 assert len({id(st) for st in states[traj.fixed_point_step:]}) == 1
         assert stopped >= 5
+
+
+class TestDirectedGraphRejected:
+    """Cascades spread over undirected friendships; a DiGraph is named as the problem."""
+
+    G = build_directed([(0, 1), (1, 2)], 3)
+
+    @pytest.mark.parametrize("retry", [False, True])
+    def test_icm_step(self, retry):
+        with pytest.raises(ValueError, match="cascades run on undirected graphs"):
+            icm_step(self.G, sharing(self.G, [0]), 0.5, make_generator(0), retry=retry)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_ltm_step(self, strict):
+        with pytest.raises(ValueError, match="cascades run on undirected graphs"):
+            ltm_step(self.G, sharing(self.G, [0]), 0.5, strict=strict)
+
+    @pytest.mark.parametrize("model", ["icm", "ltm"])
+    def test_run_cascade(self, model):
+        with pytest.raises(ValueError, match="cascades run on undirected graphs"):
+            run_cascade(self.G, model, 2, seeds=[0], rng=make_generator(0))
 
 
 class TestIcmDominance:

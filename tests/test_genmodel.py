@@ -21,7 +21,7 @@ from exposure_lab import (
 )
 from exposure_lab.genmodel import REWIRE_BATCH_MAX, REWIRE_BATCH_MIN, SWAP_BATCH
 
-from oracles import assortativity_oracle, pearson_oracle, random_graph, reference_build_undirected, star
+from oracles import assortativity_oracle, cycle, pearson_oracle, random_graph, reference_build_undirected, star
 
 
 class TestPowerlawDegreeSequence:
@@ -52,6 +52,14 @@ class TestPowerlawDegreeSequence:
     def test_k_min_respected(self):
         seq = powerlaw_degree_sequence(200, 2.5, 3, make_generator(43))
         assert seq.degrees.min() >= 3
+
+    def test_odd_sum_at_the_cap_steps_the_first_degree_down(self):
+        seq = powerlaw_degree_sequence(5, 2.5, k_min=3, rng=make_generator(0), k_max=3)
+        assert seq.degrees.tolist() == [2, 3, 3, 3, 3]
+
+    def test_odd_sum_at_cap_one_rejected(self):
+        with pytest.raises(ValueError, match="cannot even out the degree sum"):
+            powerlaw_degree_sequence(5, 2.5, k_min=1, rng=make_generator(0), k_max=1)
 
     def test_invalid_sequence_rejected(self):
         with pytest.raises(ValueError):
@@ -206,6 +214,13 @@ class TestRewireToAssortativity:
         assert res.converged == (case == "target met")
         assert res.achieved == assortativity_coefficient(g)
 
+    def test_regular_graph_returns_the_input_unconverged(self):
+        # every degree is equal, so assortativity is undefined
+        g = cycle(8)
+        out, res = rewire_to_assortativity(g, CorrelationTarget(0.3), make_generator(0))
+        assert out is g
+        assert math.isnan(res.achieved) and res.iterations == 0 and not res.converged
+
     def test_too_few_edges_rejected(self):
         with pytest.raises(ValueError):
             rewire_to_assortativity(build_undirected([(0, 1)], 2),
@@ -329,6 +344,14 @@ class TestSwapToCorrelation:
         assert not res.converged
         assert res.achieved == pytest.approx(floor, abs=0.005)
         assert out.num_sharers == labels.num_sharers
+
+    def test_regular_graph_returns_the_input_unconverged(self):
+        # every degree is equal, so the degree-sharing correlation is undefined
+        g = cycle(8)
+        s = SharingState.from_sharers([0, 3], 8)
+        out, res = swap_to_correlation(g, s, CorrelationTarget(0.3), make_generator(0))
+        assert out is s
+        assert math.isnan(res.achieved) and res.iterations == 0 and not res.converged
 
     def test_degenerate_sharer_sets_rejected(self):
         g = star(4)

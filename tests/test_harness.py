@@ -832,6 +832,23 @@ class TestCli:
             assert sum(line.startswith(f"warning: cell {cell} shaping stopped beyond tolerance") for line in err) == 1
         assert len(err) == 3
 
+    def test_grid_null_cells_left_out_and_named_once(self, tmp_path, capsys):
+        # nobody shares at p = 0, so cells 0 and 2 have zero true exposure
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("nodes = 300\nalphas = 2.5, 2.2\nk_max = 30\nsharing_probs = 0.0, 0.05\n"
+                       "methods = vanilla, fp\nn_samples = 20\nreps = 5\nseed = 3\n")
+        out, ledger = tmp_path / "out.csv", tmp_path / "ledger.csv"
+        assert main(["grid", "--config", str(cfg), "--out", str(out), "--ledger-out", str(ledger)]) == 3
+        rows = out.read_text().splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["1", "1", "3", "3"]
+        assert all(row.split(",")[6] == "0.05" for row in rows)
+        ledger_cells = {row.split(",")[0] for row in ledger.read_text().splitlines()[2:]}
+        assert ledger_cells == {"1", "3"}
+        err = capsys.readouterr().err.splitlines()
+        for cell in (0, 2):
+            assert sum(line.startswith(f"warning: cell {cell} has zero true exposure") for line in err) == 1
+        assert len(err) == 2
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         assert main(["estimate", "--graph", str(tmp_path / "missing.txt"),
                      "--sharers", str(tmp_path / "also_missing.txt"),

@@ -9,6 +9,7 @@ from exposure_lab import (
     SharingState,
     StepPolicy,
     average_degree,
+    build_directed,
     build_undirected,
     degree_sharing_correlation,
     exact_variance_fp,
@@ -187,6 +188,12 @@ class TestRunTrackingExperiment:
         args = dict(model="icm", steps=3, schedule=2, seed_count=2, rng=make_generator(0))
         with pytest.raises(ValueError):
             run_tracking_experiment(star(4), **(args | bad))
+
+    @pytest.mark.parametrize("model", ["icm", "ltm"])
+    def test_directed_graph_rejected(self, model):
+        g = build_directed([(0, 1), (1, 2)], 3)
+        with pytest.raises(ValueError, match="cascades run on undirected graphs"):
+            run_tracking_experiment(g, model=model, steps=1, schedule=2, seeds=[0], rng=make_generator(0))
 
     def test_reproducible_time_series(self):
         rng = make_generator(95)
