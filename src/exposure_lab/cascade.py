@@ -165,9 +165,13 @@ def ltm_step(g: Graph, s: SharingState, theta: float, strict: bool = False) -> S
     neighbors already sharing reaches ``theta`` (strictly exceeds it when
     ``strict``). Degree-0 nodes never activate.
     """
+    return _ltm_fire(g, s, _sharing_counts(*_cascade_csr(g), s), theta, strict)
+
+
+def _ltm_fire(g: Graph, s: SharingState, counts: np.ndarray, theta: float, strict: bool) -> SharingState:
+    """The linear-threshold step from ``counts``, each node's sharing neighbors in ``s``."""
     if not 0.0 < theta <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
-    counts = _sharing_counts(*_cascade_csr(g), s)
     eligible = (~s.mask) & (g.degrees > 0)
     frac = np.zeros(g.num_nodes)
     frac[eligible] = counts[eligible] / g.degrees[eligible]
@@ -191,7 +195,10 @@ def run_cascade(
     """Run a cascade for ``steps`` steps from explicit or uniformly drawn seeds.
 
     Returns the trajectory as one activation step per node. If a step adds
-    no sharers the cascade stops there and the fixed point is flagged.
+    no sharers the cascade stops there and the fixed point is flagged. An
+    LTM cascade counts each node's sharing neighbors once, at step 1, and
+    then adds the friends of each step's new sharers, so the whole run makes
+    one pass over the edges instead of one per step.
     """
     if model not in ("icm", "ltm"):
         raise ValueError(f"unknown cascade model: {model!r}")
@@ -211,11 +218,17 @@ def run_cascade(
     # single-attempt ICM (empty frontier); the retry variant can stall by
     # chance and still grow later, so it never terminates early.
     may_stop_early = model == "ltm" or not icm_retry
+    counts = None  # LTM: each node's sharing neighbors in the current state
     for t in range(1, steps + 1):
         if model == "icm":
             state = icm_step(g, state, p_inf, rng, retry=icm_retry)
         else:
-            state = ltm_step(g, state, theta, strict=ltm_strict)
+            if counts is None:
+                counts = _sharing_counts(*_cascade_csr(g), state)
+            else:
+                counts += np.bincount(gather_segments(g.indptr, g.indices, state.new_sharers)[0],
+                                      minlength=g.num_nodes)
+            state = _ltm_fire(g, state, counts, theta, ltm_strict)
         if state.new_sharers.size == 0 and may_stop_early:
             fixed_point = t - 1
             break

@@ -218,10 +218,14 @@ def rewire_to_assortativity(
     keys = g.edge_array[:, 0] * n + g.edge_array[:, 1]
     batch = min(max(m // 8, REWIRE_BATCH_MIN), REWIRE_BATCH_MAX)
 
-    def new_edge(p, q):
-        """Packed key of edge {p, q}, and whether it is neither a self-loop nor in the graph."""
-        key = np.minimum(p, q) * n + np.maximum(p, q)
-        return key, (p != q) & (keys[np.minimum(np.searchsorted(keys, key), m - 1)] != key)
+    def absent(new):
+        """Whether each packed key is not an edge yet; looked up in ascending
+        order, which keeps searchsorted's successive searches close."""
+        order = np.argsort(new)
+        sorted_new = new[order]
+        out = np.empty(new.shape[0], dtype=bool)
+        out[order] = keys[np.minimum(np.searchsorted(keys, sorted_new), m - 1)] != sorted_new
+        return out
 
     trace: list[float] = []
     current = rho(sum_xy)
@@ -239,10 +243,15 @@ def rewire_to_assortativity(
         # keeping the current pairing is the zero-gain baseline; row 0 scores the
         # alternative pairing (a c)(b d) against it, row 1 (a d)(b c)
         q, t = np.stack([c, d]), np.stack([d, c])
-        k1, ok1 = new_edge(a, q)
-        k2, ok2 = new_edge(b, t)
+        k1 = np.minimum(a, q) * n + np.maximum(a, q)
+        k2 = np.minimum(b, t) * n + np.maximum(b, t)
         gain = deg[a] * deg[q] + deg[b] * deg[t] - (deg[a] * deg[b] + deg[c] * deg[d])
-        score = np.where(ok1 & ok2, gain if up else -gain, 0)
+        score = gain if up else -gain
+        # a pairing that does not climb, or makes a self-loop or an existing
+        # edge, scores 0 and is never accepted: only the others are looked up
+        cand = (score > 0) & (a != q) & (b != t)
+        cand[cand] = absent(np.concatenate([k1[cand], k2[cand]])).reshape(2, -1).all(axis=0)
+        score = np.where(cand, score, 0)
         best = (np.argmax(score, axis=0), np.arange(k))  # a tie keeps (a c)(b d)
         k1, k2, gain = k1[best], k2[best], gain[best]
         acc = np.flatnonzero(score[best] > 0)

@@ -10,7 +10,8 @@ of random friends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -36,8 +37,9 @@ class StepPolicy:
         if self.kind == "constant" and not self.epsilon > 0.0:
             raise ValueError("constant step size must be positive")
 
-    def step(self, update_index: int) -> float:
-        """Step size for the update_index-th update (1-based)."""
+    def step(self, update_index):
+        """Step size for the update_index-th update (1-based). An index array
+        gives an array of steps for 'decreasing'; 'constant' gives epsilon."""
         return 1.0 / update_index if self.kind == "decreasing" else self.epsilon
 
 
@@ -70,8 +72,10 @@ def tracker_update(
     friends Y. All ``count`` samples are drawn at once and their
     observations folded in order through the scalar recursion, so the
     result equals ``count`` single updates fed the same observations.
-    Returns the new state; the input is not mutated.
+    Returns the new state; the input is not mutated. A ``DiGraph`` is
+    rejected before anything is drawn.
     """
+    cascade._cascade_csr(g)  # trackers follow cascades, which need an undirected graph
     if state.kind == "vanilla":
         obs = exposed[sample_uniform_nodes(g, count, rng)]
     else:
@@ -79,11 +83,12 @@ def tracker_update(
             raise ValueError("the fp tracker needs at least one edge")
         nodes = sample_random_friends(g, count, rng)
         obs = average_degree(g) * exposed[nodes] / g.degrees[nodes]
-    estimate, n, step = state.estimate, state.updates_done, state.policy.step
-    for o in obs.tolist():
-        n += 1
-        estimate += step(n) * (o - estimate)
-    return replace(state, estimate=estimate, updates_done=n)
+    n = state.updates_done
+    steps = state.policy.step(np.arange(n + 1, n + count + 1))
+    estimate = state.estimate
+    for o, a in zip(obs.tolist(), steps.tolist() if isinstance(steps, np.ndarray) else repeat(steps)):
+        estimate += a * (o - estimate)
+    return TrackerState(estimate, n + count, state.kind, state.policy)
 
 
 @dataclass(frozen=True)

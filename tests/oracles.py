@@ -7,6 +7,7 @@ paths they are checking.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from exposure_lab import (
     CorrelationTarget,
     DiGraph,
     Graph,
+    ShapingResult,
     assortativity_coefficient,
     bernoulli_sharing,
     build_directed,
@@ -34,6 +36,7 @@ from exposure_lab import (
     swap_to_correlation,
     vanilla_estimate,
 )
+from exposure_lab.genmodel import REWIRE_BATCH_MAX, REWIRE_BATCH_MIN, _assortativity_moments, _cut, _first_claims
 
 # ---------------------------------------------------------------------------
 # Small named graphs
@@ -406,6 +409,84 @@ def reference_walk_precondition_failures(g: Graph) -> tuple:
     if components == 1 and reference_is_bipartite(g):
         return ("fp-walk samples are biased: the graph is bipartite, so a walk alternates between its two sides",)
     return ()
+
+
+# ---------------------------------------------------------------------------
+# Reference rewiring: the batched loop with its unsorted edge lookups
+# ---------------------------------------------------------------------------
+
+
+def reference_rewire(
+    g: Graph, target: CorrelationTarget, rng: np.random.Generator, record_trace: bool = False
+) -> tuple[Graph, ShapingResult]:
+    """rewire_to_assortativity with unsorted edge lookups: each batch looks up
+    all 4K new-edge keys of both pairings, in draw order, by searchsorted."""
+    if g.num_edges < 2:
+        raise ValueError("rewiring needs at least two edges")
+    n_points, sum_x, sum_xx, sum_xy = _assortativity_moments(g)
+    mean_sq = (sum_x / n_points) ** 2
+    denom = sum_xx / n_points - mean_sq
+    if denom <= 0.0:  # regular graph: coefficient undefined, nothing to shape
+        return g, ShapingResult(math.nan, 0, False)
+
+    def rho(sxy):
+        return (sxy / n_points - mean_sq) / denom
+
+    n, m = g.num_nodes, g.num_edges
+    deg = g.degrees.astype(np.int64)  # degree products and gains fit int64 while degrees stay below 2**31
+    # the edges as ascending packed keys u*n + v (u < v); edge_array is sorted
+    keys = g.edge_array[:, 0] * n + g.edge_array[:, 1]
+    batch = min(max(m // 8, REWIRE_BATCH_MIN), REWIRE_BATCH_MAX)
+
+    def new_edge(p, q):
+        """Packed key of edge {p, q}, and whether it is neither a self-loop nor in the graph."""
+        key = np.minimum(p, q) * n + np.maximum(p, q)
+        return key, (p != q) & (keys[np.minimum(np.searchsorted(keys, key), m - 1)] != key)
+
+    trace: list[float] = []
+    current = rho(sum_xy)
+    iters = 0
+    moved = False
+    converged = abs(current - target.target) <= target.tolerance
+    while not converged and iters < target.max_iters:
+        k = min(batch, target.max_iters - iters)
+        i = rng.integers(m, size=k)
+        j = rng.integers(m - 1, size=k)
+        j += j >= i
+        a, b = np.divmod(keys[i], n)
+        c, d = np.divmod(keys[j], n)
+        up = target.target > current
+        # keeping the current pairing is the zero-gain baseline; row 0 scores the
+        # alternative pairing (a c)(b d) against it, row 1 (a d)(b c)
+        q, t = np.stack([c, d]), np.stack([d, c])
+        k1, ok1 = new_edge(a, q)
+        k2, ok2 = new_edge(b, t)
+        gain = deg[a] * deg[q] + deg[b] * deg[t] - (deg[a] * deg[b] + deg[c] * deg[d])
+        score = np.where(ok1 & ok2, gain if up else -gain, 0)
+        best = (np.argmax(score, axis=0), np.arange(k))  # a tie keeps (a c)(b d)
+        k1, k2, gain = k1[best], k2[best], gain[best]
+        acc = np.flatnonzero(score[best] > 0)
+        acc = acc[_first_claims(np.stack([i[acc], j[acc]], axis=1))]
+        acc = acc[_first_claims(np.stack([k1[acc], k2[acc]], axis=1))]
+        running = rho(sum_xy + 2 * np.cumsum(gain[acc]))
+        band = target.target - target.tolerance if up else target.target + target.tolerance
+        moves, drawn = _cut(acc, running >= band if up else running <= band, k)
+        iters += drawn
+        acc = acc[:moves]
+        if acc.size:
+            moved = True
+            added = np.sort(np.concatenate([k1[acc], k2[acc]]))
+            keys = np.delete(keys, np.concatenate([i[acc], j[acc]]))
+            keys = np.insert(keys, np.searchsorted(keys, added), added)
+            sum_xy += 2 * int(gain[acc].sum())
+            current = rho(sum_xy)
+            if record_trace:
+                trace += running[:moves].tolist()
+        converged = abs(current - target.target) <= target.tolerance
+    result = ShapingResult(current, iters, converged, trace)
+    if not moved:
+        return g, result
+    return build_undirected(np.stack(np.divmod(keys, n), axis=1), n), result
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,11 @@ class TestLtm:
         g = star(4)
         with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\]"):
             ltm_step(g, sharing(g, [0]), theta)
+        # a cascade rejects it at its first step, and makes none at steps=0
+        for steps in (1, 3):
+            with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\]"):
+                run_cascade(g, "ltm", steps, seeds=[0], theta=theta)
+        assert run_cascade(g, "ltm", 0, seeds=[0], theta=theta).activation.tolist() == [0, -1, -1, -1, -1]
 
     def test_deterministic_and_consumes_no_rng(self):
         rng = make_generator(27)
@@ -279,20 +284,27 @@ class TestRunCascade:
         b = run_cascade(g, "ltm", steps=4, seeds=[0], theta=0.1)
         assert [st.mask.tobytes() for st in a.states] == [st.mask.tobytes() for st in b.states]
 
-    @pytest.mark.parametrize("model,retry", [("ltm", False), ("icm", False), ("icm", True)])
-    def test_activation_steps_equal_step_replay(self, model, retry):
+    @pytest.mark.parametrize("model,retry,strict,theta", [
+        ("ltm", False, False, 0.3), ("icm", False, False, 0.3), ("icm", True, False, 0.3),
+        ("ltm", False, True, 0.5), ("ltm", False, False, 0.01), ("ltm", False, True, 0.01),
+    ], ids=["ltm-False", "icm-False", "icm-True", "ltm-strict", "ltm-saturating", "ltm-strict-saturating"])
+    def test_activation_steps_equal_step_replay(self, model, retry, strict, theta):
         # p_inf = 1 makes every ICM attempt succeed, so a replay needs no
-        # shared generator; past a fixed point the replay adds nobody
+        # shared generator; past a fixed point the replay adds nobody. LTM
+        # cascades keep running neighbor counts, which ltm_step recomputes;
+        # at theta 0.01 every node with a sharing neighbor fires, so the
+        # cascade floods the seeds' components
         rng = make_generator(37)
+        saturated = 0
         for i in range(10):
             g = random_graph(rng, max_nodes=40, min_nodes=5, p=0.1)
             seeds = rng.choice(g.num_nodes, size=2, replace=False)
-            traj = run_cascade(g, model, steps=8, seeds=seeds, p_inf=1.0, theta=0.3,
-                               rng=make_generator(38, i), icm_retry=retry)
+            traj = run_cascade(g, model, steps=8, seeds=seeds, p_inf=1.0, theta=theta,
+                               rng=make_generator(38, i), icm_retry=retry, ltm_strict=strict)
             replay = sharing(g, seeds)
             for t in range(9):
                 if t:
-                    replay = (ltm_step(g, replay, 0.3) if model == "ltm"
+                    replay = (ltm_step(g, replay, theta, strict) if model == "ltm"
                               else icm_step(g, replay, 1.0, make_generator(0), retry=retry))
                 st = traj.state(t)
                 assert np.array_equal(st.mask, replay.mask), (i, t)
@@ -302,6 +314,9 @@ class TestRunCascade:
             assert np.array_equal(traj.activation == -1, ~replay.mask), i
             if retry:  # a stalled retry cascade may grow later, so it never stops early
                 assert traj.fixed_point_step is None
+            saturated += not (exposure_all(g, replay) & ~replay.mask).any()  # every exposed node shares
+        if theta < 0.1:
+            assert saturated == 10
 
     def test_states_past_fixed_point_are_one_object(self):
         rng = make_generator(39)

@@ -21,7 +21,15 @@ from exposure_lab import (
 )
 from exposure_lab.genmodel import REWIRE_BATCH_MAX, REWIRE_BATCH_MIN, SWAP_BATCH
 
-from oracles import assortativity_oracle, cycle, pearson_oracle, random_graph, reference_build_undirected, star
+from oracles import (
+    assortativity_oracle,
+    cycle,
+    pearson_oracle,
+    random_graph,
+    reference_build_undirected,
+    reference_rewire,
+    star,
+)
 
 
 class TestPowerlawDegreeSequence:
@@ -431,6 +439,29 @@ class TestBatchedShaping:
         assert rewired.num_edges == g.num_edges
         assert res.achieved == pytest.approx(assortativity_coefficient(rewired), abs=1e-12)
         assert res.achieved == pytest.approx(assortativity_oracle(rewired), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("target", [-0.3, 0.4])
+    def test_rewiring_equals_unsorted_lookup_reference(self, seed, target):
+        # looking up only the climbing pairings, in sorted order, applies the
+        # same moves as looking up every pairing in draw order: the same
+        # edges, ShapingResult (trace included) and next draw, on random
+        # graphs and on grid-style graphs already shaped the other way, with
+        # budgets that cut the first batch, a later one, or none
+        rng = make_generator(70, seed)
+        if seed % 2:
+            g = random_graph(rng, max_nodes=80, min_nodes=40, p=0.12)
+        else:
+            g, _ = rewire_to_assortativity(_shaped_family(seed)[0], CorrelationTarget(-target, 0.01, 20_000), rng)
+        k = min(max(g.num_edges // 8, REWIRE_BATCH_MIN), REWIRE_BATCH_MAX)
+        for budget in (k // 2, 2 * k + 7, 20_000):
+            shaping = CorrelationTarget(target, 0.005, budget)
+            rng_got, rng_want = make_generator(71, seed, budget), make_generator(71, seed, budget)
+            got, res = rewire_to_assortativity(g, shaping, rng_got, record_trace=True)
+            want, ref = reference_rewire(g, shaping, rng_want, record_trace=True)
+            assert np.array_equal(got.edge_array, want.edge_array), budget
+            assert res == ref, budget
+            assert rng_got.random() == rng_want.random(), budget
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("target", [-0.1, 0.3])

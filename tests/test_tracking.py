@@ -172,6 +172,15 @@ class TestTrackerUpdate:
             state = tracker_update(state, g, exposed, rng)
             assert 0.0 <= state.estimate <= 1.0
 
+    @pytest.mark.parametrize("kind", ["vanilla", "fp"])
+    def test_directed_graph_rejected_before_any_draw(self, kind):
+        g = build_directed([(0, 1), (1, 2)], 3)
+        rng = make_generator(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="cascades run on undirected graphs"):
+            tracker_update(make_tracker(kind, StepPolicy()), g, np.array([False, True, True]), rng, 3)
+        assert rng.bit_generator.state == before
+
     def test_fp_needs_edges(self):
         g = build_undirected([], 3)
         state = make_tracker("fp", StepPolicy("constant", 0.01))
