@@ -275,7 +275,8 @@ def rewire_to_assortativity(
     result = ShapingResult(current, iters, converged, trace)
     if not moved:
         return g, result
-    return build_undirected(np.stack(np.divmod(keys, n), axis=1), n), result
+    # the keys stay sorted and distinct, with u < v: the edges are already simple
+    return Graph(n, np.stack(np.divmod(keys, n), axis=1)), result
 
 
 def _check_sharing_prob(p: float) -> None:

@@ -36,6 +36,7 @@ from exposure_lab import (
     swap_to_correlation,
     vanilla_estimate,
 )
+from exposure_lab.harness import format_value
 from exposure_lab.genmodel import REWIRE_BATCH_MAX, REWIRE_BATCH_MIN, _assortativity_moments, _cut, _first_claims
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,14 @@ def random_digraph(rng: np.random.Generator, max_nodes: int = 10, p: float = 0.3
         g = build_directed(edges, n)
         if g.num_edges >= 1:
             return g
+
+
+def shuffled_edges(edges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The edge rows in a random order, each one's endpoints swapped with probability 1/2."""
+    e = edges[rng.permutation(edges.shape[0])]
+    flip = rng.random(e.shape[0]) < 0.5
+    e[flip] = e[flip, ::-1]
+    return e
 
 
 def random_sharing_mask(rng: np.random.Generator, n: int, nontrivial: bool = False) -> np.ndarray:
@@ -348,6 +357,20 @@ def reference_read_ids(path: str, count: int):
                 raise ValueError(f"{path}: line {lineno}: node id above {2**63 - 1}")
             rows.append(ids)
     return np.array(rows, dtype=np.int64).reshape(-1, count), ignored
+
+
+# ---------------------------------------------------------------------------
+# Reference CSV writer: one cell at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_write_csv(path: str, comment: str, header: list, rows: list) -> None:
+    """The CSV writer, one format_value call per cell."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format_value(x) for x in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from oracles import (
     random_graph,
     reference_build_undirected,
     reference_rewire,
+    shuffled_edges,
     star,
 )
 
@@ -439,6 +440,22 @@ class TestBatchedShaping:
         assert rewired.num_edges == g.num_edges
         assert res.achieved == pytest.approx(assortativity_coefficient(rewired), abs=1e-12)
         assert res.achieved == pytest.approx(assortativity_oracle(rewired), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("target", [-0.3, 0.4])
+    def test_rewired_graph_equals_build_undirected(self, seed, target):
+        # the rewired graph is built from its packed keys without build_undirected:
+        # its arrays are what build_undirected makes of the same edges in any order
+        rng = make_generator(68, seed)
+        g = _shaped_family(seed)[0]
+        rewired, res = rewire_to_assortativity(g, CorrelationTarget(target, 0.005, 3_000), rng)
+        assert rewired is not g and res.iterations > 0
+        built = build_undirected(shuffled_edges(rewired.edge_array, rng), g.num_nodes)
+        assert rewired.num_nodes == built.num_nodes
+        for name in ("edge_array", "indptr", "indices", "degrees"):
+            got, want = getattr(rewired, name), getattr(built, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert not got.flags.writeable, name
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("target", [-0.3, 0.4])

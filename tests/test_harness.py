@@ -50,8 +50,10 @@ from oracles import (
     reference_method_rows,
     reference_read_ids,
     reference_shaped_network,
+    reference_write_csv,
     reference_walk_precondition_failures,
     reference_write_edge_list,
+    shuffled_edges,
     star,
 )
 
@@ -120,6 +122,22 @@ class TestLoadGraph:
         assert g2.num_edges == 2
         g3, kept3 = compact_nonisolated(g2)
         assert g3 is g2 and kept3.size == 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_compacted_graph_equals_build_undirected(self, seed):
+        # the compacted graph is built from the relabeled edges without build_undirected:
+        # its arrays are what build_undirected makes of the same edges in any order
+        rng = make_generator(313, seed)
+        g = build_undirected(rng.integers(0, 400, size=(300, 2)), 500)
+        compact, kept = compact_nonisolated(g)
+        assert kept.size < g.num_nodes
+        dense = np.searchsorted(kept, g.edge_array)
+        built = build_undirected(shuffled_edges(dense, rng), kept.size)
+        assert compact.num_nodes == built.num_nodes == kept.size
+        for name in ("edge_array", "indptr", "indices", "degrees"):
+            got, want = getattr(compact, name), getattr(built, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert not got.flags.writeable, name
 
 
 # (name, file bytes)
@@ -269,6 +287,75 @@ class TestBulkEdgeListParse:
         assert _read_outcome(harness._read_ids, str(f), count) == _read_outcome(reference_read_ids, str(f), count)
 
 
+# (name, edge file bytes, edges, (num_nodes, num_edges, num_edge_lines, num_ignored_lines, id_map),
+#  sharer file bytes, sharers): what load_graph and read_sharers return, pinned
+PINNED_PARSES = [
+    ("crlf", b"# h\r\n0 1\r\n1 2\r\n", [[0, 1], [1, 2]], (3, 2, 2, 1, None), b"# h\r\n0\r\n2\r\n", [0, 2]),
+    ("lone_cr", b"0 1\r1 2\r# c\r", [[0, 1], [1, 2]], (3, 2, 2, 1, None), b"0\r2\r# c\r", [0, 2]),
+    ("tab_runs", b"0\t\t1\n\t1 \t\t 2\t\t\n", [[0, 1], [1, 2]], (3, 2, 2, 0, None), b"\t\t1\t\n2\n", [1, 2]),
+    ("blank_lines", b"\n0 1\n   \n\t \t\n2 1\n\n", [[0, 1], [1, 2]], (3, 2, 2, 4, None), b" \n1\n\t\n", [1]),
+    ("indented_comments", b"0 1\n   # a\n\t# b 3 4\n1 2\n", [[0, 1], [1, 2]], (3, 2, 2, 2, None),
+     b"  #x\n2\n\t#\n", [2]),
+    ("comment_on_line_1", b"# 5 6\n0 1\n", [[0, 1]], (2, 1, 1, 1, None), b"# 7\n1\n", [1]),
+    ("no_final_newline", b"0 1\n1 2", [[0, 1], [1, 2]], (3, 2, 2, 0, None), b"0\n1", [0, 1]),
+    ("sparse_crlf_and_tab", b"5 900\r\n900\t7\r\n", [[0, 2], [1, 2]], (3, 2, 2, 0, [5, 7, 900]),
+     b"900\r\n7", [1, 2]),
+    ("empty", b"", [], (0, 0, 0, 0, None), b"", []),
+    ("comment_only", b"# a\n  # b\n", [], (0, 0, 0, 2, None), b"#\n", []),
+]
+
+# (name, edge file bytes, sharer file bytes, error message after the path)
+PINNED_PARSE_ERRORS = [
+    ("hash_after_id", b"0 1\n1 2 # x\n", b"0\n1 # x\n", "line 2: expected {}, got '1{} # x'"),
+    ("one_id", b"0 1\n2\n", None, "line 2: expected two node ids, got '2'"),
+    ("three_ids", b"0 1\n1 2 3\n", b"0\n1 2 3\n", "line 2: expected {}, got '1 2 3'"),
+    ("id_2_pow_63", b"0 1\n9223372036854775808 0\n", b"0\n9223372036854775808\n",
+     "line 2: node id above 9223372036854775807"),
+]
+
+
+class TestPathParse:
+    """load_graph and read_sharers through the path-based parse: pinned arrays, reports and errors."""
+
+    @pytest.mark.parametrize("name,data,edges,fields,sharer_data,sharers", PINNED_PARSES,
+                             ids=[c[0] for c in PINNED_PARSES])
+    def test_pinned_arrays_and_report(self, tmp_path, name, data, edges, fields, sharer_data, sharers):
+        f, sf = tmp_path / "g.txt", tmp_path / "s.txt"
+        f.write_bytes(data)
+        sf.write_bytes(sharer_data)
+        g, report = load_graph(str(f))
+        num_nodes, id_map = fields[0], fields[4]
+        assert g.edge_array.tolist() == edges and g.num_nodes == num_nodes
+        assert (report.num_nodes, report.num_edges, report.num_edge_lines, report.num_ignored_lines) == fields[:4]
+        assert report.remapped == (id_map is not None)
+        assert (None if report.id_map is None else report.id_map.tolist()) == id_map
+        assert np.array_equal(g.edge_array, build_undirected(edges, num_nodes).edge_array)
+        assert read_sharers(str(sf), num_nodes, id_map=report.id_map).sharers.tolist() == sharers
+
+    @pytest.mark.parametrize("name,data,sharer_data,message", PINNED_PARSE_ERRORS,
+                             ids=[c[0] for c in PINNED_PARSE_ERRORS])
+    def test_pinned_errors(self, tmp_path, name, data, sharer_data, message):
+        f = tmp_path / "g.txt"
+        f.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            load_graph(str(f))
+        assert str(err.value) == f"{f}: " + message.format("two node ids", " 2")
+        if sharer_data is not None:
+            f.write_bytes(sharer_data)
+            with pytest.raises(ValueError) as err:
+                read_sharers(str(f), 3)
+            assert str(err.value) == f"{f}: " + message.format("a node id", "")
+
+    def test_invalid_utf8_names_the_byte(self, tmp_path):
+        f = tmp_path / "g.txt"
+        for data, position in ((b"0 1\n\xff 2\n", 4), (b"0\n\xff\n", 2)):
+            f.write_bytes(data)
+            for read in (load_graph, lambda path: read_sharers(path, 2)):
+                with pytest.raises(UnicodeDecodeError, match=rf"^'utf-8' codec can't decode byte 0xff "
+                                                             rf"in position {position}: invalid start byte$"):
+                    read(str(f))
+
+
 class TestBulkEdgeListWrite:
     """The chunked writer's bytes equal one formatted line per edge."""
 
@@ -352,6 +439,44 @@ class TestCsvConventions:
         assert lines[1] == "a,b"
         assert lines[2] == "1,0.5"
         assert lines[3] == "2,"
+
+    def test_row_of_another_length_raises_naming_it(self, tmp_path):
+        # transposing the rows would cut a short row's neighbours short without a word
+        f = tmp_path / "out.csv"
+        for rows, i, length in (([(1, 0.5), (2, 0.25), (3,)], 2, 1), ([(1, 0.5, 9), (2, 0.25)], 0, 3)):
+            with pytest.raises(ValueError, match=rf"out\.csv: rows\[{i}\] has length {length}, the header 2$"):
+                write_csv(str(f), "c", ["a", "b"], rows)
+            assert not f.exists()
+
+    # one column per kind of cell; each row takes a column's values in turn
+    CSV_COLUMNS = {
+        "float": [0.1234567890123456, math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e16,
+                  123456789012.5, -2.5e-7, 5e-324, 1.7976931348623157e308, -math.nan],
+        "none_and_float": [None, 0.5, math.nan, None, -1e-5],
+        "int": [0, -3, 2**63, 17],
+        "str": ["vanilla", "fp-two-step", "", "x y"],
+        "int_and_str": [1, "fp", -2],
+        "bool": [True, False],
+        "float64": [np.float64(0.1), np.float64("nan"), np.float64(-0.0), np.float64(1e16)],
+        "int64": [np.int64(-7), np.int64(2**62)],
+        "float32": [np.float32(0.1), np.float32("inf"), np.float32("nan")],
+        "int_and_float": [1, 0.5, 2, 1e16],
+        "tuple": [(), (0, 3)],
+        "none": [None],
+    }
+
+    @pytest.mark.parametrize("num_rows", [0, 1, 5, 1024, 2500])
+    @pytest.mark.parametrize("chunk_rows", [3, harness.CSV_CHUNK_ROWS])
+    def test_bytes_match_per_cell_writer(self, tmp_path, monkeypatch, num_rows, chunk_rows):
+        monkeypatch.setattr(harness, "CSV_CHUNK_ROWS", chunk_rows)
+        header = list(self.CSV_COLUMNS)
+        columns = self.CSV_COLUMNS.values()
+        rows = [tuple(values[(r * 7 + c) % len(values)] for c, values in enumerate(columns)) for r in range(num_rows)]
+        for head, body in ((header, rows), ([], [()] * num_rows), (["only"], [(0.5,)] * num_rows)):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            write_csv(str(got), "stamp", head, body)
+            reference_write_csv(str(want), "stamp", head, body)
+            assert got.read_bytes() == want.read_bytes()
 
 
 class TestStaticExperiment:
