@@ -19,6 +19,7 @@ from exposure_lab import (
     DiGraph,
     Graph,
     ShapingResult,
+    SharingState,
     assortativity_coefficient,
     bernoulli_sharing,
     build_directed,
@@ -37,7 +38,14 @@ from exposure_lab import (
     vanilla_estimate,
 )
 from exposure_lab.harness import format_value
-from exposure_lab.genmodel import REWIRE_BATCH_MAX, REWIRE_BATCH_MIN, _assortativity_moments, _cut, _first_claims
+from exposure_lab.genmodel import (
+    REWIRE_BATCH_MAX,
+    REWIRE_BATCH_MIN,
+    SWAP_BATCH,
+    _assortativity_moments,
+    _cut,
+    _first_claims,
+)
 
 # ---------------------------------------------------------------------------
 # Small named graphs
@@ -510,6 +518,69 @@ def reference_rewire(
     if not moved:
         return g, result
     return build_undirected(np.stack(np.divmod(keys, n), axis=1), n), result
+
+
+# ---------------------------------------------------------------------------
+# Reference label swapping: the batched loop written out on its own
+# ---------------------------------------------------------------------------
+
+
+def reference_swap(
+    g: Graph, s: SharingState, target: CorrelationTarget, rng: np.random.Generator, record_trace: bool = False
+) -> tuple[SharingState, ShapingResult]:
+    """swap_to_correlation as it stood with its own loop: the label-swap climb
+    written out in full, with its floor and ceiling stop."""
+    n = g.num_nodes
+    m = s.num_sharers
+    if not 0 < m < n:
+        raise ValueError("swapping needs a sharer set that is neither empty nor everyone")
+    d = g.degrees.astype(np.int64)
+    mean_d = float(d.mean())
+    var_d = float(np.mean(d * d) - mean_d * mean_d)
+    p_bar = m / n
+    scale = math.sqrt(var_d) * math.sqrt(p_bar * (1.0 - p_bar))
+    if scale == 0.0:
+        return s, ShapingResult(math.nan, 0, False)
+
+    def rho(tot):
+        return (tot / n - mean_d * p_bar) / scale
+
+    sharers = s.sharers.copy()
+    others = np.flatnonzero(~s.mask)
+    total = int(d[sharers].sum())  # only moving part of the correlation
+    ordered = np.sort(d)
+    floor, ceiling = int(ordered[:m].sum()), int(ordered[n - m :].sum())
+    trace: list[float] = []
+    current = rho(total)
+    iters = 0
+    moved = False
+    converged = abs(current - target.target) <= target.tolerance
+    while not converged and iters < target.max_iters:
+        up = target.target > current
+        bound = ceiling if up else floor
+        if total == bound:  # no swap can move the total further this way
+            break
+        k = min(SWAP_BATCH, target.max_iters - iters)
+        iu = rng.integers(m, size=k)
+        iv = rng.integers(n - m, size=k)
+        gain = d[others[iv]] - d[sharers[iu]]
+        acc = np.flatnonzero(gain > 0 if up else gain < 0)
+        acc = acc[_first_claims(np.stack([iu[acc], iv[acc] + m], axis=1))]  # non-sharer slots after sharer slots
+        totals = total + np.cumsum(gain[acc])
+        running = rho(totals)
+        band = target.target - target.tolerance if up else target.target + target.tolerance
+        moves, drawn = _cut(acc, (running >= band if up else running <= band) | (totals == bound), k)
+        iters += drawn
+        acc = acc[:moves]
+        if acc.size:
+            su, sv = iu[acc], iv[acc]
+            sharers[su], others[sv] = others[sv], sharers[su]
+            total = int(totals[moves - 1])
+            current = rho(total)
+            if record_trace:
+                trace += running[:moves].tolist()
+        converged = abs(current - target.target) <= target.tolerance
+    return SharingState.from_sharers(sharers, n), ShapingResult(current, iters, converged, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ from oracles import (
     cycle,
     pearson_oracle,
     random_graph,
+    random_sharing_mask,
     reference_build_undirected,
     reference_rewire,
+    reference_swap,
     shuffled_edges,
     star,
 )
@@ -477,6 +479,29 @@ class TestBatchedShaping:
             got, res = rewire_to_assortativity(g, shaping, rng_got, record_trace=True)
             want, ref = reference_rewire(g, shaping, rng_want, record_trace=True)
             assert np.array_equal(got.edge_array, want.edge_array), budget
+            assert res == ref, budget
+            assert rng_got.random() == rng_want.random(), budget
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("target", [-0.9, -0.1, 0.3])
+    def test_swapping_equals_reference_loop(self, seed, target):
+        # the label-swap climb against its loop written out on its own: the
+        # same sharers, ShapingResult (trace included) and next draw, on random
+        # graphs and on grid-style graphs, with budgets that cut the first
+        # batch, a later one, or none; -0.9 lies below the floor, so the
+        # floor stop ends the unbudgeted run
+        rng = make_generator(72, seed)
+        if seed % 2:
+            g = random_graph(rng, max_nodes=80, min_nodes=40, p=0.12)
+            s = SharingState(random_sharing_mask(rng, g.num_nodes, nontrivial=True))
+        else:
+            g, s, _ = _shaped_family(seed)
+        for budget in (SWAP_BATCH // 2, 2 * SWAP_BATCH + 7, 20_000):
+            shaping = CorrelationTarget(target, 0.005, budget)
+            rng_got, rng_want = make_generator(73, seed, budget), make_generator(73, seed, budget)
+            got, res = swap_to_correlation(g, s, shaping, rng_got, record_trace=True)
+            want, ref = reference_swap(g, s, shaping, rng_want, record_trace=True)
+            assert np.array_equal(got.mask, want.mask), budget
             assert res == ref, budget
             assert rng_got.random() == rng_want.random(), budget
 
