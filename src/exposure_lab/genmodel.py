@@ -3,11 +3,10 @@
 Power-law configuration-model graphs, degree-preserving rewiring that
 drives the assortativity coefficient toward a target, and sharing-label
 swapping that drives the degree-sharing correlation toward a target.
-Both shaping loops evaluate their proposals in batches, one numpy step
-per batch, and are budgeted: they stop at the tolerance (label swapping
-also at its degree floor or ceiling) or after max_iters proposals and
-report what they achieved. ``shape_network`` chains them into the one
-recipe that the grid and the CLI call.
+Both shaping loops keep only their proposals and run one batched,
+budgeted hill climb, ``_climb``, which reports what it achieved.
+``shape_network`` chains them into the one recipe that the grid and the
+CLI call.
 """
 
 from __future__ import annotations
@@ -183,6 +182,42 @@ def _cut(accepted: np.ndarray, stop: np.ndarray, batch: int) -> tuple[int, int]:
     return int(hit[0]) + 1, int(accepted[hit[0]]) + 1
 
 
+def _climb(target: CorrelationTarget, rho, total: int, floor, ceiling, batch: int, propose, record_trace):
+    """The batched, budgeted hill climb of both shaping loops, on ``rho(total)``.
+
+    ``propose(k, up)`` draws k proposals climbing up or down and returns the
+    accepted ones' batch indices, their gains to ``total``, and ``apply(moves)``,
+    which applies the first ``moves``. A batch is cut at the first move that
+    reaches the tolerance band, crosses the target, or brings ``total`` to its
+    floor or ceiling; there the loop stops. ``iterations`` counts the proposals
+    drawn up to the cut, rejected ones included, against max_iters.
+    """
+    trace: list[float] = []
+    current = rho(total)
+    iters = 0
+    converged = abs(current - target.target) <= target.tolerance
+    while not converged and iters < target.max_iters:
+        up = target.target > current
+        bound = ceiling if up else floor
+        if total == bound:
+            break
+        k = min(batch, target.max_iters - iters)
+        acc, gain, apply = propose(k, up)
+        totals = total + np.cumsum(gain)
+        running = rho(totals)
+        band = target.target - target.tolerance if up else target.target + target.tolerance
+        moves, drawn = _cut(acc, (running >= band if up else running <= band) | (totals == bound), k)
+        iters += drawn
+        if moves:
+            apply(moves)
+            total = int(totals[moves - 1])
+            current = rho(total)
+            if record_trace:
+                trace += running[:moves].tolist()
+        converged = abs(current - target.target) <= target.tolerance
+    return ShapingResult(current, iters, converged, trace)
+
+
 def rewire_to_assortativity(
     g: Graph, target: CorrelationTarget, rng: np.random.Generator, record_trace: bool = False
 ) -> tuple[Graph, ShapingResult]:
@@ -191,15 +226,12 @@ def rewire_to_assortativity(
     Each proposal draws two distinct edges and, among the three pairings of
     their four endpoints, keeps the one moving the coefficient furthest in
     the needed direction; pairings creating self-loops or existing edges
-    are skipped. Proposals are evaluated K = clamp(m/8, 64, 4096) at a time
-    against the graph as it stood before the batch: of the accepted ones,
-    a proposal touching an edge, or creating an edge, that an earlier one
-    in the batch touched or created is dropped, and the batch is cut at the
-    first move that reaches the tolerance band or crosses the target, so
-    every applied move climbs. ``iterations`` counts the proposals drawn up
-    to the cut, rejected ones included, against max_iters. Returns a
-    best-effort graph plus the achieved coefficient when the target is out
-    of reach, and the input graph itself when no move was applied.
+    are skipped. ``_climb`` evaluates them K = clamp(m/8, 64, 4096) at a time
+    against the graph as it stood before the batch, dropping an accepted
+    proposal that touches or creates an edge an earlier one touched or
+    created. Returns a best-effort graph plus the achieved coefficient when
+    the target is out of reach, and the input graph itself when no move
+    was applied.
     """
     if g.num_edges < 2:
         raise ValueError("rewiring needs at least two edges")
@@ -208,38 +240,18 @@ def rewire_to_assortativity(
     denom = sum_xx / n_points - mean_sq
     if denom <= 0.0:  # regular graph: coefficient undefined, nothing to shape
         return g, ShapingResult(math.nan, 0, False)
-
-    def rho(sxy):
-        return (sxy / n_points - mean_sq) / denom
-
     n, m = g.num_nodes, g.num_edges
     deg = g.degrees.astype(np.int64)  # degree products and gains fit int64 while degrees stay below 2**31
     # the edges as ascending packed keys u*n + v (u < v); edge_array is sorted
     keys = g.edge_array[:, 0] * n + g.edge_array[:, 1]
-    batch = min(max(m // 8, REWIRE_BATCH_MIN), REWIRE_BATCH_MAX)
-
-    def absent(new):
-        """Whether each packed key is not an edge yet; looked up in ascending
-        order, which keeps searchsorted's successive searches close."""
-        order = np.argsort(new)
-        sorted_new = new[order]
-        out = np.empty(new.shape[0], dtype=bool)
-        out[order] = keys[np.minimum(np.searchsorted(keys, sorted_new), m - 1)] != sorted_new
-        return out
-
-    trace: list[float] = []
-    current = rho(sum_xy)
-    iters = 0
     moved = False
-    converged = abs(current - target.target) <= target.tolerance
-    while not converged and iters < target.max_iters:
-        k = min(batch, target.max_iters - iters)
+
+    def propose(k, up):
         i = rng.integers(m, size=k)
         j = rng.integers(m - 1, size=k)
         j += j >= i
         a, b = np.divmod(keys[i], n)
         c, d = np.divmod(keys[j], n)
-        up = target.target > current
         # keeping the current pairing is the zero-gain baseline; row 0 scores the
         # alternative pairing (a c)(b d) against it, row 1 (a d)(b c)
         q, t = np.stack([c, d]), np.stack([d, c])
@@ -248,31 +260,35 @@ def rewire_to_assortativity(
         gain = deg[a] * deg[q] + deg[b] * deg[t] - (deg[a] * deg[b] + deg[c] * deg[d])
         score = gain if up else -gain
         # a pairing that does not climb, or makes a self-loop or an existing
-        # edge, scores 0 and is never accepted: only the others are looked up
+        # edge, scores 0 and is never accepted: only the others are looked up,
+        # in ascending order, which keeps searchsorted's successive searches close
         cand = (score > 0) & (a != q) & (b != t)
-        cand[cand] = absent(np.concatenate([k1[cand], k2[cand]])).reshape(2, -1).all(axis=0)
+        new = np.concatenate([k1[cand], k2[cand]])
+        order = np.argsort(new)
+        new = new[order]
+        absent = np.empty(new.size, dtype=bool)
+        absent[order] = keys[np.minimum(np.searchsorted(keys, new), m - 1)] != new
+        cand[cand] = absent.reshape(2, -1).all(axis=0)
         score = np.where(cand, score, 0)
         best = (np.argmax(score, axis=0), np.arange(k))  # a tie keeps (a c)(b d)
         k1, k2, gain = k1[best], k2[best], gain[best]
         acc = np.flatnonzero(score[best] > 0)
         acc = acc[_first_claims(np.stack([i[acc], j[acc]], axis=1))]
         acc = acc[_first_claims(np.stack([k1[acc], k2[acc]], axis=1))]
-        running = rho(sum_xy + 2 * np.cumsum(gain[acc]))
-        band = target.target - target.tolerance if up else target.target + target.tolerance
-        moves, drawn = _cut(acc, running >= band if up else running <= band, k)
-        iters += drawn
-        acc = acc[:moves]
-        if acc.size:
-            moved = True
-            added = np.sort(np.concatenate([k1[acc], k2[acc]]))
-            keys = np.delete(keys, np.concatenate([i[acc], j[acc]]))
+
+        def apply(moves):
+            nonlocal keys, moved
+            done = acc[:moves]
+            added = np.sort(np.concatenate([k1[done], k2[done]]))
+            keys = np.delete(keys, np.concatenate([i[done], j[done]]))
             keys = np.insert(keys, np.searchsorted(keys, added), added)
-            sum_xy += 2 * int(gain[acc].sum())
-            current = rho(sum_xy)
-            if record_trace:
-                trace += running[:moves].tolist()
-        converged = abs(current - target.target) <= target.tolerance
-    result = ShapingResult(current, iters, converged, trace)
+            moved = True
+
+        return acc, gain[acc], apply
+
+    # the climb runs on sum_xy / 2, which each move changes by its gain
+    result = _climb(target, lambda t: (2 * t / n_points - mean_sq) / denom, sum_xy // 2, -math.inf, math.inf,
+                    min(max(m // 8, REWIRE_BATCH_MIN), REWIRE_BATCH_MAX), propose, record_trace)
     if not moved:
         return g, result
     # the keys stay sorted and distinct, with u < v: the edges are already simple
@@ -318,15 +334,11 @@ def swap_to_correlation(
     Each proposal draws one sharer u and one non-sharer v uniformly and
     swaps their labels when that moves the correlation toward the target
     (raise: swap if d(u) < d(v); lower: swap if d(u) > d(v); ties skipped).
-    Proposals are evaluated SWAP_BATCH at a time: of the accepted ones, a
-    proposal touching a sharer or non-sharer slot that an earlier one in
-    the batch touched is dropped, and the batch is cut at the first swap
-    that reaches the tolerance band, crosses the target, or reaches the
-    degree floor (sharers on the lowest degrees) or ceiling (on the
-    highest), past which no proposal can move. The sharer count is exactly
-    preserved. ``iterations`` counts the proposals drawn up to the cut
-    against max_iters; a loop stopped at its floor or ceiling reports the
-    proposals drawn up to it. Returns the achieved value either way.
+    ``_climb`` evaluates them SWAP_BATCH at a time, dropping an accepted
+    proposal that touches a sharer or non-sharer slot an earlier one
+    touched; its floor and ceiling put the sharers on the lowest and the
+    highest degrees. The sharer count is exactly preserved. Returns the
+    achieved value either way.
     """
     n = g.num_nodes
     m = s.num_sharers
@@ -339,46 +351,27 @@ def swap_to_correlation(
     scale = math.sqrt(var_d) * math.sqrt(p_bar * (1.0 - p_bar))
     if scale == 0.0:
         return s, ShapingResult(math.nan, 0, False)
-
-    def rho(tot):
-        return (tot / n - mean_d * p_bar) / scale
-
     sharers = s.sharers.copy()
     others = np.flatnonzero(~s.mask)
-    total = int(d[sharers].sum())  # only moving part of the correlation
     ordered = np.sort(d)
-    floor, ceiling = int(ordered[:m].sum()), int(ordered[n - m :].sum())
-    trace: list[float] = []
-    current = rho(total)
-    iters = 0
-    moved = False
-    converged = abs(current - target.target) <= target.tolerance
-    while not converged and iters < target.max_iters:
-        up = target.target > current
-        bound = ceiling if up else floor
-        if total == bound:  # no swap can move the total further this way
-            break
-        k = min(SWAP_BATCH, target.max_iters - iters)
+
+    def propose(k, up):
         iu = rng.integers(m, size=k)
         iv = rng.integers(n - m, size=k)
         gain = d[others[iv]] - d[sharers[iu]]
         acc = np.flatnonzero(gain > 0 if up else gain < 0)
         acc = acc[_first_claims(np.stack([iu[acc], iv[acc] + m], axis=1))]  # non-sharer slots after sharer slots
-        totals = total + np.cumsum(gain[acc])
-        running = rho(totals)
-        band = target.target - target.tolerance if up else target.target + target.tolerance
-        moves, drawn = _cut(acc, (running >= band if up else running <= band) | (totals == bound), k)
-        iters += drawn
-        acc = acc[:moves]
-        if acc.size:
-            su, sv = iu[acc], iv[acc]
+
+        def apply(moves):
+            su, sv = iu[acc[:moves]], iv[acc[:moves]]
             sharers[su], others[sv] = others[sv], sharers[su]
-            total = int(totals[moves - 1])
-            current = rho(total)
-            if record_trace:
-                trace += running[:moves].tolist()
-        converged = abs(current - target.target) <= target.tolerance
-    return SharingState.from_sharers(sharers, n), ShapingResult(current, iters, converged, trace)
+
+        return acc, gain[acc], apply
+
+    # the climb runs on the sharers' degree total, the only moving part of the correlation
+    result = _climb(target, lambda tot: (tot / n - mean_d * p_bar) / scale, int(d[sharers].sum()),
+                    int(ordered[:m].sum()), int(ordered[n - m :].sum()), SWAP_BATCH, propose, record_trace)
+    return SharingState.from_sharers(sharers, n), result
 
 
 def shaping_targets(rkk_target, sharing_prob, rho_target, tolerance=DEFAULT_TOLERANCE, max_iters=DEFAULT_MAX_ITERS):

@@ -53,6 +53,7 @@ _NODE_ID = re.compile(r"-?[0-9]+")  # ASCII digits; a sign only to report negati
 MAX_NODE_ID = 2**63 - 1
 _LINE_BLANKS = " \t\n"  # text mode reads \r\n and a lone \r as \n
 _FIELD_SEP = re.compile(r"[ \t]+")  # not str.split(), which also splits on Unicode spaces
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # how errors="surrogateescape" reads a byte that is not UTF-8
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +92,7 @@ def _read_ids(path: str, count: int):
         body = _COMMENT_LINES.sub("", "\n" + text)  # the added newline precedes a comment on line 1
         if not body.isascii() or body.encode("ascii").translate(None, _ID_TEXT):
             raise ValueError("a character other than an ASCII digit, space or tab")
-        ids = (np.empty((0, count), dtype=np.int64) if body.isspace()
+        ids = (np.empty((0, count), dtype=np.int64) if not body.strip()
                else np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8"))
         if ids.shape[1] != count:
             raise ValueError(f"not {count} ids per line")
@@ -102,9 +103,13 @@ def _read_ids(path: str, count: int):
 
 
 def _raise_first_bad_line(path: str, count: int):
-    """Raise the error of an id file's first line that is neither blank, a comment nor ``count`` ids."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Raise the error of an id file's first line that is neither blank, a comment nor ``count``
+    ids; for a line that is not UTF-8, the error names its first bad byte."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            bad = _ESCAPED_BYTE.search(raw)
+            if bad:
+                raise ValueError(f"{path}: line {lineno}: invalid UTF-8 byte {ord(bad[0]) - 0xDC00:#04x}")
             line = raw.strip(_LINE_BLANKS)
             if line and not line.startswith("#"):
                 _node_ids(line, count, path, lineno)

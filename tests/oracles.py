@@ -113,6 +113,20 @@ def random_sharing_mask(rng: np.random.Generator, n: int, nontrivial: bool = Fal
 # ---------------------------------------------------------------------------
 
 
+def powerlaw_degree_pmf(alpha: float, k_min: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(degrees k_min+1..cap, their probabilities) of ``powerlaw_degree_sequence``
+    before its parity fix: ceil of a continuous power law of scale k_min, capped.
+
+    P(k) = ((k-1)/k_min)^(1-alpha) - (k/k_min)^(1-alpha) for k_min < k < cap,
+    and the whole tail beyond cap-1, ((cap-1)/k_min)^(1-alpha), at cap.
+    """
+    ks = np.arange(k_min + 1, cap + 1)
+    below = (ks - 1.0) / k_min
+    pmf = below ** (1.0 - alpha) - (ks / k_min) ** (1.0 - alpha)
+    pmf[-1] = below[-1] ** (1.0 - alpha)
+    return ks, pmf
+
+
 def exposure_oracle(g, mask: np.ndarray, v: int) -> int:
     """Does any friend of v share? Friends are neighbors, or in-neighbors
     (sources of incoming links) for directed graphs."""
@@ -342,28 +356,36 @@ def reference_write_edge_list(path: str, g) -> None:
 def reference_read_ids(path: str, count: int):
     """(ids of shape (rows, count), number of ignored lines), read line by line.
 
-    Text mode ends a line at LF, CRLF or a lone CR. A blank line, or one whose
-    first non-blank character is '#', is ignored. Any other line must hold
-    ``count`` ids of ASCII digits, at most 2**63 - 1, separated by spaces or
-    tabs; the first line that does not raises ValueError with path and line.
+    A line ends at LF, CRLF or a lone CR, and must be valid UTF-8. A blank
+    line, or one whose first non-blank character is '#', is ignored. Any
+    other line must hold ``count`` ids of ASCII digits, at most 2**63 - 1,
+    separated by spaces or tabs. The first line that breaks a rule raises
+    ValueError with path and line; a line that is not UTF-8 names its first
+    bad byte.
     """
     expected = "two node ids" if count == 2 else "a node id"
     rows, ignored = [], 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip(" \t\n")
-            if not line or line.startswith("#"):
-                ignored += 1
-                continue
-            parts = re.split(r"[ \t]+", line)
-            if len(parts) != count or not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
-                raise ValueError(f"{path}: line {lineno}: expected {expected}, got {line!r}")
-            ids = [int(p) for p in parts]
-            if min(ids) < 0:
-                raise ValueError(f"{path}: line {lineno}: node ids must be non-negative")
-            if max(ids) > 2**63 - 1:
-                raise ValueError(f"{path}: line {lineno}: node id above {2**63 - 1}")
-            rows.append(ids)
+    with open(path, "rb") as fh:
+        lines = re.split(rb"\r\n|\r|\n", fh.read())
+    if lines[-1] == b"":  # what follows the last line end, or an empty file
+        lines.pop()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip(" \t")
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: line {lineno}: invalid UTF-8 byte 0x{raw[err.start]:02x}") from None
+        if not line or line.startswith("#"):
+            ignored += 1
+            continue
+        parts = re.split(r"[ \t]+", line)
+        if len(parts) != count or not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
+            raise ValueError(f"{path}: line {lineno}: expected {expected}, got {line!r}")
+        ids = [int(p) for p in parts]
+        if min(ids) < 0:
+            raise ValueError(f"{path}: line {lineno}: node ids must be non-negative")
+        if max(ids) > 2**63 - 1:
+            raise ValueError(f"{path}: line {lineno}: node id above {2**63 - 1}")
+        rows.append(ids)
     return np.array(rows, dtype=np.int64).reshape(-1, count), ignored
 
 

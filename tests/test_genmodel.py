@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from exposure_lab import (
     CorrelationTarget,
@@ -25,6 +26,7 @@ from oracles import (
     assortativity_oracle,
     cycle,
     pearson_oracle,
+    powerlaw_degree_pmf,
     random_graph,
     random_sharing_mask,
     reference_build_undirected,
@@ -45,6 +47,23 @@ class TestPowerlawDegreeSequence:
             for s in range(20)
         ]
         assert 3.2 < np.mean(means) < 4.2
+
+    @pytest.mark.parametrize("k_min", [1, 2])
+    def test_degrees_follow_the_exact_law(self, k_min):
+        # chi-square goodness of fit of 1e6 degrees to the generator's exact
+        # law, entry 0 dropped (the parity fix may move it); the tail bins are
+        # merged from the first one expecting fewer than 5 degrees, cap included
+        n, cap = 1_000_000, 1000
+        degrees = powerlaw_degree_sequence(n, 2.5, k_min, make_generator(75, k_min), k_max=cap).degrees[1:]
+        ks, pmf = powerlaw_degree_pmf(2.5, k_min, cap)
+        observed = np.bincount(degrees, minlength=cap + 1)[ks]
+        expected = pmf * degrees.size
+        assert observed.sum() == degrees.size  # every degree lies in k_min+1..cap
+        tail = int(np.argmax(expected < 5))
+        observed = np.append(observed[:tail], observed[tail:].sum())
+        expected = np.append(expected[:tail], expected[tail:].sum())
+        assert expected.min() >= 5
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
 
     def test_sum_always_even(self):
         for s in range(50):

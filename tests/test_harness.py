@@ -167,6 +167,7 @@ PARSE_CASES = [
     ("invalid_utf8_in_comment", b"# \xff\n0 1\n"),
     ("empty_file", b""),
     ("header_only", b"# undirected nodes=0 edges=0\n"),
+    ("comments_only_without_final_newline", b"# a\n  # b"),
     ("whitespace_only", b" \n\t\n"),
     ("sparse_ids", b"5 900\n900 7\n"),
     ("dense_ids_with_gap", b"0 1\n3 4\n4 0\n"),
@@ -346,14 +347,27 @@ class TestPathParse:
                 read_sharers(str(f), 3)
             assert str(err.value) == f"{f}: " + message.format("a node id", "")
 
-    def test_invalid_utf8_names_the_byte(self, tmp_path):
+    def test_invalid_utf8_names_the_byte(self, tmp_path, capsys):
+        # (edge file, sharer file, line of the bad byte, the byte): LF, CRLF and
+        # a lone CR each end a line; a sequence cut short names its lead byte
+        cases = [(b"0 1\n\xff 2\n", b"0\n\xff\n", 2, "0xff"),
+                 (b"# \xff\n0 1\n", b"# \xff\n0\n", 1, "0xff"),
+                 (b"0 1\r\n1 2\r\xc3(\n", b"0\r\n1\r\xc3(\n", 3, "0xc3"),
+                 (b"0 1\n\n1 2\xe2\x82", b"0\n\n1\xe2\x82", 3, "0xe2")]
         f = tmp_path / "g.txt"
-        for data, position in ((b"0 1\n\xff 2\n", 4), (b"0\n\xff\n", 2)):
-            f.write_bytes(data)
-            for read in (load_graph, lambda path: read_sharers(path, 2)):
-                with pytest.raises(UnicodeDecodeError, match=rf"^'utf-8' codec can't decode byte 0xff "
-                                                             rf"in position {position}: invalid start byte$"):
+        for edges, sharers, line, byte in cases:
+            for data, read in ((edges, load_graph), (sharers, lambda path: read_sharers(path, 2))):
+                f.write_bytes(data)
+                with pytest.raises(ValueError) as err:
                     read(str(f))
+                assert str(err.value) == f"{f}: line {line}: invalid UTF-8 byte {byte}"
+            f.write_bytes(edges)
+            assert main(["analyze", "--graph", str(f), "--sharers", str(f)]) == 2
+            assert f"g.txt: line {line}: invalid UTF-8 byte {byte}" in capsys.readouterr().err
+        # a bad line before the bad byte is the first bad line
+        f.write_bytes(b"0 x\n\xff\n")
+        with pytest.raises(ValueError, match=r"g\.txt: line 1: expected two node ids, got '0 x'$"):
+            load_graph(str(f))
 
 
 class TestBulkEdgeListWrite:
