@@ -61,13 +61,6 @@ class SharingState:
         return f"SharingState(num_nodes={self.num_nodes}, num_sharers={self.num_sharers})"
 
 
-def _friend_csr(g):
-    """Adjacency defining exposure: neighbors, or in-neighbors for DiGraph."""
-    if isinstance(g, DiGraph):
-        return g.in_indptr, g.in_indices
-    return g.indptr, g.indices
-
-
 def _sharing_counts(indptr: np.ndarray, indices: np.ndarray, s: SharingState) -> np.ndarray:
     """Sharers in each CSR row ``indices[indptr[r]:indptr[r + 1]]``; all zeros when there are no entries."""
     csum = np.concatenate(([0], np.cumsum(s.mask[indices])))
@@ -79,14 +72,14 @@ def exposure_bits(g, s: SharingState, nodes) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=np.int64)
     out = np.empty(nodes.shape[0], dtype=bool)
     for lo in range(0, nodes.shape[0], EXPOSURE_CHUNK):
-        friends, bounds = gather_segments(*_friend_csr(g), nodes[lo : lo + EXPOSURE_CHUNK])
+        friends, bounds = gather_segments(g.indptr, g.indices, nodes[lo : lo + EXPOSURE_CHUNK])
         out[lo : lo + EXPOSURE_CHUNK] = _sharing_counts(bounds, friends, s) > 0
     return out
 
 
 def exposure_all(g, s: SharingState) -> np.ndarray:
     """Exposure indicator for every node, computed in one vectorized pass."""
-    return _sharing_counts(*_friend_csr(g), s) > 0
+    return _sharing_counts(g.indptr, g.indices, s) > 0
 
 
 def true_exposure(g, s: SharingState) -> float:

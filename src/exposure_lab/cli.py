@@ -213,6 +213,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_track(args) -> int:
+    policy = StepPolicy(args.policy, args.epsilon)
     rng = make_generator(args.seed)
     missed = False
     if args.graph is not None:
@@ -225,7 +226,6 @@ def _cmd_track(args) -> int:
         args = argparse.Namespace(**{**_TRACK_NETWORK_DEFAULTS, **vars(args)})
         g, _, rkk, _ = _shaped_network(args, rng, compact=False)
         missed = not rkk.converged
-    policy = StepPolicy(args.policy, args.epsilon)
     records = run_tracking_experiment(
         g,
         model=args.model,

@@ -92,8 +92,8 @@ def fp_estimate(g: Graph, friends, s: SharingState, d_bar: float | None = None) 
     """Friendship-paradox estimate from random-friend samples.
 
     estimate = (d_bar / n) * sum of f(Y_i)/d(Y_i). d_bar defaults to the
-    exact average degree; pass a value to use an externally known average
-    degree instead (the estimate is then unbiased with respect to it).
+    exact average degree; pass a finite, positive value to use an externally
+    known average degree instead (the estimate is then unbiased with respect to it).
     A sample of degree 0 cannot come from friend sampling and raises
     ValueError.
     """
@@ -114,6 +114,12 @@ def directed_estimates(g: DiGraph, mode: str, samples, s: SharingState,
     return _sampled_report(g, f"directed_{mode}", mode, samples, s, d_bar)
 
 
+def _check_d_bar(d_bar: float | None) -> None:
+    """An average degree given in place of the graph's own must be finite and positive."""
+    if d_bar is not None and not (math.isfinite(d_bar) and d_bar > 0.0):
+        raise ValueError(f"d_bar must be finite and > 0, got {d_bar}")
+
+
 def _sampled_report(g, kind: str, mode: str, samples, s: SharingState, d_bar: float | None) -> EstimatorReport:
     """The one body of fp_estimate and directed_estimates: a report of ``kind`` from samples of ``mode``."""
     samples = np.asarray(samples, dtype=np.int64)
@@ -123,6 +129,7 @@ def _sampled_report(g, kind: str, mode: str, samples, s: SharingState, d_bar: fl
         raise ValueError(f"unknown estimator mode: {mode!r}")
     if mode != "node" and g.num_edges < 1:
         raise ValueError(f"{'friend' if mode == 'fp' else mode} sampling requires at least one edge")
+    _check_d_bar(d_bar)
     if d_bar is None:
         d_bar = math.nan if mode == "node" else average_degree(g)
     bits = exposure_bits(g, s, samples.ravel()).reshape(samples.shape)

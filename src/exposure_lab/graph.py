@@ -113,49 +113,25 @@ class DiGraph:
     """Immutable directed simple graph.
 
     An edge u -> v means v follows u: u is a friend of v. ``edge_array``
-    holds distinct (u, v) pairs; out- and in-adjacency are kept mutually
-    consistent with sorted neighbor lists.
+    holds distinct (u, v) pairs in lexicographic order; ``indptr``/``indices``
+    are, as on Graph, the CSR of each node's ascending friend list (the
+    sources of its incoming links). Of the out side only ``out_degrees`` is kept.
     """
 
-    __slots__ = (
-        "num_nodes",
-        "out_indptr",
-        "out_indices",
-        "in_indptr",
-        "in_indices",
-        "edge_array",
-        "out_degrees",
-        "in_degrees",
-    )
+    __slots__ = ("num_nodes", "indptr", "indices", "edge_array", "out_degrees", "in_degrees")
 
     def __init__(self, num_nodes: int, edge_array):
         self.num_nodes = int(num_nodes)
         self.edge_array = edge_array
         src, dst = edge_array[:, 0], edge_array[:, 1]
-        self.out_indptr, self.out_indices = _csr_from_pairs(src, dst, num_nodes)
-        self.in_indptr, self.in_indices = _csr_from_pairs(dst, src, num_nodes)
-        self.out_degrees = self.out_indptr[1:] - self.out_indptr[:-1]
-        self.in_degrees = self.in_indptr[1:] - self.in_indptr[:-1]
-        _freeze(
-            self.edge_array,
-            self.out_indptr,
-            self.out_indices,
-            self.in_indptr,
-            self.in_indices,
-            self.out_degrees,
-            self.in_degrees,
-        )
+        self.indptr, self.indices = _csr_from_pairs(dst, src, num_nodes)
+        self.out_degrees = np.bincount(src, minlength=num_nodes)
+        self.in_degrees = self.indptr[1:] - self.indptr[:-1]
+        _freeze(self.edge_array, self.indptr, self.indices, self.out_degrees, self.in_degrees)
 
     @property
     def num_edges(self) -> int:
         return self.edge_array.shape[0]
-
-    def out_neighbors(self, v: int) -> np.ndarray:
-        return self.out_indices[self.out_indptr[v] : self.out_indptr[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        """Friends of v: the sources of v's incoming links."""
-        return self.in_indices[self.in_indptr[v] : self.in_indptr[v + 1]]
 
     def __repr__(self) -> str:
         return f"DiGraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
@@ -176,12 +152,8 @@ def build_directed(edges, num_nodes: int) -> DiGraph:
 
 
 def average_degree(g) -> float:
-    """2|E|/|V| for undirected graphs, |E|/|V| for directed ones (0 if edgeless)."""
-    if g.num_nodes == 0:
-        return 0.0
-    if isinstance(g, DiGraph):
-        return g.num_edges / g.num_nodes
-    return 2.0 * g.num_edges / g.num_nodes
+    """Friend-list entries per node: 2|E|/|V| undirected, |E|/|V| directed (0.0 on an empty graph)."""
+    return int(g.indptr[-1]) / g.num_nodes if g.num_nodes else 0.0
 
 
 # ---------------------------------------------------------------------------

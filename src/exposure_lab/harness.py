@@ -18,7 +18,7 @@ import numpy as np
 
 from . import graph as graphmod
 from .cascade import SharingState, exposure_all
-from .estimators import ConditionVerdict, condition_empirical, estimate_from_bits
+from .estimators import ConditionVerdict, _check_d_bar, condition_empirical, estimate_from_bits
 from .genmodel import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOLERANCE,
@@ -380,6 +380,7 @@ def run_static_experiment(
     directed = isinstance(g, DiGraph)
     _check_methods(methods, directed)
     _check_counts(n_samples, reps)
+    _check_d_bar(d_bar)
     if g.num_nodes < 1:
         raise ValueError("true exposure is undefined on an empty graph")
     exposed = exposure_all(g, s)

@@ -10,6 +10,7 @@ of random friends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -34,8 +35,8 @@ class StepPolicy:
     def __post_init__(self):
         if self.kind not in ("decreasing", "constant"):
             raise ValueError(f"unknown step policy: {self.kind!r}")
-        if self.kind == "constant" and not self.epsilon > 0.0:
-            raise ValueError("constant step size must be positive")
+        if self.kind == "constant" and not 0.0 < self.epsilon <= 1.0:
+            raise ValueError(f"constant step size must lie in (0, 1], got {self.epsilon}")
 
     def step(self, update_index):
         """Step size for the update_index-th update (1-based). An index array
@@ -58,6 +59,8 @@ class TrackerState:
 
 
 def make_tracker(kind: str, policy: StepPolicy, initial_estimate: float = 0.0) -> TrackerState:
+    if not math.isfinite(initial_estimate):
+        raise ValueError(f"initial estimate must be finite, got {initial_estimate}")
     return TrackerState(initial_estimate, 0, kind, policy)
 
 
@@ -123,16 +126,17 @@ def run_tracking_experiment(
     sharers exposed (exposure only grows) to get the exact exposed fraction,
     then make ``schedule`` updates for the vanilla tracker and then for the
     fp tracker, each from one batch of samples drawn with replacement
-    against the frozen step-t sharing state. The cascade draws from ``rng``
-    before the trackers do. One record per step.
+    against the frozen step-t sharing state. The trackers are made (and
+    their inputs checked) first; the cascade draws from ``rng`` before they
+    do. One record per step.
     """
     if schedule < 1:
         raise ValueError("need at least one update per diffusion step")
+    vanilla = make_tracker("vanilla", vanilla_policy, initial_estimate)
+    fp = make_tracker("fp", fp_policy, initial_estimate)
     traj = cascade.run_cascade(g, model, steps, rng=rng, **cascade_args)
     last = steps if traj.fixed_point_step is None else traj.fixed_point_step
     exposed = exposure_all(g, traj.state(0))
-    vanilla = make_tracker("vanilla", vanilla_policy, initial_estimate)
-    fp = make_tracker("fp", fp_policy, initial_estimate)
     records = []
     for t in range(1, steps + 1):
         if t == 1 or t <= last:  # past the fixed point the state stays put

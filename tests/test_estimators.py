@@ -88,6 +88,16 @@ class TestFpEstimate:
         assert rep.estimate == pytest.approx(2.0)
         assert rep.d_bar == 2.0
 
+    @pytest.mark.parametrize("d_bar", [-3.0, 0.0, math.nan, math.inf])
+    def test_dbar_override_must_be_finite_and_positive(self, d_bar):
+        s = sharing(star(4), [0])
+        with pytest.raises(ValueError, match="d_bar must be finite and > 0"):
+            fp_estimate(star(4), [1], s, d_bar=d_bar)
+        g = build_directed([(0, 1), (1, 2), (2, 0)], 3)
+        for mode in ("node", "friend", "follower"):
+            with pytest.raises(ValueError, match="d_bar must be finite and > 0"):
+                directed_estimates(g, mode, [1], sharing(g, [0]), d_bar=d_bar)
+
     def test_estimates_not_clamped(self):
         # single-draw values can exceed 1 by design; clamping would bias them
         g = star(9)

@@ -111,9 +111,11 @@ class TestBuildDirected:
         edges = [(int(a), int(b)) for a, b in rng.integers(0, 8, size=(40, 2)) if a != b]
         g = build_directed(edges, 8)
         assert g.out_degrees.sum() == g.in_degrees.sum() == g.num_edges
+        assert g.out_degrees.tolist() == [len({w for u, w in edges if u == v}) for v in range(8)]
         for v in range(8):
-            for u in g.out_neighbors(v).tolist():
-                assert v in g.in_neighbors(u)
+            friends = g.indices[g.indptr[v] : g.indptr[v + 1]]  # the sources of v's incoming links
+            assert friends.tolist() == sorted({u for u, w in edges if w == v})
+            assert g.in_degrees[v] == friends.size
 
 
 class TestPackedKeyEdgeCore:
@@ -135,8 +137,9 @@ class TestPackedKeyEdgeCore:
         for n in self.SIZES * 8:
             edges = random_multigraph_edges(rng, n)
             g = build_directed(edges, n)
-            got = (g.edge_array, g.out_indptr, g.out_indices, g.in_indptr, g.in_indices)
-            for a, b in zip(got, reference_build_directed(edges, n)):
+            edge_array, out_indptr, _, in_indptr, in_indices = reference_build_directed(edges, n)
+            got = (g.edge_array, g.indptr, g.indices, g.out_degrees)
+            for a, b in zip(got, (edge_array, in_indptr, in_indices, np.diff(out_indptr))):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert np.array_equal(a, b)
 
@@ -395,13 +398,28 @@ class TestLockstepWalk:
 
 class TestAverageDegree:
     def test_star(self):
-        assert average_degree(star(4)) == pytest.approx(1.6)
+        assert average_degree(star(4)) == 1.6
 
     def test_directed_cycle(self):
-        assert average_degree(build_directed([(0, 1), (1, 2), (2, 0)], 3)) == pytest.approx(1.0)
+        assert average_degree(build_directed([(0, 1), (1, 2), (2, 0)], 3)) == 1.0
 
     def test_edgeless(self):
         assert average_degree(build_undirected([], 5)) == 0.0
+
+    def test_equals_edge_count_formula_bit_for_bit(self):
+        rng = make_generator(305)
+        for n in [0, 0, 1, 2, 3, 7, 13, 40, 200, 997] * 6:
+            edges = random_multigraph_edges(rng, n)
+            g, dg = build_undirected(edges, n), build_directed(edges, n)
+            if n == 0:
+                assert average_degree(g) == average_degree(dg) == 0.0
+            else:
+                assert average_degree(g) == 2.0 * g.num_edges / n
+                assert average_degree(dg) == dg.num_edges / n
+        for _ in range(30):
+            g, dg = random_graph(rng, max_nodes=30, require_edge=False), random_digraph(rng, max_nodes=30)
+            assert average_degree(g) == 2.0 * g.num_edges / g.num_nodes
+            assert average_degree(dg) == dg.num_edges / dg.num_nodes
 
 
 class TestFriendshipParadox:
@@ -572,7 +590,7 @@ class TestGatherSegments:
             g = random_graph(rng, max_nodes=15, require_edge=False)
             dg = random_digraph(rng)
             for indptr, indices, n in ((g.indptr, g.indices, g.num_nodes),
-                                       (dg.in_indptr, dg.in_indices, dg.num_nodes)):
+                                       (dg.indptr, dg.indices, dg.num_nodes)):
                 rows = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))  # repeats, isolated rows
                 values, bounds = gather_segments(indptr, indices, rows)
                 want_values, want_bounds = self.brute(indptr, indices, rows)

@@ -34,6 +34,7 @@ from exposure_lab import (
     StepPolicy,
     build_directed,
     build_undirected,
+    cascade,
     cli,
     configuration_model,
     harness,
@@ -189,8 +190,7 @@ def _load_outcome(path, directed):
         g, report = load_graph(path, directed=directed)
     except Exception as exc:  # noqa: BLE001 -- the outcome under comparison
         return ("raised", type(exc), str(exc))
-    names = ("edge_array", "out_indptr", "out_indices", "in_indptr", "in_indices") if directed \
-        else ("edge_array", "indptr", "indices")
+    names = ("edge_array", "indptr", "indices") + (("out_degrees",) if directed else ())
     arrays = tuple(getattr(g, a).tolist() for a in names)
     fields = (report.num_nodes, report.num_edges, report.num_edge_lines, report.num_ignored_lines,
               report.remapped, None if report.id_map is None else report.id_map.tolist())
@@ -206,7 +206,11 @@ def _reference_load_outcome(path, directed):
     ids = np.unique(pairs)
     remapped = bool(ids.size) and ids[-1] != ids.size - 1
     n = ids.size if remapped else int(ids[-1]) + 1 if ids.size else 0
-    arrays = (reference_build_directed if directed else reference_build_undirected)(np.searchsorted(ids, pairs), n)
+    if directed:  # compared as the friend (in-neighbor) CSR and the out-degrees
+        edge_array, out_indptr, _, in_indptr, in_indices = reference_build_directed(np.searchsorted(ids, pairs), n)
+        arrays = (edge_array, in_indptr, in_indices, np.diff(out_indptr))
+    else:
+        arrays = reference_build_undirected(np.searchsorted(ids, pairs), n)
     fields = (n, arrays[0].shape[0], pairs.shape[0], ignored, remapped, ids.tolist() if remapped else None)
     return ("loaded", DiGraph if directed else Graph, n, tuple(a.tolist() for a in arrays), fields)
 
@@ -692,8 +696,11 @@ class TestDegenerateRuns:
     @pytest.mark.parametrize("flags,message", [
         (["--method", ","], "at least one method"), (["--method", "vanilla", "--samples", "0"], "n_samples >= 1"),
         (["--method", "vanilla,vanilla"], "'vanilla' listed twice"),
-    ])
-    def test_estimate_cli_exit_code(self, tmp_path, capsys, flags, message):
+    ] + [(methods + ["--dbar-override", value], f"d_bar must be finite and > 0, got {float(value)}")
+         for methods in (["--method", "fp"], ["--directed", "--method", "d-node,d-friend"])
+         for value in ("-3", "0", "nan", "inf")])
+    def test_estimate_cli_exit_code(self, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.setattr(harness, "run_method", _no_draw)
         graph = tmp_path / "g.txt"
         graph.write_text("0 1\n1 2\n")
         sharers = tmp_path / "s.txt"
@@ -703,6 +710,46 @@ class TestDegenerateRuns:
                      "--reps", "2", "--out", str(out)] + flags) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("d_bar", [-3.0, 0.0, math.nan, math.inf])
+    def test_static_experiment_rejects_a_bad_d_bar_before_drawing(self, monkeypatch, d_bar):
+        monkeypatch.setattr(harness, "run_method", _no_draw)
+        for g, methods in ((star(4), ["vanilla", "fp"]), (build_directed([(0, 1), (1, 2)], 3), ["d-friend"])):
+            with pytest.raises(ValueError, match="d_bar must be finite and > 0"):
+                run_static_experiment(g, SharingState.from_sharers([0], g.num_nodes), methods, 5, 2, seed=0,
+                                      d_bar=d_bar)
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--epsilon", "2.5"], "constant step size must lie in (0, 1], got 2.5"),
+        (["--epsilon", "0"], "constant step size must lie in (0, 1], got 0.0"),
+        (["--initial-estimate", "nan"], "initial estimate must be finite, got nan"),
+        (["--policy", "decreasing", "--initial-estimate=-inf"], "initial estimate must be finite, got -inf"),
+    ])
+    def test_track_rejects_diverging_tracker_inputs(self, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.setattr(cascade, "run_cascade", _no_draw)
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n2 0\n")
+        out = tmp_path / "out.csv"
+        assert main(["track", "--graph", str(graph), "--model", "icm", "--steps", "3", "--out", str(out)]
+                    + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_track_rejects_a_bad_epsilon_before_shaping(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "configuration_model", _no_shaping)
+        out = tmp_path / "out.csv"
+        assert main(["track", "--nodes", "120", "--model", "ltm", "--steps", "3", "--epsilon", "2.5",
+                     "--out", str(out)]) == 2
+        assert "constant step size must lie in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_track_accepts_a_step_of_one(self, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n2 0\n2 3\n")
+        out = tmp_path / "out.csv"
+        assert main(["track", "--graph", str(graph), "--model", "icm", "--steps", "3", "--seeds-count", "1",
+                     "--epsilon", "1", "--seed", "3", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2 + 3
 
 
 def _oracle_graphs():

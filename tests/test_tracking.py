@@ -11,6 +11,7 @@ from exposure_lab import (
     average_degree,
     build_directed,
     build_undirected,
+    cascade,
     degree_sharing_correlation,
     exact_variance_fp,
     exact_variance_vanilla,
@@ -79,8 +80,20 @@ class TestStepPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             StepPolicy("warmup")
-        with pytest.raises(ValueError):
-            StepPolicy("constant", 0.0)
+        for epsilon in (0.0, -0.1, 1.0 + 1e-12, 2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"constant step size must lie in \(0, 1\]"):
+                StepPolicy("constant", epsilon)
+
+    def test_step_one_is_accepted_and_jumps_to_the_observation(self):
+        g = complete(3)
+        s = SharingState.from_sharers([0, 1, 2], 3)  # every node exposed: each observation is 1
+        state = make_tracker("vanilla", StepPolicy("constant", 1.0), initial_estimate=0.3)
+        assert tracker_update(state, g, exposure_all(g, s), make_generator(0), 4).estimate == 1.0
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_make_tracker_rejects_a_non_finite_start(self, start):
+        with pytest.raises(ValueError, match="initial estimate must be finite"):
+            make_tracker("fp", StepPolicy(), initial_estimate=start)
 
 
 class TestTrackerUpdate:
@@ -197,6 +210,18 @@ class TestRunTrackingExperiment:
         args = dict(model="icm", steps=3, schedule=2, seed_count=2, rng=make_generator(0))
         with pytest.raises(ValueError):
             run_tracking_experiment(star(4), **(args | bad))
+
+    @pytest.mark.parametrize("policy,start,message", [
+        (StepPolicy("decreasing"), math.nan, "initial estimate must be finite"),
+        (StepPolicy("constant", 1.0), math.inf, "initial estimate must be finite"),
+    ])
+    def test_trackers_checked_before_the_cascade(self, monkeypatch, policy, start, message):
+        def no_cascade(*args, **kwargs):
+            raise AssertionError("the cascade ran before the trackers were checked")
+        monkeypatch.setattr(cascade, "run_cascade", no_cascade)
+        with pytest.raises(ValueError, match=message):
+            run_tracking_experiment(star(4), model="icm", steps=2, vanilla_policy=policy, fp_policy=policy,
+                                    rng=make_generator(0), initial_estimate=start)
 
     @pytest.mark.parametrize("model", ["icm", "ltm"])
     def test_directed_graph_rejected(self, model):
