@@ -12,6 +12,7 @@ from .cascade import (
     SharingState,
     exposure_all,
     exposure_bits,
+    exposure_times,
     icm_step,
     ltm_step,
     run_cascade,

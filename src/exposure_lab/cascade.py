@@ -82,6 +82,28 @@ def exposure_all(g, s: SharingState) -> np.ndarray:
     return _sharing_counts(g.indptr, g.indices, s) > 0
 
 
+def exposure_times(g, activation) -> np.ndarray:
+    """Each node's earliest exposure step under a cascade's activation steps.
+
+    ``activation`` holds each node's step of first sharing, or -1 for never
+    (``CascadeTrajectory.activation``). A node is exposed at step t exactly
+    when some friend's activation step lies in [0, t], so its exposure step
+    is the least such step among its friends; a node with no friend that
+    ever shares (degree-0 nodes included) gets ``np.iinfo(np.int32).max``.
+    So ``exposure_times(g, traj.activation) <= t`` is
+    ``exposure_all(g, traj.state(t))``. One ``np.minimum.reduceat`` over the
+    friend CSR rows that have entries.
+    """
+    never = np.iinfo(np.int32).max
+    act = np.asarray(activation)
+    first = np.where(act >= 0, act, never).astype(np.int32, copy=False)
+    times = np.full(g.num_nodes, never, dtype=np.int32)
+    rows = np.flatnonzero(g.indptr[1:] > g.indptr[:-1])
+    if rows.size:
+        times[rows] = np.minimum.reduceat(first[g.indices], g.indptr[rows])
+    return times
+
+
 def true_exposure(g, s: SharingState) -> float:
     """Exact fraction of nodes exposed to the item: the estimation target."""
     if g.num_nodes < 1:

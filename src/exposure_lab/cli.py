@@ -38,6 +38,13 @@ EXIT_WARNING = 3
 # parsed arguments, so --graph can tell that one was given
 _TRACK_NETWORK_DEFAULTS = {"alpha": 2.5, "kmin": 1, "kmax": None, "assortativity": None,
                            "tolerance": genmodel.DEFAULT_TOLERANCE, "max_iters": genmodel.DEFAULT_MAX_ITERS}
+# track's flags that act under one value of another flag only, kept out of the
+# parsed arguments the same way: flag -> (other flag, value, default)
+_TRACK_SCOPED_FLAGS = {"p_inf": ("model", "icm", cascade.DEFAULT_INFECTION_PROB),
+                       "icm_retry": ("model", "icm", False),
+                       "theta": ("model", "ltm", cascade.DEFAULT_LTM_THRESHOLD),
+                       "ltm_strict": ("model", "ltm", False),
+                       "epsilon": ("policy", "constant", tracking.DEFAULT_STEP_SIZE)}
 
 
 def _stamp(subcommand: str, args_text: str) -> str:
@@ -98,17 +105,20 @@ def _build_parser() -> argparse.ArgumentParser:
     net.add_argument("--tolerance", type=float)
     net.add_argument("--max-iters", type=int)
     p.add_argument("--model", choices=("icm", "ltm"), required=True)
-    p.add_argument("--p-inf", type=float, default=cascade.DEFAULT_INFECTION_PROB)
-    p.add_argument("--theta", type=float, default=cascade.DEFAULT_LTM_THRESHOLD)
-    p.add_argument("--icm-retry", action="store_true",
+    p.add_argument("--p-inf", type=float, default=argparse.SUPPRESS,
+                   help=f"ICM infection probability (default {cascade.DEFAULT_INFECTION_PROB})")
+    p.add_argument("--theta", type=float, default=argparse.SUPPRESS,
+                   help=f"LTM threshold (default {cascade.DEFAULT_LTM_THRESHOLD})")
+    p.add_argument("--icm-retry", action="store_true", default=argparse.SUPPRESS,
                    help="re-attempt variant: every sharer retries each step")
-    p.add_argument("--ltm-strict", action="store_true",
+    p.add_argument("--ltm-strict", action="store_true", default=argparse.SUPPRESS,
                    help="activate only when the sharing fraction strictly exceeds theta")
     p.add_argument("--seeds-count", type=int, default=cascade.DEFAULT_SEED_COUNT)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--updates-per-step", type=int, default=tracking.DEFAULT_UPDATES_PER_STEP)
     p.add_argument("--policy", choices=("decreasing", "constant"), default="constant")
-    p.add_argument("--epsilon", type=float, default=tracking.DEFAULT_STEP_SIZE)
+    p.add_argument("--epsilon", type=float, default=argparse.SUPPRESS,
+                   help=f"constant step size (default {tracking.DEFAULT_STEP_SIZE})")
     p.add_argument("--initial-estimate", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -213,6 +223,11 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_track(args) -> int:
+    for flag, (other, value, _) in _TRACK_SCOPED_FLAGS.items():
+        if flag in vars(args) and getattr(args, other) != value:
+            raise ValueError(f"--{flag.replace('_', '-')} applies only with --{other} {value}")
+    args = argparse.Namespace(**{flag: default for flag, (_, _, default) in _TRACK_SCOPED_FLAGS.items()}
+                              | vars(args))
     policy = StepPolicy(args.policy, args.epsilon)
     rng = make_generator(args.seed)
     missed = False

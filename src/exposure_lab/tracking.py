@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from . import cascade
-from .cascade import exposure_all
-from .genmodel import degree_sharing_correlation
-from .graph import Graph, average_degree, gather_segments, sample_random_friends, sample_uniform_nodes
+from .cascade import exposure_times
+from .genmodel import _pearson_from_moments
+from .graph import Graph, average_degree, sample_random_friends, sample_uniform_nodes
 
 DEFAULT_STEP_SIZE = 0.01
 DEFAULT_UPDATES_PER_STEP = 100
+_CHUNK_SAMPLES = 1 << 16  # samples per tracker block in run_tracking_experiment: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,37 @@ def make_tracker(kind: str, policy: StepPolicy, initial_estimate: float = 0.0) -
     return TrackerState(initial_estimate, 0, kind, policy)
 
 
+def _fold(state: TrackerState, obs: np.ndarray) -> tuple[TrackerState, list]:
+    """Fold a (rows, U) block of observations, row after row in draw order,
+    through the scalar recursion estimate += step(n) * (observation - estimate).
+
+    Returns the new state and the estimate after each row. The steps come
+    from one ``StepPolicy.step`` call; a constant step skips the pairing.
+    """
+    n = state.updates_done
+    steps = state.policy.step(np.arange(n + 1, n + obs.size + 1))
+    rows = np.asarray(obs, dtype=float).tolist()
+    estimate = state.estimate
+    estimates = []
+    if isinstance(steps, np.ndarray):
+        for row, row_steps in zip(rows, steps.reshape(obs.shape).tolist()):
+            for o, a in zip(row, row_steps):
+                estimate += a * (o - estimate)
+            estimates.append(estimate)
+    else:
+        for row in rows:
+            for o in row:
+                estimate += steps * (o - estimate)
+            estimates.append(estimate)
+    return TrackerState(estimate, n + obs.size, state.kind, state.policy), estimates
+
+
+def _check_tracked_graph(g, kind: str) -> None:
+    cascade._cascade_csr(g)  # trackers follow cascades, which need an undirected graph
+    if kind == "fp" and g.num_edges < 1:
+        raise ValueError("the fp tracker needs at least one edge")
+
+
 def tracker_update(
     state: TrackerState, g: Graph, exposed: np.ndarray, rng: np.random.Generator, count: int = 1
 ) -> TrackerState:
@@ -78,20 +109,13 @@ def tracker_update(
     Returns the new state; the input is not mutated. A ``DiGraph`` is
     rejected before anything is drawn.
     """
-    cascade._cascade_csr(g)  # trackers follow cascades, which need an undirected graph
+    _check_tracked_graph(g, state.kind)
     if state.kind == "vanilla":
         obs = exposed[sample_uniform_nodes(g, count, rng)]
     else:
-        if g.num_edges < 1:
-            raise ValueError("the fp tracker needs at least one edge")
         nodes = sample_random_friends(g, count, rng)
         obs = average_degree(g) * exposed[nodes] / g.degrees[nodes]
-    n = state.updates_done
-    steps = state.policy.step(np.arange(n + 1, n + count + 1))
-    estimate = state.estimate
-    for o, a in zip(obs.tolist(), steps.tolist() if isinstance(steps, np.ndarray) else repeat(steps)):
-        estimate += a * (o - estimate)
-    return TrackerState(estimate, n + count, state.kind, state.policy)
+    return _fold(state, obs.reshape(1, count))[0]
 
 
 @dataclass(frozen=True)
@@ -122,39 +146,64 @@ def run_tracking_experiment(
     """Run one cascade with ``run_cascade``, then let both trackers chase its exposure.
 
     Other keywords (seeds, seed_count, p_inf, theta, ...) go to ``run_cascade``.
-    Per diffusion step t = 1..steps: mark the friends of the step's new
-    sharers exposed (exposure only grows) to get the exact exposed fraction,
-    then make ``schedule`` updates for the vanilla tracker and then for the
-    fp tracker, each from one batch of samples drawn with replacement
-    against the frozen step-t sharing state. The trackers are made (and
-    their inputs checked) first; the cascade draws from ``rng`` before they
-    do. One record per step.
+    The trackers and the graph are checked first (an undirected graph, with
+    an edge for the fp tracker when steps >= 1), then the cascade draws
+    from ``rng``. Node v is exposed at step t when its ``exposure_times``
+    entry is <= t, so the run needs no per-step sharing state:
+
+    - truth: the exposed fraction per step, from one ``bincount`` and
+      ``cumsum`` of the exposure times;
+    - degree-sharing correlation: the Pearson correlation of degree and
+      sharing, from cumulative sums of the activation steps with and
+      without degree weights (NaN where undefined);
+    - trackers: at step t = 1..steps each makes ``schedule`` U updates
+      from samples drawn with replacement, a sample x observing
+      ``exposure_time[x] <= t``. The steps are drawn in chunks of
+      max(1, 65536 // U) whole steps: per chunk, first the vanilla
+      tracker's (chunk steps, U) block of uniform nodes, then the fp
+      tracker's (chunk steps, U) block of random friends. Each block is
+      folded row after row in draw order through the scalar recursion of
+      ``tracker_update``.
+
+    One record per step.
     """
     if schedule < 1:
         raise ValueError("need at least one update per diffusion step")
     vanilla = make_tracker("vanilla", vanilla_policy, initial_estimate)
     fp = make_tracker("fp", fp_policy, initial_estimate)
+    _check_tracked_graph(g, "fp" if steps >= 1 else "vanilla")
     traj = cascade.run_cascade(g, model, steps, rng=rng, **cascade_args)
-    last = steps if traj.fixed_point_step is None else traj.fixed_point_step
-    exposed = exposure_all(g, traj.state(0))
+    n = g.num_nodes
+    times = exposure_times(g, traj.activation)
+    exposed = np.cumsum(np.bincount(times[times <= steps], minlength=steps + 1)).tolist()
+    d = g.degrees.astype(np.int64)
+    sum_d, sum_dd = int(d.sum()), int(np.sum(d * d))
+    shared = traj.activation >= 0
+    sharers = traj.sharer_counts().tolist()
+    sharer_degrees = np.cumsum(np.bincount(traj.activation[shared], weights=d[shared], minlength=steps + 1)
+                               .astype(np.int64)).tolist()
+    d_bar = average_degree(g)
+    chunk = max(1, _CHUNK_SAMPLES // schedule)
     records = []
-    for t in range(1, steps + 1):
-        if t == 1 or t <= last:  # past the fixed point the state stays put
-            state = traj.state(t)
-            exposed[gather_segments(g.indptr, g.indices, state.new_sharers)[0]] = True
-            f_bar = float(exposed.mean())
-            corr = degree_sharing_correlation(g, state)
-        vanilla = tracker_update(vanilla, g, exposed, rng, schedule)
-        fp = tracker_update(fp, g, exposed, rng, schedule)
-        records.append(
-            TrackRecord(
-                step=t,
-                true_exposure=f_bar,
-                vanilla_estimate=vanilla.estimate,
-                fp_estimate=fp.estimate,
-                vanilla_abs_error=abs(vanilla.estimate - f_bar),
-                fp_abs_error=abs(fp.estimate - f_bar),
-                degree_sharing_corr=corr,
+    for first in range(1, steps + 1, chunk):
+        t = np.arange(first, min(first + chunk, steps + 1))
+        seen = t[:, None]
+        x = sample_uniform_nodes(g, (t.size, schedule), rng)
+        y = sample_random_friends(g, (t.size, schedule), rng)
+        vanilla, v_est = _fold(vanilla, times[x] <= seen)
+        fp, f_est = _fold(fp, d_bar * (times[y] <= seen) / g.degrees[y])
+        for step, ve, fe in zip(t.tolist(), v_est, f_est):
+            f_bar = exposed[step] / n
+            records.append(
+                TrackRecord(
+                    step=step,
+                    true_exposure=f_bar,
+                    vanilla_estimate=ve,
+                    fp_estimate=fe,
+                    vanilla_abs_error=abs(ve - f_bar),
+                    fp_abs_error=abs(fe - f_bar),
+                    degree_sharing_corr=_pearson_from_moments(
+                        n, sum_d, sum_dd, sharer_degrees[step], sharers[step], sharers[step]),
+                )
             )
-        )
     return records

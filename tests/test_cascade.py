@@ -10,6 +10,7 @@ from exposure_lab import (
     cascade,
     exposure_all,
     exposure_bits,
+    exposure_times,
     icm_step,
     ltm_step,
     make_generator,
@@ -19,6 +20,7 @@ from exposure_lab import (
 
 from oracles import (
     complete,
+    random_digraph,
     cycle,
     exposure_oracle,
     nb_percolation_threshold,
@@ -139,6 +141,71 @@ class TestTrueExposure:
             assert 0.0 <= f <= 1.0
             has_exposed = any(exposure_oracle(g, mask, v) for v in range(g.num_nodes))
             assert (f == 0.0) == (not has_exposed)
+
+
+NEVER = np.iinfo(np.int32).max
+
+
+def _with_isolated_nodes(rng, extra):
+    """A random graph whose node count is padded with ``extra`` isolated nodes."""
+    g = random_graph(rng, max_nodes=40, min_nodes=10, p=0.12)
+    return build_undirected(g.edge_array, g.num_nodes + extra)
+
+
+class TestExposureTimes:
+    """exposure_times(g, activation) <= t is exposure_all(g, state(t)) at every step t."""
+
+    def _check(self, g, traj):
+        times = exposure_times(g, traj.activation)
+        assert times.dtype == np.int32 and times.shape == (g.num_nodes,)
+        for t in range(traj.steps + 1):
+            assert np.array_equal(times <= t, exposure_all(g, traj.state(t))), t
+        never = ~exposure_all(g, traj.state(traj.steps))
+        assert np.array_equal(times == NEVER, never)
+        assert np.all(times[g.degrees == 0] == NEVER)
+        return times
+
+    @pytest.mark.parametrize("model,kwargs", [
+        ("icm", dict(p_inf=0.3)),
+        ("icm", dict(p_inf=0.3, icm_retry=True)),
+        ("ltm", dict(theta=0.2)),
+        ("ltm", dict(theta=0.25, ltm_strict=True)),
+    ], ids=["icm", "icm_retry", "ltm", "ltm_strict"])
+    def test_equals_exposure_of_every_state(self, model, kwargs):
+        rng = make_generator(310)
+        grew = 0
+        for i in range(30):
+            g = _with_isolated_nodes(rng, extra=int(rng.integers(0, 4)))
+            traj = run_cascade(g, model, steps=10, seed_count=2, rng=make_generator(311, i), **kwargs)
+            times = self._check(g, traj)
+            grew += len(set(times[times != NEVER].tolist())) >= 3
+        assert grew >= 5
+
+    @pytest.mark.parametrize("model,kwargs", [("icm", dict(p_inf=0.0)), ("ltm", dict(theta=1.0))])
+    def test_cascade_that_never_grows(self, model, kwargs):
+        g = star(5)
+        traj = run_cascade(g, model, steps=4, seeds=[1], rng=make_generator(312), **kwargs)
+        assert traj.fixed_point_step == 0
+        times = self._check(g, traj)
+        assert times.tolist() == [0] + [NEVER] * 5
+
+    def test_edgeless_graph(self):
+        for n in (0, 5):
+            g = build_undirected([], n)
+            traj = run_cascade(g, "ltm", steps=3, seeds=list(range(0, n, 2)))
+            assert self._check(g, traj).tolist() == [NEVER] * n
+
+    def test_any_activation_on_either_graph_type(self):
+        # activation steps drawn at random, -1 for never, on undirected
+        # graphs and on digraphs, whose friends are the sources of their links
+        rng = make_generator(313)
+        for i in range(60):
+            g = random_digraph(rng, max_nodes=30) if i % 2 else _with_isolated_nodes(rng, extra=2)
+            activation = rng.integers(-1, 6, size=g.num_nodes).astype(np.int32)
+            times = exposure_times(g, activation)
+            for t in range(7):
+                state = SharingState((activation >= 0) & (activation <= t))
+                assert np.array_equal(times <= t, exposure_all(g, state)), (i, t)
 
 
 class TestIcm:

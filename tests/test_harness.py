@@ -751,6 +751,47 @@ class TestDegenerateRuns:
                      "--epsilon", "1", "--seed", "3", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2 + 3
 
+    @pytest.mark.parametrize("source", ["graph", "nodes"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--model", "ltm", "--p-inf", "7"], "--p-inf applies only with --model icm"),
+        (["--model", "ltm", "--icm-retry"], "--icm-retry applies only with --model icm"),
+        (["--model", "icm", "--theta", "0.2"], "--theta applies only with --model ltm"),
+        (["--model", "icm", "--ltm-strict"], "--ltm-strict applies only with --model ltm"),
+        (["--model", "icm", "--policy", "decreasing", "--epsilon", "0.1"],
+         "--epsilon applies only with --policy constant"),
+    ], ids=["p_inf_ltm", "icm_retry_ltm", "theta_icm", "ltm_strict_icm", "epsilon_decreasing"])
+    def test_track_rejects_a_flag_its_settings_ignore(self, tmp_path, monkeypatch, capsys, source, flags, message):
+        monkeypatch.setattr(harness, "load_graph", _no_shaping)
+        monkeypatch.setattr(cli, "configuration_model", _no_shaping)
+        out = tmp_path / "out.csv"
+        net = ["--graph", str(tmp_path / "g.txt")] if source == "graph" else ["--nodes", "120"]
+        assert main(["track", *net, "--steps", "3", "--out", str(out)] + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,want", [
+        (["--model", "icm"], dict(p_inf=0.05, icm_retry=False, theta=0.05, ltm_strict=False, epsilon=0.01)),
+        (["--model", "icm", "--p-inf", "0.3", "--icm-retry", "--epsilon", "0.5"],
+         dict(p_inf=0.3, icm_retry=True, theta=0.05, ltm_strict=False, epsilon=0.5)),
+        (["--model", "ltm", "--theta", "0.2", "--ltm-strict", "--policy", "decreasing"],
+         dict(p_inf=0.05, icm_retry=False, theta=0.2, ltm_strict=True, epsilon=0.01)),
+    ], ids=["defaults", "icm_flags", "ltm_flags"])
+    def test_track_fills_in_omitted_model_and_step_flags(self, tmp_path, monkeypatch, flags, want):
+        seen = {}
+
+        def recording(g, **kwargs):
+            seen.update(kwargs)
+            return []
+        monkeypatch.setattr(cli, "run_tracking_experiment", recording)
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n2 0\n")
+        assert main(["track", "--graph", str(graph), "--steps", "3", "--out", str(tmp_path / "out.csv")]
+                    + flags) == 0
+        assert {k: seen[k] for k in ("p_inf", "icm_retry", "theta", "ltm_strict")} == {
+            k: want[k] for k in ("p_inf", "icm_retry", "theta", "ltm_strict")}
+        assert seen["vanilla_policy"] == seen["fp_policy"] == StepPolicy(
+            "decreasing" if "decreasing" in flags else "constant", want["epsilon"])
+
 
 def _oracle_graphs():
     """A 400-node undirected graph with isolated nodes, its sharers, and a directed graph."""

@@ -21,6 +21,7 @@ from exposure_lab import (
     ltm_step,
     make_generator,
     make_tracker,
+    run_cascade,
     run_tracking_experiment,
     sample_random_friends,
     sample_uniform_nodes,
@@ -28,6 +29,7 @@ from exposure_lab import (
     true_exposure,
 )
 
+from exposure_lab import tracking
 from oracles import complete, random_graph, random_sharing_mask, star
 
 
@@ -278,8 +280,8 @@ class TestRunTrackingExperiment:
         assert improved >= 19
 
     def test_truth_equals_replayed_state(self):
-        # the incrementally maintained exposure equals a full recomputation on
-        # the replayed cascade: LTM, and ICM with and without retry at p_inf 1
+        # the truth read from the exposure times equals a full recomputation
+        # on the replayed cascade: LTM, and ICM with and without retry at p_inf 1
         rng = make_generator(105)
         g = random_graph(rng, max_nodes=60, min_nodes=40, p=0.06)
         for model, retry in (("ltm", False), ("icm", False), ("icm", True)):
@@ -294,6 +296,111 @@ class TestRunTrackingExperiment:
                     state = icm_step(g, state, 1.0, make_generator(0), retry=retry)
                 assert rec.true_exposure == true_exposure(g, state), (model, retry, rec.step)
             assert len({r.true_exposure for r in records}) >= 3, (model, retry)
+
+    @pytest.mark.parametrize("model,kwargs", [
+        ("icm", dict(p_inf=0.3)), ("icm", dict(p_inf=0.3, icm_retry=True)),
+        ("ltm", dict(theta=0.2)), ("ltm", dict(theta=0.2, ltm_strict=True)),
+    ], ids=["icm", "icm_retry", "ltm", "ltm_strict"])
+    def test_truth_and_correlation_equal_each_replayed_state(self, model, kwargs):
+        # both columns, read from cumulative counts, equal a recomputation on
+        # every step's replayed state, the last step included
+        rng = make_generator(110)
+        grew_at_the_end = 0
+        for i in range(20):
+            g = random_graph(rng, max_nodes=50, min_nodes=20, p=0.08)
+            steps = int(rng.integers(1, 5))
+            records = run_tracking_experiment(g, model=model, steps=steps, schedule=2, seed_count=2,
+                                              rng=make_generator(111, i), **kwargs)
+            traj = run_cascade(g, model, steps, seed_count=2, rng=make_generator(111, i), **kwargs)
+            grew_at_the_end += int(traj.activation.max()) == steps
+            assert [r.step for r in records] == list(range(1, steps + 1))
+            for r in records:
+                state = traj.state(r.step)
+                assert r.true_exposure == true_exposure(g, state)
+                want = degree_sharing_correlation(g, state)
+                assert r.degree_sharing_corr == want or math.isnan(r.degree_sharing_corr) and math.isnan(want)
+        assert grew_at_the_end >= 3
+
+    @pytest.mark.parametrize("cap", [tracking._CHUNK_SAMPLES, 10, 3], ids=["one_chunk", "three_steps", "over_cap"])
+    @pytest.mark.parametrize("model,kwargs", [
+        ("icm", dict(p_inf=0.3)), ("icm", dict(p_inf=0.3, icm_retry=True)), ("ltm", dict(theta=0.2)),
+    ], ids=["icm", "icm_retry", "ltm"])
+    def test_records_replay_the_documented_draws(self, monkeypatch, cap, model, kwargs):
+        # the same generator draws the cascade, then per chunk of
+        # max(1, cap // U) steps a (steps, U) block of uniform nodes and then
+        # one of random friends; each block's exposure bits, read from the
+        # replayed state of its step, are folded through tracker_update's
+        # recursion, and the records hold the estimate after each step's U
+        monkeypatch.setattr(tracking, "_CHUNK_SAMPLES", cap)
+        rng = make_generator(107)
+        g = random_graph(rng, max_nodes=40, min_nodes=25, p=0.1)
+        policies = {"vanilla": StepPolicy("decreasing"), "fp": StepPolicy("constant", 0.2)}
+        steps, updates = 8, 4
+        records = run_tracking_experiment(
+            g, model=model, steps=steps, schedule=updates, vanilla_policy=policies["vanilla"],
+            fp_policy=policies["fp"], seed_count=3, rng=make_generator(108), initial_estimate=0.25, **kwargs)
+        replay = make_generator(108)
+        traj = run_cascade(g, model, steps, seed_count=3, rng=replay, **kwargs)
+        estimates = {"vanilla": 0.25, "fp": 0.25}
+        want = {"vanilla": [], "fp": []}
+        chunk = max(1, cap // updates)
+        for first in range(1, steps + 1, chunk):
+            chunk_steps = list(range(first, min(first + chunk, steps + 1)))
+            blocks = {"vanilla": sample_uniform_nodes(g, (len(chunk_steps), updates), replay),
+                      "fp": sample_random_friends(g, (len(chunk_steps), updates), replay)}
+            for kind, block in blocks.items():
+                for row, t in zip(block, chunk_steps):
+                    bits = exposure_bits(g, traj.state(t), row)
+                    obs = bits.astype(float) if kind == "vanilla" else average_degree(g) * bits / g.degrees[row]
+                    for i, o in enumerate(obs.tolist()):
+                        n = (t - 1) * updates + i + 1
+                        estimates[kind] = estimates[kind] + policies[kind].step(n) * (o - estimates[kind])
+                    want[kind].append(estimates[kind])
+        assert [r.vanilla_estimate for r in records] == want["vanilla"]
+        assert [r.fp_estimate for r in records] == want["fp"]
+        assert [r.step for r in records] == list(range(1, steps + 1))
+
+    def test_blocks_stay_within_the_chunk_cap(self, monkeypatch):
+        # 700 steps of 100 updates is 70 000 samples per tracker, above the
+        # 65 536 cap: two chunks (655 and 45 steps), a record for every step
+        sizes = []
+
+        def recording(sampler):
+            def wrapped(g, size, rng):
+                sizes.append((sampler.__name__, size))
+                return sampler(g, size, rng)
+            return wrapped
+
+        monkeypatch.setattr(tracking, "sample_uniform_nodes", recording(sample_uniform_nodes))
+        monkeypatch.setattr(tracking, "sample_random_friends", recording(sample_random_friends))
+        steps, updates = 700, 100
+        assert steps * updates > tracking._CHUNK_SAMPLES == 1 << 16
+        records = run_tracking_experiment(star(6), model="icm", steps=steps, schedule=updates, seeds=[0],
+                                          p_inf=0.5, rng=make_generator(109))
+        assert [r.step for r in records] == list(range(1, steps + 1))
+        assert all(math.isfinite(r.vanilla_estimate) and math.isfinite(r.fp_estimate) for r in records)
+        assert sizes == [("sample_uniform_nodes", (655, 100)), ("sample_random_friends", (655, 100)),
+                         ("sample_uniform_nodes", (45, 100)), ("sample_random_friends", (45, 100))]
+        assert all(math.prod(size) <= tracking._CHUNK_SAMPLES for _, size in sizes)
+
+    @pytest.mark.parametrize("g,message", [
+        (build_undirected([], 4), "the fp tracker needs at least one edge"),
+        (build_directed([(0, 1), (1, 2)], 3), "cascades run on undirected graphs"),
+    ], ids=["edgeless", "directed"])
+    def test_graph_checked_before_any_block(self, monkeypatch, g, message):
+        def no_block(*args, **kwargs):
+            raise AssertionError("a tracker block was drawn before the graph was checked")
+        monkeypatch.setattr(tracking, "sample_uniform_nodes", no_block)
+        monkeypatch.setattr(tracking, "sample_random_friends", no_block)
+        rng = make_generator(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            run_tracking_experiment(g, model="ltm", steps=2, schedule=3, seeds=[0], rng=rng)
+        assert rng.bit_generator.state == before
+
+    def test_zero_steps_give_no_records(self):
+        assert run_tracking_experiment(star(4), model="icm", steps=0, seeds=[0], rng=make_generator(0)) == []
+        assert run_tracking_experiment(build_undirected([], 3), model="ltm", steps=0, seeds=[0]) == []
 
     def test_records_shape(self):
         g = star(4)
