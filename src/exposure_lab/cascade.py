@@ -158,6 +158,26 @@ def _next_state(s: SharingState, hits: np.ndarray) -> SharingState:
     return SharingState(mask, hits)
 
 
+def _check_model_value(model: str, value: float) -> None:
+    """Reject an ICM infection probability outside [0, 1] or an LTM threshold outside (0, 1]."""
+    if model == "icm" and not 0.0 <= value <= 1.0:
+        raise ValueError("infection probability must lie in [0, 1]")
+    if model == "ltm" and not 0.0 < value <= 1.0:
+        raise ValueError("threshold must lie in (0, 1]")
+
+
+def _check_cascade_inputs(model: str, steps: int, p_inf: float, theta: float, seed_count: int,
+                          num_nodes: int | None) -> None:
+    """run_cascade's checks that need no graph: model, steps, p_inf or theta, and the seed count given num_nodes."""
+    if model not in ("icm", "ltm"):
+        raise ValueError(f"unknown cascade model: {model!r}")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    _check_model_value(model, p_inf if model == "icm" else theta)
+    if num_nodes is not None and not 1 <= seed_count <= num_nodes:
+        raise ValueError("seed_count must lie in [1, num_nodes]")
+
+
 def icm_step(g: Graph, s: SharingState, p_inf: float, rng: np.random.Generator, retry: bool = False) -> SharingState:
     """One independent-cascade step.
 
@@ -166,8 +186,7 @@ def icm_step(g: Graph, s: SharingState, p_inf: float, rng: np.random.Generator, 
     Earlier sharers never retry (set ``retry=True`` for the re-attempt
     variant where every current sharer attempts each step).
     """
-    if not 0.0 <= p_inf <= 1.0:
-        raise ValueError("infection probability must lie in [0, 1]")
+    _check_model_value("icm", p_inf)
     targets = gather_segments(*_cascade_csr(g), s.sharers if retry else s.new_sharers)[0]
     targets = targets[~s.mask[targets]]  # one entry per (source, target) attempt
     return _next_state(s, targets[rng.random(targets.shape[0]) < p_inf])  # SharingState dedupes repeat hits
@@ -180,13 +199,12 @@ def ltm_step(g: Graph, s: SharingState, theta: float, strict: bool = False) -> S
     neighbors already sharing reaches ``theta`` (strictly exceeds it when
     ``strict``). Degree-0 nodes never activate.
     """
+    _check_model_value("ltm", theta)
     return _ltm_fire(g, s, _sharing_counts(*_cascade_csr(g), s), theta, strict)
 
 
 def _ltm_fire(g: Graph, s: SharingState, counts: np.ndarray, theta: float, strict: bool) -> SharingState:
     """The linear-threshold step from ``counts``, each node's sharing neighbors in ``s``."""
-    if not 0.0 < theta <= 1.0:
-        raise ValueError("threshold must lie in (0, 1]")
     eligible = (~s.mask) & (g.degrees > 0)
     frac = np.zeros(g.num_nodes)
     frac[eligible] = counts[eligible] / g.degrees[eligible]
@@ -213,17 +231,13 @@ def run_cascade(
     no sharers the cascade stops there and the fixed point is flagged. An
     LTM cascade counts each node's sharing neighbors once, at step 1, and
     then adds the friends of each step's new sharers, so the whole run makes
-    one pass over the edges instead of one per step.
+    one pass over the edges instead of one per step. Every input is checked
+    before the seeds are drawn, also when ``steps`` is 0.
     """
-    if model not in ("icm", "ltm"):
-        raise ValueError(f"unknown cascade model: {model!r}")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    _check_cascade_inputs(model, steps, p_inf, theta, seed_count, g.num_nodes if seeds is None else None)
     if seeds is None:
         if rng is None:
             raise ValueError("either explicit seeds or an rng for seed selection is required")
-        if not 1 <= seed_count <= g.num_nodes:
-            raise ValueError("seed_count must lie in [1, num_nodes]")
         seeds = rng.choice(g.num_nodes, size=seed_count, replace=False)
     state = SharingState.from_sharers(seeds, g.num_nodes)
     activation = np.full(g.num_nodes, -1, dtype=np.int32)

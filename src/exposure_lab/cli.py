@@ -229,6 +229,10 @@ def _cmd_track(args) -> int:
     args = argparse.Namespace(**{flag: default for flag, (_, _, default) in _TRACK_SCOPED_FLAGS.items()}
                               | vars(args))
     policy = StepPolicy(args.policy, args.epsilon)
+    # the run's own inputs, checked before a network is loaded or shaped; the
+    # seed count only against --nodes, since a --graph file's size is unknown here
+    tracking._check_schedule(args.updates_per_step)
+    cascade._check_cascade_inputs(args.model, args.steps, args.p_inf, args.theta, args.seeds_count, args.nodes)
     rng = make_generator(args.seed)
     missed = False
     if args.graph is not None:

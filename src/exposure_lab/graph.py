@@ -286,24 +286,32 @@ def gather_segments(indptr: np.ndarray, indices: np.ndarray, rows) -> tuple:
     return indices[np.arange(int(bounds[-1])) + offsets], bounds
 
 
-def component_labels(edges, num_nodes: int) -> np.ndarray:
-    """Each node's smallest component member, by hook-and-jump labelling (Shiloach & Vishkin 1982).
+def _labels_and_sides(edges, num_nodes: int) -> tuple:
+    """Each node's smallest component member and its side, 0 or 1, by hook-and-jump labelling (Shiloach & Vishkin 1982).
 
-    A round hooks each root that an edge joins to a smaller root onto the
-    smallest such root, then jumps pointers until every label is a root.
+    A node holds 2*label + side. A round hooks each root that an edge (u, v)
+    joins to a smaller root onto the smallest such root, on side
+    side(u) ^ side(v) ^ 1, then jumps pointers, composing sides, until every
+    label is a root. The hooked edges span each component, so a component is
+    bipartite exactly when every one of its edges joins two sides.
     """
-    labels = np.arange(num_nodes, dtype=np.int64)
+    code = 2 * np.arange(num_nodes, dtype=np.int64)  # every node starts as its own root, on side 0
     u, v = _as_edge_array(edges).T
-    lu, lv = u, v  # every node starts as its own root
     while u.size:
-        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
-        jumped = labels[labels]
-        while not np.array_equal(jumped, labels):
-            labels, jumped = jumped, jumped[jumped]
-        lu, lv = labels[u], labels[v]
-        cross = lu != lv
-        u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
-    return labels
+        cu, cv = code[u], code[v]
+        # the larger root takes the smaller root's label, on side side(u) ^ side(v) ^ 1
+        np.minimum.at(code, np.maximum(cu, cv) >> 1, (np.minimum(cu, cv) | 1) ^ ((cu ^ cv) & 1))
+        jumped = code[code >> 1] ^ (code & 1)
+        while not np.array_equal(jumped, code):
+            code, jumped = jumped, jumped[jumped >> 1] ^ (jumped & 1)
+        cross = (code[u] ^ code[v]) > 1  # the labels differ
+        u, v = u[cross], v[cross]
+    return code >> 1, code & 1
+
+
+def component_labels(edges, num_nodes: int) -> np.ndarray:
+    """Each node's smallest component member (see _labels_and_sides)."""
+    return _labels_and_sides(edges, num_nodes)[0]
 
 
 def is_connected(g: Graph) -> bool:
@@ -311,20 +319,13 @@ def is_connected(g: Graph) -> bool:
     return bool((component_labels(g.edge_array, g.num_nodes) == 0).all())
 
 
-def _double_cover_labels(g: Graph) -> np.ndarray:
-    """component_labels of the bipartite double cover: node v and its copy v + n, edges (u, v+n) and (u+n, v).
-
-    A bipartite component lifts to two components, one holding each side's
-    copies, and any other component to one that holds both copies of each node.
-    """
-    n, (u, v) = g.num_nodes, g.edge_array.T
-    return component_labels(np.concatenate([np.stack([u, v + n], 1), np.stack([u + n, v], 1)]), 2 * n)
+def _two_sided(g: Graph, sides: np.ndarray) -> bool:
+    return not np.any(sides[g.edge_array[:, 0]] == sides[g.edge_array[:, 1]])
 
 
 def is_bipartite(g: Graph) -> bool:
-    """True when no node shares a label with its copy in the bipartite double cover."""
-    labels = _double_cover_labels(g)
-    return not np.any(labels[: g.num_nodes] == labels[g.num_nodes :])
+    """True when every edge joins the two sides of its component."""
+    return _two_sided(g, _labels_and_sides(g.edge_array, g.num_nodes)[1])
 
 
 def walk_precondition_failures(g: Graph) -> tuple:
@@ -332,17 +333,15 @@ def walk_precondition_failures(g: Graph) -> tuple:
 
     The walk's law converges to d(v)/2|E| when the nodes of degree >= 1
     form one connected, non-bipartite graph; isolated nodes are never
-    visited, so they do not count. One labelling of the double cover
-    answers both: a component is named by the smaller label of its nodes'
-    two copies, and it is bipartite when those copies' labels differ.
+    visited, so they do not count. One labelling with sides answers both:
+    it counts components at their smallest members and reads the sides.
     """
+    labels, sides = _labels_and_sides(g.edge_array, g.num_nodes)
     active = np.flatnonzero(g.degrees > 0)
-    labels = _double_cover_labels(g)
-    own, copy = labels[active], labels[active + g.num_nodes]
-    components = sorted_unique(np.minimum(own, copy)).size
+    components = int(np.count_nonzero(labels[active] == active))
     if components > 1:
         return (f"fp-walk samples are biased: the nodes with friends form {components} components, "
                 "and a walk never leaves the one it starts in",)
-    if components == 1 and (own != copy).all():
+    if components == 1 and _two_sided(g, sides):
         return ("fp-walk samples are biased: the graph is bipartite, so a walk alternates between its two sides",)
     return ()

@@ -89,6 +89,11 @@ def _fold(state: TrackerState, obs: np.ndarray) -> tuple[TrackerState, list]:
     return TrackerState(estimate, n + obs.size, state.kind, state.policy), estimates
 
 
+def _check_schedule(schedule: int) -> None:
+    if schedule < 1:
+        raise ValueError("need at least one update per diffusion step")
+
+
 def _check_tracked_graph(g, kind: str) -> None:
     cascade._cascade_csr(g)  # trackers follow cascades, which need an undirected graph
     if kind == "fp" and g.num_edges < 1:
@@ -167,8 +172,7 @@ def run_tracking_experiment(
 
     One record per step.
     """
-    if schedule < 1:
-        raise ValueError("need at least one update per diffusion step")
+    _check_schedule(schedule)
     vanilla = make_tracker("vanilla", vanilla_policy, initial_estimate)
     fp = make_tracker("fp", fp_policy, initial_estimate)
     _check_tracked_graph(g, "fp" if steps >= 1 else "vanilla")

@@ -1,5 +1,7 @@
 """Exposure semantics and the two diffusion models."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -294,11 +296,10 @@ class TestLtm:
         g = star(4)
         with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\]"):
             ltm_step(g, sharing(g, [0]), theta)
-        # a cascade rejects it at its first step, and makes none at steps=0
-        for steps in (1, 3):
+        # a cascade rejects it before its first step, at steps=0 too
+        for steps in (0, 1, 3):
             with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\]"):
                 run_cascade(g, "ltm", steps, seeds=[0], theta=theta)
-        assert run_cascade(g, "ltm", 0, seeds=[0], theta=theta).activation.tolist() == [0, -1, -1, -1, -1]
 
     def test_deterministic_and_consumes_no_rng(self):
         rng = make_generator(27)
@@ -339,6 +340,25 @@ class TestRunCascade:
         assert len(traj.states) == 8
         assert traj.fixed_point_step is not None
         assert traj.states[-1].num_sharers == traj.states[traj.fixed_point_step].num_sharers
+
+    @pytest.mark.parametrize("model,kwargs,message", [
+        ("icm", dict(p_inf=7.0), r"infection probability must lie in \[0, 1\]"),
+        ("icm", dict(p_inf=math.nan), r"infection probability must lie in \[0, 1\]"),
+        ("ltm", dict(theta=0.0), r"threshold must lie in \(0, 1\]"),
+        ("icm", dict(seed_count=0), r"seed_count must lie in \[1, num_nodes\]"),
+        ("ltm", dict(seed_count=6), r"seed_count must lie in \[1, num_nodes\]"),
+    ])
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_rejects_its_inputs_before_drawing_seeds(self, model, kwargs, message, steps):
+        g = star(4)
+        rng = make_generator(33)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            run_cascade(g, model, steps, rng=rng, **kwargs)
+        assert rng.bit_generator.state == before
+        if "seed_count" not in kwargs:
+            with pytest.raises(ValueError, match=message):
+                run_cascade(g, model, steps, seeds=[0], **kwargs)
 
     def test_seed_out_of_range(self):
         g = star(4)

@@ -1,5 +1,7 @@
 """Graph construction and sampling primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -20,7 +22,8 @@ from exposure_lab import (
     sample_uniform_nodes,
 )
 from exposure_lab import graph as graphmod
-from exposure_lab.graph import _packed_key_base, gather_segments, walk_precondition_failures
+from exposure_lab.genmodel import configuration_model, powerlaw_degree_sequence
+from exposure_lab.graph import _labels_and_sides, _packed_key_base, gather_segments, walk_precondition_failures
 
 from oracles import (
     complete,
@@ -492,6 +495,10 @@ class TestComponentLabels:
         labels = component_labels(g.edge_array, g.num_nodes)
         want = reference_component_labels(g)
         assert labels.dtype == np.int64 and np.array_equal(labels, want)
+        sides = _labels_and_sides(g.edge_array, g.num_nodes)[1]
+        assert set(sides.tolist()) <= {0, 1}
+        u, v = g.edge_array.T
+        assert bool((sides[u] != sides[v]).all()) == reference_is_bipartite(g)
         assert is_connected(g) == bool((want == 0).all())
         assert is_bipartite(g) == reference_is_bipartite(g)
         assert walk_precondition_failures(g) == reference_walk_precondition_failures(g)
@@ -547,7 +554,7 @@ class TestComponentLabels:
 
 
 class TestWalkPreconditionOracle:
-    """walk_precondition_failures, one double-cover labelling, against BFS counting and 2-colouring."""
+    """walk_precondition_failures, one labelling with sides, against BFS counting and 2-colouring."""
 
     CASES = {
         "connected, odd cycle": [(0, 1), (1, 2), (2, 0), (2, 3)],
@@ -574,6 +581,19 @@ class TestWalkPreconditionOracle:
             assert walk_precondition_failures(g) == want
             seen.add("bipartite" if want and "bipartite" in want[0] else "components" if want else "none")
         assert seen == {"none", "components", "bipartite"}
+
+    @pytest.mark.parametrize("check", [walk_precondition_failures, is_bipartite])
+    def test_traced_peak_stays_within_four_edge_arrays(self, check):
+        # labelling the graph itself, not a 2n-node double cover with 4m edge rows
+        rng = make_generator(713)
+        g = configuration_model(powerlaw_degree_sequence(100_000, 2.5, 1, rng), rng)
+        tracemalloc.start()
+        try:
+            check(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * g.edge_array.nbytes
 
 
 class TestGatherSegments:

@@ -743,6 +743,36 @@ class TestDegenerateRuns:
         assert "constant step size must lie in (0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["graph", "nodes"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--model", "icm", "--p-inf", "7"], "infection probability must lie in [0, 1]"),
+        (["--model", "icm", "--p-inf", "7", "--steps", "0"], "infection probability must lie in [0, 1]"),
+        (["--model", "ltm", "--theta", "0"], "threshold must lie in (0, 1]"),
+        (["--model", "icm", "--steps", "-1"], "steps must be >= 0"),
+        (["--model", "icm", "--updates-per-step", "0"], "need at least one update per diffusion step"),
+    ], ids=["p_inf", "p_inf_zero_steps", "theta", "steps", "updates_per_step"])
+    def test_track_rejects_cascade_inputs_before_loading_or_shaping(self, tmp_path, monkeypatch, capsys, source,
+                                                                     flags, message):
+        monkeypatch.setattr(harness, "load_graph", _no_shaping)
+        monkeypatch.setattr(cli, "configuration_model", _no_shaping)
+        out = tmp_path / "out.csv"
+        net = (["--graph", str(tmp_path / "g.txt")] if source == "graph"
+               else ["--nodes", "20000", "--assortativity", "0.1"])
+        assert main(["track", *net, "--steps", "3", "--out", str(out)] + flags) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "20001"])
+    def test_track_rejects_a_seed_count_beyond_nodes_before_shaping(self, tmp_path, monkeypatch, capsys, count):
+        monkeypatch.setattr(cli, "configuration_model", _no_shaping)
+        out = tmp_path / "out.csv"
+        assert main(["track", "--nodes", "20000", "--assortativity", "0.1", "--model", "icm", "--steps", "3",
+                     "--seeds-count", count, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "seed_count must lie in [1, num_nodes]" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_track_accepts_a_step_of_one(self, tmp_path):
         graph = tmp_path / "g.txt"
         graph.write_text("0 1\n1 2\n2 0\n2 3\n")
