@@ -166,15 +166,15 @@ def _check_model_value(model: str, value: float) -> None:
         raise ValueError("threshold must lie in (0, 1]")
 
 
-def _check_cascade_inputs(model: str, steps: int, p_inf: float, theta: float, seed_count: int,
+def _check_cascade_inputs(model: str, steps: int, p_inf: float, theta: float, seed_count: int | None,
                           num_nodes: int | None) -> None:
-    """run_cascade's checks that need no graph: model, steps, p_inf or theta, and the seed count given num_nodes."""
+    """run_cascade's checks that need no graph; seed_count None means explicit seeds, num_nodes None an unknown size."""
     if model not in ("icm", "ltm"):
         raise ValueError(f"unknown cascade model: {model!r}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_model_value(model, p_inf if model == "icm" else theta)
-    if num_nodes is not None and not 1 <= seed_count <= num_nodes:
+    if seed_count is not None and (seed_count < 1 or num_nodes is not None and seed_count > num_nodes):
         raise ValueError("seed_count must lie in [1, num_nodes]")
 
 
@@ -234,7 +234,7 @@ def run_cascade(
     one pass over the edges instead of one per step. Every input is checked
     before the seeds are drawn, also when ``steps`` is 0.
     """
-    _check_cascade_inputs(model, steps, p_inf, theta, seed_count, g.num_nodes if seeds is None else None)
+    _check_cascade_inputs(model, steps, p_inf, theta, seed_count if seeds is None else None, g.num_nodes)
     if seeds is None:
         if rng is None:
             raise ValueError("either explicit seeds or an rng for seed selection is required")

@@ -230,8 +230,9 @@ def _cmd_track(args) -> int:
                               | vars(args))
     policy = StepPolicy(args.policy, args.epsilon)
     # the run's own inputs, checked before a network is loaded or shaped; the
-    # seed count only against --nodes, since a --graph file's size is unknown here
+    # seed count's upper bound only with --nodes, since a --graph file's size is unknown here
     tracking._check_schedule(args.updates_per_step)
+    tracking.make_tracker("vanilla", policy, args.initial_estimate)  # a start that is not finite raises
     cascade._check_cascade_inputs(args.model, args.steps, args.p_inf, args.theta, args.seeds_count, args.nodes)
     rng = make_generator(args.seed)
     missed = False

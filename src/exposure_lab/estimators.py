@@ -257,14 +257,12 @@ class MarkovianSpec:
             raise ValueError("need at least one edge")
         if int(g.degrees.min()) == 0:
             raise ValueError("degree-0 nodes have no neighbor-degree distribution; drop them first")
-        ks, inverse = np.unique(g.degrees, return_inverse=True)
+        ks, inverse, counts = np.unique(g.degrees, return_inverse=True, return_counts=True)
         m = ks.shape[0]
-        counts = np.bincount(inverse, minlength=m)
         pk = counts / g.num_nodes
-        u, v = g.edge_array[:, 0], g.edge_array[:, 1]
-        pairs = np.concatenate([np.stack([inverse[u], inverse[v]], 1), np.stack([inverse[v], inverse[u]], 1)])
-        joint = np.zeros((m, m))
-        np.add.at(joint, (pairs[:, 0], pairs[:, 1]), 1.0)
+        # edges per (class of u, class of v) pair, then each edge counted from both ends
+        joint = np.bincount(inverse[g.edge_array] @ [m, 1], minlength=m * m).reshape(m, m)
+        joint += joint.T
         pkk = joint / joint.sum(axis=1, keepdims=True)
         rho = np.bincount(inverse, weights=s.mask.astype(float), minlength=m) / counts
         return cls(ks, pk, pkk, rho)

@@ -61,13 +61,13 @@ def _simple_edges(edges, num_nodes, directed: bool) -> tuple:
     return num_nodes, np.stack(np.divmod(keys, num_nodes), axis=1)
 
 
-def _csr_from_pairs(src: np.ndarray, dst: np.ndarray, num_nodes: int):
-    """Sorted-CSR adjacency from (src, dst) pairs on a checked node count. dst lists sorted per row."""
-    indices = np.sort(src * num_nodes + dst) % num_nodes
-    counts = np.bincount(src, minlength=num_nodes)
+def _csr_from_keys(keys: np.ndarray, counts: np.ndarray, num_nodes: int):
+    """Sorted-CSR (indptr, indices) from each row's count and packed keys row*n + col, sorted and reduced in place."""
+    keys.sort()
+    np.remainder(keys, num_nodes, out=keys)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return indptr, indices
+    return indptr, keys
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -87,11 +87,11 @@ class Graph:
     __slots__ = ("num_nodes", "indptr", "indices", "edge_array", "degrees")
 
     def __init__(self, num_nodes: int, edge_array):
-        self.num_nodes = int(num_nodes)
+        self.num_nodes = n = int(num_nodes)
         self.edge_array = edge_array
-        u, v = edge_array[:, 0], edge_array[:, 1]
-        self.indptr, self.indices = _csr_from_pairs(np.concatenate([u, v]), np.concatenate([v, u]), num_nodes)
-        self.degrees = self.indptr[1:] - self.indptr[:-1]
+        self.degrees = np.bincount(edge_array.reshape(-1), minlength=n)
+        # row (u, v) packs to the keys u*n + v and v*n + u of its two orientations
+        self.indptr, self.indices = _csr_from_keys((edge_array @ [[n, 1], [1, n]]).reshape(-1), self.degrees, n)
         _freeze(self.indptr, self.indices, self.edge_array, self.degrees)
 
     @property
@@ -121,12 +121,12 @@ class DiGraph:
     __slots__ = ("num_nodes", "indptr", "indices", "edge_array", "out_degrees", "in_degrees")
 
     def __init__(self, num_nodes: int, edge_array):
-        self.num_nodes = int(num_nodes)
+        self.num_nodes = n = int(num_nodes)
         self.edge_array = edge_array
-        src, dst = edge_array[:, 0], edge_array[:, 1]
-        self.indptr, self.indices = _csr_from_pairs(dst, src, num_nodes)
-        self.out_degrees = np.bincount(src, minlength=num_nodes)
-        self.in_degrees = self.indptr[1:] - self.indptr[:-1]
+        self.out_degrees = np.bincount(edge_array[:, 0], minlength=n)
+        self.in_degrees = np.bincount(edge_array[:, 1], minlength=n)
+        # row (src, dst) packs to the key dst*n + src: rows are the friend lists
+        self.indptr, self.indices = _csr_from_keys(edge_array @ [1, n], self.in_degrees, n)
         _freeze(self.edge_array, self.indptr, self.indices, self.out_degrees, self.in_degrees)
 
     @property

@@ -339,6 +339,25 @@ def reference_build_directed(edges, n: int):
     return (edge_array, *_reference_csr(src, dst, n), *_reference_csr(dst, src, n))
 
 
+def reference_markovian_spec(g: Graph, mask: np.ndarray) -> tuple:
+    """MarkovianSpec.from_graph's four arrays, counted node by node and edge by edge."""
+    degrees = g.degrees.tolist()
+    support = sorted(set(degrees))
+    index = {k: i for i, k in enumerate(support)}
+    m = len(support)
+    nodes, sharers = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+    for d, shares in zip(degrees, mask.tolist()):
+        nodes[index[d]] += 1
+        sharers[index[d]] += shares
+    joint = np.zeros((m, m))
+    for u, v in g.edge_array.tolist():
+        a, b = index[degrees[u]], index[degrees[v]]
+        joint[a, b] += 1.0
+        joint[b, a] += 1.0
+    return (np.array(support, dtype=np.int64), nodes / g.num_nodes, joint / joint.sum(axis=1, keepdims=True),
+            sharers / nodes)
+
+
 def reference_write_edge_list(path: str, g) -> None:
     """The edge-list writer, one formatted line per edge."""
     with open(path, "w", encoding="utf-8") as fh:

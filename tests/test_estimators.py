@@ -28,6 +28,8 @@ from exposure_lab import (
     true_exposure,
     vanilla_estimate,
 )
+from exposure_lab.genmodel import configuration_model, powerlaw_degree_sequence
+from exposure_lab.harness import compact_nonisolated
 
 from oracles import (
     complete,
@@ -39,6 +41,7 @@ from oracles import (
     random_digraph,
     random_graph,
     random_sharing_mask,
+    reference_markovian_spec,
     star,
 )
 
@@ -360,6 +363,17 @@ class TestMarkovianSpec:
         assert np.allclose(got.degree_dist, want.degree_dist)
         assert np.allclose(got.neighbor_degree_dist, want.neighbor_degree_dist)
         assert np.allclose(got.sharing_prob_given_degree, want.sharing_prob_given_degree)
+
+    def test_from_graph_equals_a_per_edge_count_on_configuration_model_graphs(self):
+        rng = make_generator(331)
+        for n, alpha in [(30, 2.1), (200, 2.5), (2000, 2.2), (2000, 3.0)]:
+            g = compact_nonisolated(configuration_model(powerlaw_degree_sequence(n, alpha, 1, rng), rng))[0]
+            mask = random_sharing_mask(rng, g.num_nodes)
+            got = MarkovianSpec.from_graph(g, SharingState.from_sharers(np.flatnonzero(mask), g.num_nodes))
+            arrays = (got.degree_support, got.degree_dist, got.neighbor_degree_dist, got.sharing_prob_given_degree)
+            for a, b in zip(arrays, reference_markovian_spec(g, mask)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert (a == b).all()
 
 
 class TestMarkovianExposureProb:

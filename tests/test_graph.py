@@ -164,6 +164,20 @@ class TestPackedKeyEdgeCore:
             with pytest.raises(ValueError, match="too large"):
                 build([], 2**62)
 
+    @pytest.mark.parametrize("build,bound", [(lambda e, n: Graph(n, e), 2.5), (build_undirected, 4.0)],
+                             ids=["Graph", "build_undirected"])
+    def test_traced_peak_of_a_build(self, build, bound):
+        # the CSR is sorted and reduced in place in one array of packed keys
+        rng = make_generator(714)
+        g = configuration_model(powerlaw_degree_sequence(100_000, 2.5, 1, rng), rng)
+        tracemalloc.start()
+        try:
+            build(g.edge_array, g.num_nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * g.edge_array.nbytes
+
 
 class TestUniformNodeSampling:
     def test_single_node_graph(self):

@@ -750,7 +750,9 @@ class TestDegenerateRuns:
         (["--model", "ltm", "--theta", "0"], "threshold must lie in (0, 1]"),
         (["--model", "icm", "--steps", "-1"], "steps must be >= 0"),
         (["--model", "icm", "--updates-per-step", "0"], "need at least one update per diffusion step"),
-    ], ids=["p_inf", "p_inf_zero_steps", "theta", "steps", "updates_per_step"])
+        (["--model", "icm", "--initial-estimate", "nan"], "initial estimate must be finite, got nan"),
+        (["--model", "icm", "--seeds-count", "0"], "seed_count must lie in [1, num_nodes]"),
+    ], ids=["p_inf", "p_inf_zero_steps", "theta", "steps", "updates_per_step", "initial_estimate", "seeds_count"])
     def test_track_rejects_cascade_inputs_before_loading_or_shaping(self, tmp_path, monkeypatch, capsys, source,
                                                                      flags, message):
         monkeypatch.setattr(harness, "load_graph", _no_shaping)
