@@ -16,7 +16,6 @@ from .graph import DiGraph, Graph, _freeze, gather_segments, sorted_unique
 DEFAULT_SEED_COUNT = 10
 DEFAULT_INFECTION_PROB = 0.05
 DEFAULT_LTM_THRESHOLD = 0.05
-EXPOSURE_CHUNK = 1 << 10  # nodes per friend-list gather: bounds exposure_bits' temporaries
 
 
 class SharingState:
@@ -61,25 +60,26 @@ class SharingState:
         return f"SharingState(num_nodes={self.num_nodes}, num_sharers={self.num_sharers})"
 
 
-def _sharing_counts(indptr: np.ndarray, indices: np.ndarray, s: SharingState) -> np.ndarray:
-    """Sharers in each CSR row ``indices[indptr[r]:indptr[r + 1]]``; all zeros when there are no entries."""
-    csum = np.concatenate(([0], np.cumsum(s.mask[indices])))
-    return csum[indptr[1:]] - csum[indptr[:-1]]
+def _sharing_counts(g, sharers) -> np.ndarray:
+    """Each node's count of sharing friends: a bincount over the sharers' out-lists.
+
+    A DiGraph's out-lists are the rows of ``edge_array``, which is sorted by source.
+    """
+    if isinstance(g, DiGraph):
+        indptr, indices = np.concatenate(([0], np.cumsum(g.out_degrees))), g.edge_array[:, 1]
+    else:
+        indptr, indices = g.indptr, g.indices
+    return np.bincount(gather_segments(indptr, indices, sharers)[0], minlength=g.num_nodes)
 
 
 def exposure_bits(g, s: SharingState, nodes) -> np.ndarray:
     """Exposure indicator for a batch of nodes: does some friend of each node share?"""
-    nodes = np.asarray(nodes, dtype=np.int64)
-    out = np.empty(nodes.shape[0], dtype=bool)
-    for lo in range(0, nodes.shape[0], EXPOSURE_CHUNK):
-        friends, bounds = gather_segments(g.indptr, g.indices, nodes[lo : lo + EXPOSURE_CHUNK])
-        out[lo : lo + EXPOSURE_CHUNK] = _sharing_counts(bounds, friends, s) > 0
-    return out
+    return exposure_all(g, s)[np.asarray(nodes, dtype=np.int64)]
 
 
 def exposure_all(g, s: SharingState) -> np.ndarray:
-    """Exposure indicator for every node, computed in one vectorized pass."""
-    return _sharing_counts(g.indptr, g.indices, s) > 0
+    """Exposure indicator for every node: counted from the sharers' side, so the cost follows their degrees."""
+    return _sharing_counts(g, s.sharers) > 0
 
 
 def exposure_times(g, activation) -> np.ndarray:
@@ -200,7 +200,8 @@ def ltm_step(g: Graph, s: SharingState, theta: float, strict: bool = False) -> S
     ``strict``). Degree-0 nodes never activate.
     """
     _check_model_value("ltm", theta)
-    return _ltm_fire(g, s, _sharing_counts(*_cascade_csr(g), s), theta, strict)
+    _cascade_csr(g)  # refuses a DiGraph
+    return _ltm_fire(g, s, _sharing_counts(g, s.sharers), theta, strict)
 
 
 def _ltm_fire(g: Graph, s: SharingState, counts: np.ndarray, theta: float, strict: bool) -> SharingState:
@@ -229,12 +230,13 @@ def run_cascade(
 
     Returns the trajectory as one activation step per node. If a step adds
     no sharers the cascade stops there and the fixed point is flagged. An
-    LTM cascade counts each node's sharing neighbors once, at step 1, and
-    then adds the friends of each step's new sharers, so the whole run makes
-    one pass over the edges instead of one per step. Every input is checked
-    before the seeds are drawn, also when ``steps`` is 0.
+    LTM cascade's counts of sharing neighbors start at zero and add the
+    friends of each state's new sharers, the seeds first. Every input, the
+    graph's kind included, is checked before the seeds are drawn, also
+    when ``steps`` is 0.
     """
     _check_cascade_inputs(model, steps, p_inf, theta, seed_count if seeds is None else None, g.num_nodes)
+    _cascade_csr(g)
     if seeds is None:
         if rng is None:
             raise ValueError("either explicit seeds or an rng for seed selection is required")
@@ -247,16 +249,12 @@ def run_cascade(
     # single-attempt ICM (empty frontier); the retry variant can stall by
     # chance and still grow later, so it never terminates early.
     may_stop_early = model == "ltm" or not icm_retry
-    counts = None  # LTM: each node's sharing neighbors in the current state
+    counts = np.zeros(g.num_nodes, dtype=np.int64)  # LTM: each node's sharing neighbors in the current state
     for t in range(1, steps + 1):
         if model == "icm":
             state = icm_step(g, state, p_inf, rng, retry=icm_retry)
         else:
-            if counts is None:
-                counts = _sharing_counts(*_cascade_csr(g), state)
-            else:
-                counts += np.bincount(gather_segments(g.indptr, g.indices, state.new_sharers)[0],
-                                      minlength=g.num_nodes)
+            counts += _sharing_counts(g, state.new_sharers)
             state = _ltm_fire(g, state, counts, theta, ltm_strict)
         if state.new_sharers.size == 0 and may_stop_early:
             fixed_point = t - 1

@@ -137,6 +137,17 @@ def exposure_oracle(g, mask: np.ndarray, v: int) -> int:
     return int(any(mask[u] for u in friends))
 
 
+def sharing_count_oracle(g, mask: np.ndarray) -> list:
+    """Each node's number of sharing friends, by a loop over the edges: an edge
+    u -> v makes u a friend of v; an undirected edge makes each end the other's."""
+    counts = [0] * g.num_nodes
+    for u, v in g.edge_array.tolist():
+        counts[v] += bool(mask[u])
+        if not isinstance(g, DiGraph):
+            counts[u] += bool(mask[v])
+    return counts
+
+
 def true_exposure_oracle(g, mask: np.ndarray) -> float:
     return sum(exposure_oracle(g, mask, v) for v in range(g.num_nodes)) / g.num_nodes
 

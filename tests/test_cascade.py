@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from exposure_lab import (
+    DiGraph,
     SharingState,
     build_directed,
     build_undirected,
@@ -30,6 +31,7 @@ from oracles import (
     path,
     random_graph,
     random_sharing_mask,
+    sharing_count_oracle,
     star,
 )
 
@@ -60,9 +62,14 @@ class TestExposure:
         assert exposure_bits(g, s, [0]).tolist() == [False]
 
     def test_matches_brute_force_on_random_graphs(self):
+        # undirected and directed graphs, each with two isolated nodes appended,
+        # checked whole, node by node, and in a batch of length 0-13 whose every
+        # third entry is the same isolated node
         rng = make_generator(20)
-        for _ in range(40):
-            g = random_graph(rng, max_nodes=50, require_edge=False)
+        graphs = [random_graph(rng, max_nodes=50, require_edge=False) for _ in range(42)]
+        graphs += [random_digraph(rng, max_nodes=30) for _ in range(42)]
+        for i, g in enumerate(graphs):
+            g = (build_directed if isinstance(g, DiGraph) else build_undirected)(g.edge_array, g.num_nodes + 2)
             mask = random_sharing_mask(rng, g.num_nodes)
             s = SharingState(mask.copy())
             expected = [exposure_oracle(g, mask, v) for v in range(g.num_nodes)]
@@ -70,21 +77,33 @@ class TestExposure:
                 assert exposure_bits(g, s, [v]).astype(int).tolist() == [expected[v]]
             assert exposure_all(g, s).astype(int).tolist() == expected
             assert exposure_bits(g, s, np.arange(g.num_nodes)).astype(int).tolist() == expected
-
-    def test_chunked_gather_matches_brute_force(self, monkeypatch):
-        # batches longer than a chunk, of every length mod 3, with repeats and isolated nodes
-        monkeypatch.setattr(cascade, "EXPOSURE_CHUNK", 3)
-        rng = make_generator(21)
-        for size in range(0, 14):
-            g = random_graph(rng, max_nodes=20, require_edge=False)
-            mask = random_sharing_mask(rng, g.num_nodes)
-            nodes = rng.integers(0, g.num_nodes, size=size)
-            expected = [exposure_oracle(g, mask, v) for v in nodes.tolist()]
-            assert exposure_bits(g, SharingState(mask.copy()), nodes).astype(int).tolist() == expected
+            nodes = rng.integers(0, g.num_nodes, size=i % 14)
+            nodes[::3] = g.num_nodes - 1
+            assert exposure_bits(g, s, nodes).astype(int).tolist() == [expected[v] for v in nodes.tolist()]
 
 
 EDGELESS = [build_undirected([], 5), build_directed([], 4), build_undirected([], 0), build_directed([], 0)]
 EDGELESS_IDS = ["undirected", "directed", "no-nodes", "directed-no-nodes"]
+
+
+class TestSharingCounts:
+    """The exact count of sharing friends that exposure (> 0) and the LTM thresholds read."""
+
+    def test_matches_oracle_on_random_graphs(self):
+        rng = make_generator(24)
+        graphs = [random_graph(rng, max_nodes=30, require_edge=False) for _ in range(40)]
+        graphs += [random_digraph(rng, max_nodes=20) for _ in range(40)]
+        for g in graphs:
+            for mask in (random_sharing_mask(rng, g.num_nodes), np.ones(g.num_nodes, dtype=bool)):
+                counts = cascade._sharing_counts(g, np.flatnonzero(mask))
+                assert counts.tolist() == sharing_count_oracle(g, mask)
+
+    @pytest.mark.parametrize("g", EDGELESS, ids=EDGELESS_IDS)
+    @pytest.mark.parametrize("everyone_shares", [False, True])
+    def test_edgeless_graphs_count_zero(self, g, everyone_shares):
+        mask = np.full(g.num_nodes, everyone_shares)
+        counts = cascade._sharing_counts(g, np.flatnonzero(mask))
+        assert counts.tolist() == sharing_count_oracle(g, mask) == [0] * g.num_nodes
 
 
 class TestEdgelessGraphs:
@@ -436,9 +455,14 @@ class TestDirectedGraphRejected:
             ltm_step(self.G, sharing(self.G, [0]), 0.5, strict=strict)
 
     @pytest.mark.parametrize("model", ["icm", "ltm"])
-    def test_run_cascade(self, model):
+    @pytest.mark.parametrize("steps", [0, 2])
+    @pytest.mark.parametrize("seeds", [[0], None], ids=["explicit-seeds", "drawn-seeds"])
+    def test_run_cascade(self, model, steps, seeds):
+        # refused before any seed is drawn: the generator is left untouched
+        rng = make_generator(1)
         with pytest.raises(ValueError, match="cascades run on undirected graphs"):
-            run_cascade(self.G, model, 2, seeds=[0], rng=make_generator(0))
+            run_cascade(self.G, model, steps, seeds=seeds, seed_count=1, rng=rng)
+        assert rng.random() == make_generator(1).random()
 
 
 class TestIcmDominance:
