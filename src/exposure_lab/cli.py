@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 input error, 3 warning (best-effort shaping
 stopped beyond tolerance, a zero-exposure cell made percent errors
-undefined, or fp-walk ran on a graph or grid cell where its samples are
-biased).
+undefined, fp-walk ran on a graph or grid cell where its samples are
+biased, or d-friend ran on a digraph with exposed nodes of out-degree 0,
+which it never draws).
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ Two unbiased estimators of the exposed fraction are provided: the vanilla
 estimator (mean exposure over uniform node samples) and the
 friendship-paradox estimator (degree-corrected mean over random friends,
 an importance-sampling scheme that over-reaches popular nodes). The
-decision machinery answers which one has the smaller variance, either
-exactly on a concrete graph or analytically for a degree-mixing ensemble.
+decision machinery answers which one has the smaller variance by one rule,
+f_bar against d_bar * E{f(X)/d(X)}, taken exactly on a concrete graph or
+over the degree classes of an ensemble.
 """
 
 from __future__ import annotations
@@ -150,35 +151,36 @@ def exact_variance_vanilla(f_bar: float, n: int) -> float:
     return f_bar * (1.0 - f_bar) / n
 
 
-def _mean_exposure_over_degree(g: Graph, exposed: np.ndarray) -> float:
-    """E over uniform nodes of f(X)/d(X); exposed nodes always have d >= 1."""
+def _exposure_moments(g: Graph, s: SharingState) -> tuple[float, float]:
+    """f_bar and the fp observation's second moment d_bar * E{f(X)/d(X)}, from one exposure pass;
+    f(v)/d(v) is 0 whenever f(v) = 0, so degree-0 nodes never touch the division."""
+    exposed = exposure_all(g, s)
     ratios = np.zeros(g.num_nodes)
     ratios[exposed] = 1.0 / g.degrees[exposed]
-    return float(ratios.mean())
+    return float(exposed.mean()), average_degree(g) * float(ratios.mean())
 
 
 def exact_variance_fp(g: Graph, s: SharingState, n: int) -> float:
     """Variance of the friendship-paradox estimator with n samples.
 
-    (1/n) * (d_bar * E{f(X)/d(X)} - f_bar^2), enumerated exactly over all
-    nodes. f(v)/d(v) is taken as 0 whenever f(v) = 0, so degree-0 nodes
-    never touch the division.
+    (1/n) * (d_bar * E{f(X)/d(X)} - f_bar^2), enumerated exactly over all nodes.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if g.num_edges < 1:
         raise ValueError("the friend-based estimator needs at least one edge")
-    exposed = exposure_all(g, s)
-    f_bar = float(exposed.mean())
-    return (average_degree(g) * _mean_exposure_over_degree(g, exposed) - f_bar * f_bar) / n
+    f_bar, fp_moment = _exposure_moments(g, s)
+    return (fp_moment - f_bar * f_bar) / n
 
 
 @dataclass(frozen=True)
 class ConditionVerdict:
     """Which estimator the variance comparison prefers.
 
-    lhs_value >= 0 means the friend-based estimator's variance is less than
-    or equal to the vanilla one's; ties within TIE_TOLERANCE are flagged.
+    lhs_value = f_bar - d_bar * E{f(X)/d(X)} = E{f(X) (1 - d_bar/d(X))} over
+    uniform nodes, which equals n * (Var(vanilla) - Var(fp)); lhs_value >= 0
+    prefers the friend-based estimator. A tie is an |lhs_value| within
+    TIE_TOLERANCE of the larger moment, so the test scales with the variances.
     """
 
     lhs_value: float
@@ -186,22 +188,17 @@ class ConditionVerdict:
     tie: bool
 
     @classmethod
-    def from_lhs(cls, lhs: float) -> "ConditionVerdict":
-        return cls(lhs, lhs >= 0.0, abs(lhs) <= TIE_TOLERANCE)
+    def from_moments(cls, f_bar: float, fp_moment: float) -> "ConditionVerdict":
+        """The verdict from f_bar and d_bar * E{f(X)/d(X)}, the two moments every form of the rule compares."""
+        lhs = f_bar - fp_moment
+        return cls(lhs, lhs >= 0.0, abs(lhs) <= TIE_TOLERANCE * max(f_bar, fp_moment))
 
 
 def condition_empirical(g: Graph, s: SharingState) -> ConditionVerdict:
-    """Exact decision rule on a concrete graph and sharing state.
-
-    lhs = E{f(X) (1 - d_bar/d(X))} over uniform nodes, which equals
-    n * (Var(vanilla) - Var(fp)). Terms with f(v) = 0 vanish before the
-    division, so degree-0 nodes are safe.
-    """
+    """Exact decision rule on a concrete graph and sharing state."""
     if g.num_edges < 1:
         raise ValueError("the comparison needs at least one edge")
-    exposed = exposure_all(g, s)
-    lhs = float(exposed.mean()) - average_degree(g) * _mean_exposure_over_degree(g, exposed)
-    return ConditionVerdict.from_lhs(lhs)
+    return ConditionVerdict.from_moments(*_exposure_moments(g, s))
 
 
 # ---------------------------------------------------------------------------
@@ -267,39 +264,34 @@ class MarkovianSpec:
         rho = np.bincount(inverse, weights=s.mask.astype(float), minlength=m) / counts
         return cls(ks, pk, pkk, rho)
 
-    def average_degree(self) -> float:
-        return float(np.sum(self.degree_support * self.degree_dist))
+
+def _class_exposure_probs(spec: MarkovianSpec) -> np.ndarray:
+    """P(exposed | k) for every degree class k: exposure is the complement of all k
+    neighbors failing to share, each with probability sum over k' of P(k'|k) (1 - sharing_prob(k'))."""
+    fail = spec.neighbor_degree_dist @ (1.0 - spec.sharing_prob_given_degree)
+    return 1.0 - fail ** spec.degree_support
 
 
 def markovian_exposure_prob(spec: MarkovianSpec, k: int) -> float:
-    """P(a degree-k node is exposed) in the ensemble.
-
-    All k neighbors independently fail to share with probability
-    sum over k' of P(k'|k) (1 - sharing_prob(k')); exposure is the
-    complement of all-fail.
-    """
+    """P(a degree-k node is exposed) in the ensemble."""
     matches = np.flatnonzero(spec.degree_support == k)
     if matches.size == 0:
         raise ValueError(f"degree {k} not in the support")
-    i = int(matches[0])
-    not_sharing = 1.0 - spec.sharing_prob_given_degree
-    fail = float(np.dot(spec.neighbor_degree_dist[i], not_sharing))
-    return 1.0 - fail ** int(k)
+    return float(_class_exposure_probs(spec)[matches[0]])
+
+
+def _degree_class_verdict(ks: np.ndarray, pk: np.ndarray, p_exposed: np.ndarray) -> ConditionVerdict:
+    """The rule over degree classes k: f_bar sums P(k) P(exposed | k), and d_bar * E{f/d} the same terms over k."""
+    if np.any(ks == 0):
+        raise ValueError("support must exclude degree 0 (E{f(X)/d(X)} divides by the degree)")
+    exposed_mass = pk * p_exposed
+    d_bar = float(np.sum(ks * pk))
+    return ConditionVerdict.from_moments(float(exposed_mass.sum()), d_bar * float(np.sum(exposed_mass / ks)))
 
 
 def condition_analytic(spec: MarkovianSpec) -> ConditionVerdict:
-    """Analytic decision rule for a degree-mixing ensemble.
-
-    lhs = sum over k of P(k) (1 - d_bar/k) P(exposed | k); the friend-based
-    estimator is preferred when lhs >= 0.
-    """
-    ks = spec.degree_support
-    if np.any(ks == 0):
-        raise ValueError("support must exclude degree 0 (the weight 1 - d_bar/k is singular)")
-    d_bar = spec.average_degree()
-    exposure_probs = np.array([markovian_exposure_prob(spec, int(k)) for k in ks])
-    lhs = float(np.sum(spec.degree_dist * (1.0 - d_bar / ks) * exposure_probs))
-    return ConditionVerdict.from_lhs(lhs)
+    """Analytic decision rule for a degree-mixing ensemble: the rule over its degree classes."""
+    return _degree_class_verdict(spec.degree_support, spec.degree_dist, _class_exposure_probs(spec))
 
 
 @dataclass(frozen=True)
@@ -369,10 +361,7 @@ def condition_independent_case(dist, rho_share_0: float) -> ConditionVerdict:
     if not 0.0 <= rho_share_0 <= 1.0:
         raise ValueError("non-sharing probability must lie in [0, 1]")
     ks = dist.support().astype(float)
-    pk = dist.pmf()
-    d_bar = float(np.sum(ks * pk))
-    lhs = float(np.sum(pk * (1.0 - d_bar / ks) * (1.0 - rho_share_0 ** ks)))
-    return ConditionVerdict.from_lhs(lhs)
+    return _degree_class_verdict(ks, dist.pmf(), 1.0 - rho_share_0 ** ks)
 
 
 def sharer_degree_sign_heuristic(g: Graph, s: SharingState, sample_size: int, rng: np.random.Generator) -> str:

@@ -375,7 +375,9 @@ def run_static_experiment(
     (``method_generator``), so adding or reordering methods leaves the
     other methods' estimates unchanged. Rows are ordered by rep, then
     method. With fp-walk among the methods, the graph is checked once for
-    the walk's preconditions; a failure is reported in ``warnings``.
+    the walk's preconditions, and with d-friend, for exposed nodes of
+    out-degree 0, which friend sampling never draws; either bias is
+    reported in ``warnings``.
     """
     directed = isinstance(g, DiGraph)
     _check_methods(methods, directed)
@@ -391,6 +393,11 @@ def run_static_experiment(
             for rep in range(reps) for m, est in zip(methods, estimates)]
     verdict = condition_empirical(g, s) if not directed and g.num_edges >= 1 else None
     warnings = graphmod.walk_precondition_failures(g) if "fp-walk" in methods else ()
+    missed = int(np.count_nonzero(exposed & (g.out_degrees == 0))) if "d-friend" in methods else 0
+    if missed:
+        warnings += (f"d-friend samples are biased: {missed} of the {int(exposed.sum())} exposed nodes have "
+                     "out-degree 0 and are never drawn, so the estimates' mean falls short of the true exposure "
+                     f"by their share of the nodes, {format_value(missed / g.num_nodes)}",)
     if f_bar == 0.0:
         warnings += ("true exposure is 0; percent errors are undefined",)
     return StaticResult(rows, f_bar, verdict, warnings)

@@ -27,6 +27,7 @@ from exposure_lab import (
     degree_sharing_correlation,
     directed_estimates,
     exposure_bits,
+    exposure_times,
     fp_estimate,
     random_walk_friends,
     rewire_to_assortativity,
@@ -216,6 +217,23 @@ def enum_fp_variance(g: Graph, mask: np.ndarray) -> float:
         for w in (u, v):
             second += (d_bar * exposure_oracle(g, mask, w) / g.degree(w)) ** 2
     return second / (2.0 * g.num_edges) - mean * mean
+
+
+def per_step_moments(g: Graph, trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """(f_t, q_t) for t = 0..steps of a cascade, from its exposure times.
+
+    f_t is the exposed fraction after t steps: the cumulative count of the
+    exposure times <= t, over n. q_t = d_bar E[f(X)/d(X)] is the fp
+    observation's second moment: d_bar times the same cumulative count with
+    each node weighted by 1/d, over n. So Var_fp(t) = q_t - f_t^2 and the
+    decision rule's lhs_t = f_t - q_t. An exposed node has a friend, so d >= 1.
+    """
+    times = exposure_times(g, trajectory.activation)
+    reached = times <= trajectory.steps
+    counts = np.bincount(times[reached], minlength=trajectory.steps + 1)
+    weighted = np.bincount(times[reached], weights=1.0 / g.degrees[reached], minlength=trajectory.steps + 1)
+    d_bar = 2.0 * g.num_edges / g.num_nodes
+    return np.cumsum(counts) / g.num_nodes, d_bar * np.cumsum(weighted) / g.num_nodes
 
 
 def enum_directed_expectation(g: DiGraph, mask: np.ndarray, mode: str) -> float:

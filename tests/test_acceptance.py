@@ -49,6 +49,7 @@ from oracles import (
     enum_fp_expectation,
     enum_vanilla_expectation,
     nb_percolation_threshold,
+    per_step_moments,
     random_digraph,
     random_graph,
     random_sharing_mask,
@@ -224,26 +225,25 @@ def _expected_tracker_errors(g, trajectory):
     m <- a*m + (1-a)*f_t and its variance v <- a^2*v + eps^2 (1-a^2) /
     (1-(1-eps)^2) * V_t, V_t being the one-sample variance of the tracker's
     observation on the step-t state. The expected squared error is
-    (m - f_t)^2 + v; the lag term is common to both trackers.
+    (m - f_t)^2 + v; the lag term is common to both trackers. f_t and the
+    fp observation's second moment q_t come from the exposure times, so
+    V_t is f_t (1 - f_t) for vanilla and q_t - f_t^2 for fp.
     """
     a = (1.0 - TRACK_EPSILON) ** TRACK_UPDATES
     gain = TRACK_EPSILON**2 * (1.0 - a * a) / (1.0 - (1.0 - TRACK_EPSILON) ** 2)
     m = v_van = v_fp = 0.0
     err_van = err_fp = 0.0
-    previous = None
-    for state in trajectory.states[1:]:
-        if state is not previous:  # states after fixed_point_step repeat one object
-            f_bar = true_exposure(g, state)
-            var_van, var_fp = exact_variance_vanilla(f_bar, 1), exact_variance_fp(g, state, 1)
-            previous = state
+    f, q = per_step_moments(g, trajectory)
+    for t in range(1, trajectory.steps + 1):
+        f_bar = float(f[t])
+        var_van, var_fp = exact_variance_vanilla(f_bar, 1), float(q[t]) - f_bar * f_bar
         m = a * m + (1.0 - a) * f_bar
         v_van = a * a * v_van + gain * var_van
         v_fp = a * a * v_fp + gain * var_fp
         lag = (m - f_bar) ** 2
         err_van += lag + v_van
         err_fp += lag + v_fp
-    steps = len(trajectory.states) - 1
-    return err_van / steps, err_fp / steps
+    return err_van / trajectory.steps, err_fp / trajectory.steps
 
 
 def _vote(name, expect, errors, detail=""):
@@ -335,15 +335,15 @@ class TestCascadeInvariants:
             model = "icm" if i % 2 else "ltm"
             traj = run_cascade(g, model, steps=8, seed_count=min(2, g.num_nodes),
                                p_inf=0.3, theta=0.25, rng=make_generator(207, i))
-            for a, b in zip(traj.states, traj.states[1:]):
-                if not set(a.sharers.tolist()) <= set(b.sharers.tolist()):
+            for t in range(traj.steps):
+                if not set(traj.state(t).sharers.tolist()) <= set(traj.state(t + 1).sharers.tolist()):
                     violations += 1
         rng = make_generator(208)
         g = random_graph(rng, max_nodes=40, min_nodes=20)
         seeds = [0, 1, 2]
         a = run_cascade(g, "ltm", steps=10, seeds=seeds, theta=0.2)
         b = run_cascade(g, "ltm", steps=10, seeds=seeds, theta=0.2)
-        deterministic = all(x.mask.tobytes() == y.mask.tobytes() for x, y in zip(a.states, b.states))
+        deterministic = all(a.state(t).mask.tobytes() == b.state(t).mask.tobytes() for t in range(a.steps + 1))
         _report("cascade-invariants", violations == 0 and deterministic,
                 f"monotonicity violations={violations}, ltm byte-exact={deterministic}")
 

@@ -240,7 +240,7 @@ class TestIcm:
     def test_full_probability_floods_within_diameter(self):
         g = path(6)
         traj = run_cascade(g, "icm", steps=5, seeds=[0], p_inf=1.0, rng=make_generator(23))
-        assert traj.states[-1].num_sharers == 6
+        assert traj.state(traj.steps).num_sharers == 6
 
     def test_two_hop_chain_probability(self):
         # seed 0 on a 3-path with p = 0.5: node 2 ever activates with prob 0.25
@@ -248,7 +248,7 @@ class TestIcm:
         hits = 0
         for i in range(10_000):
             traj = run_cascade(g, "icm", steps=10, seeds=[0], p_inf=0.5, rng=make_generator(24, i))
-            hits += bool(traj.states[-1].mask[2])
+            hits += bool(traj.state(traj.steps).mask[2])
         assert abs(hits / 10_000 - 0.25) < 0.015
 
     def test_single_attempt_semantics(self):
@@ -335,8 +335,8 @@ class TestRunCascade:
     def test_zero_steps(self):
         g = star(4)
         traj = run_cascade(g, "icm", steps=0, seeds=[0], p_inf=0.5, rng=make_generator(28))
-        assert len(traj.states) == 1
-        assert traj.states[0].sharers.tolist() == [0]
+        assert traj.steps == 0
+        assert traj.state(0).sharers.tolist() == [0]
 
     def test_monotone_sharers(self):
         rng = make_generator(29)
@@ -345,20 +345,20 @@ class TestRunCascade:
             model = "icm" if i % 2 else "ltm"
             traj = run_cascade(g, model, steps=15, seed_count=2, p_inf=0.3, theta=0.2,
                                rng=make_generator(30, i))
-            for a, b in zip(traj.states, traj.states[1:]):
-                assert set(a.sharers.tolist()) <= set(b.sharers.tolist())
+            for t in range(traj.steps):
+                assert set(traj.state(t).sharers.tolist()) <= set(traj.state(t + 1).sharers.tolist())
 
     def test_flood_on_star_reaches_everyone_by_step_two(self):
         g = star(4)
         traj = run_cascade(g, "icm", steps=2, seeds=[1], p_inf=1.0, rng=make_generator(31))
-        assert true_exposure(g, traj.states[2]) == 1.0
+        assert true_exposure(g, traj.state(2)) == 1.0
 
     def test_fixed_point_padding(self):
         g = star(4)
         traj = run_cascade(g, "icm", steps=7, seeds=[0], p_inf=1.0, rng=make_generator(32))
-        assert len(traj.states) == 8
+        assert traj.steps == 7
         assert traj.fixed_point_step is not None
-        assert traj.states[-1].num_sharers == traj.states[traj.fixed_point_step].num_sharers
+        assert traj.state(traj.steps).num_sharers == traj.state(traj.fixed_point_step).num_sharers
 
     @pytest.mark.parametrize("model,kwargs,message", [
         ("icm", dict(p_inf=7.0), r"infection probability must lie in \[0, 1\]"),
@@ -388,7 +388,8 @@ class TestRunCascade:
         g = complete(6)
         a = run_cascade(g, "ltm", steps=4, seeds=[0], theta=0.1)
         b = run_cascade(g, "ltm", steps=4, seeds=[0], theta=0.1)
-        assert [st.mask.tobytes() for st in a.states] == [st.mask.tobytes() for st in b.states]
+        assert a.steps == b.steps
+        assert all(a.state(t).mask.tobytes() == b.state(t).mask.tobytes() for t in range(a.steps + 1))
 
     @pytest.mark.parametrize("model,retry,strict,theta", [
         ("ltm", False, False, 0.3), ("icm", False, False, 0.3), ("icm", True, False, 0.3),
@@ -496,7 +497,7 @@ class TestIcmDominance:
         for p in (0.2, 0.6):
             totals = [
                 run_cascade(g, "icm", steps=10, seeds=[0], p_inf=p,
-                            rng=make_generator(34, i)).states[-1].num_sharers
+                            rng=make_generator(34, i)).state(10).num_sharers
                 for i in range(400)
             ]
             sizes[p] = np.mean(totals)

@@ -22,6 +22,7 @@ from exposure_lab import (
     fp_estimate,
     make_generator,
     markovian_exposure_prob,
+    run_cascade,
     sample_directed_many,
     sample_random_friends,
     sharer_degree_sign_heuristic,
@@ -38,6 +39,7 @@ from oracles import (
     enum_fp_expectation,
     enum_fp_variance,
     enum_vanilla_expectation,
+    per_step_moments,
     random_digraph,
     random_graph,
     random_sharing_mask,
@@ -325,6 +327,24 @@ class TestConditionEmpirical:
                 assert v.fp_preferred == (gap > 0)
 
 
+class TestPerStepMoments:
+    """The per-step moments from exposure times equal the static quantities of every replayed state."""
+
+    @pytest.mark.parametrize("model", ["icm", "ltm"])
+    def test_match_every_state_of_a_cascade(self, model):
+        rng = make_generator(83)
+        for i in range(15):
+            g = random_graph(rng, max_nodes=40, min_nodes=5, p=0.15)
+            traj = run_cascade(g, model, steps=8, seed_count=2, p_inf=0.4, theta=0.2, rng=make_generator(84, i))
+            f, q = per_step_moments(g, traj)
+            assert f.shape == q.shape == (traj.steps + 1,)
+            for t in range(traj.steps + 1):
+                state = traj.state(t)
+                assert f[t] == pytest.approx(true_exposure(g, state), abs=1e-12)
+                assert q[t] - f[t] ** 2 == pytest.approx(exact_variance_fp(g, state, 1), abs=1e-12)
+                assert f[t] - q[t] == pytest.approx(condition_empirical(g, state).lhs_value, abs=1e-12)
+
+
 def star_markovian_spec(leaves=4):
     """Exact degree-level statistics of the hub-and-leaves graph with the hub sharing."""
     n = leaves + 1
@@ -490,6 +510,15 @@ class TestConditionIndependentCase:
     def test_single_point_support_is_zero(self):
         v = condition_independent_case(PowerLawDegrees(2.5, 3, 3), 0.7)
         assert v.lhs_value == pytest.approx(0.0, abs=1e-12)
+        assert v.tie
+
+    def test_a_preference_at_tiny_exposure_is_not_a_tie(self):
+        # f_bar is 1.93e-7 and lhs -7.2e-13: the two variances differ by about
+        # 4e-6 of their size, a real preference for vanilla however small lhs is
+        v = condition_independent_case(PowerLawDegrees(2.5), 1 - 1e-7)
+        assert -1e-12 < v.lhs_value < 0
+        assert not v.tie
+        assert not v.fp_preferred
 
     def test_vanilla_preferred_across_parameter_grid(self):
         for alpha in np.linspace(2.1, 3.5, 10):

@@ -44,8 +44,11 @@ from exposure_lab import (
 )
 
 from oracles import (
+    enum_directed_expectation,
+    exposure_oracle,
     random_digraph,
     random_graph,
+    random_sharing_mask,
     reference_build_directed,
     reference_build_undirected,
     reference_method_rows,
@@ -1213,6 +1216,48 @@ class TestWalkPreconditions:
         assert run_static_experiment(star(4), s, ["vanilla", "fp"], 10, 2, seed=0).warnings == ()
         result = run_static_experiment(star(4), s, ["vanilla", "fp-walk"], 10, 2, seed=0)
         assert len(result.warnings) == 1 and "bipartite" in result.warnings[0]
+
+
+class TestDirectedFriendBias:
+    """d-friend draws the source end of a uniform link, so it never draws a node with out-degree 0."""
+
+    def test_chain_exit_code(self, tmp_path, capsys):
+        # 0 -> 1 -> 2 with 1 sharing: node 2 alone is exposed and has no
+        # out-link, so every estimate is 0 against a true exposure of 1/3
+        code, estimates = _estimate_cli(tmp_path, [(0, 1), (1, 2)], [1], [
+            "--directed", "--method", "d-node,d-friend", "--samples", "10", "--reps", "4"])
+        assert code == 3
+        assert len(estimates) == 8 and set(estimates[1::2]) == {"0"}
+        err = capsys.readouterr().err
+        assert "warning: d-friend samples are biased: 1 of the 1 exposed nodes have out-degree 0" in err
+        assert err.count("warning") == 1
+
+    def test_warning_gives_the_exact_count_and_share(self):
+        rng = make_generator(85)
+        warned = 0
+        for _ in range(40):
+            g = random_digraph(rng)
+            mask = random_sharing_mask(rng, g.num_nodes)
+            s = SharingState(mask.copy())
+            out_degrees = [sum(u == v for u, _ in g.edge_array.tolist()) for v in range(g.num_nodes)]
+            exposed = [v for v in range(g.num_nodes) if exposure_oracle(g, mask, v)]
+            missed = sum(out_degrees[v] == 0 for v in exposed)
+            biased = [w for w in run_static_experiment(g, s, ["d-node", "d-friend", "d-follower"], 5, 2,
+                                                       seed=0).warnings if w.startswith("d-friend")]
+            if missed:
+                share = missed / g.num_nodes
+                assert biased == [f"d-friend samples are biased: {missed} of the {len(exposed)} exposed nodes "
+                                  "have out-degree 0 and are never drawn, so the estimates' mean falls short "
+                                  f"of the true exposure by their share of the nodes, {format_value(share)}"]
+                # the share is the bias of friend sampling, by enumeration
+                f_bar = len(exposed) / g.num_nodes
+                assert enum_directed_expectation(g, mask, "friend") == pytest.approx(f_bar - share, abs=1e-12)
+                warned += 1
+            else:
+                assert biased == []
+            assert run_static_experiment(g, s, ["d-node", "d-follower"], 5, 2, seed=0).warnings in (
+                (), ("true exposure is 0; percent errors are undefined",))
+        assert warned >= 5
 
 
 # 60 nodes of degree 2 (k_max 2): every cell's graph is a union of cycles
