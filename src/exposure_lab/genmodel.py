@@ -168,8 +168,15 @@ def _first_claims(slots: np.ndarray) -> np.ndarray:
     proposal touched, so they can all be applied at once.
     """
     flat = slots.ravel()
+    if not flat.size:
+        return np.ones(slots.shape[0], dtype=bool)
+    # sort the slots, then take the earliest flat position in each run of equal
+    # ones: the sort need not be stable, and no key beyond the slots is formed
+    order = np.argsort(flat)
+    ordered = flat[order]
+    runs = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     first = np.zeros(flat.size, dtype=bool)
-    first[np.unique(flat, return_index=True)[1]] = True
+    first[np.minimum.reduceat(order, runs)] = True
     return first.reshape(slots.shape).all(axis=1)
 
 
@@ -252,12 +259,13 @@ def rewire_to_assortativity(
         j += j >= i
         a, b = np.divmod(keys[i], n)
         c, d = np.divmod(keys[j], n)
+        da, db, dc, dd = deg[a], deg[b], deg[c], deg[d]
         # keeping the current pairing is the zero-gain baseline; row 0 scores the
         # alternative pairing (a c)(b d) against it, row 1 (a d)(b c)
         q, t = np.stack([c, d]), np.stack([d, c])
         k1 = np.minimum(a, q) * n + np.maximum(a, q)
         k2 = np.minimum(b, t) * n + np.maximum(b, t)
-        gain = deg[a] * deg[q] + deg[b] * deg[t] - (deg[a] * deg[b] + deg[c] * deg[d])
+        gain = np.stack([(da - dd) * (dc - db), (da - dc) * (dd - db)])
         score = gain if up else -gain
         # a pairing that does not climb, or makes a self-loop or an existing
         # edge, scores 0 and is never accepted: only the others are looked up,
@@ -270,9 +278,9 @@ def rewire_to_assortativity(
         absent[order] = keys[np.minimum(np.searchsorted(keys, new), m - 1)] != new
         cand[cand] = absent.reshape(2, -1).all(axis=0)
         score = np.where(cand, score, 0)
-        best = (np.argmax(score, axis=0), np.arange(k))  # a tie keeps (a c)(b d)
-        k1, k2, gain = k1[best], k2[best], gain[best]
-        acc = np.flatnonzero(score[best] > 0)
+        best = score[1] > score[0]  # a tie keeps (a c)(b d)
+        k1, k2, gain = (np.where(best, x[1], x[0]) for x in (k1, k2, gain))
+        acc = np.flatnonzero(np.maximum(score[0], score[1]) > 0)
         acc = acc[_first_claims(np.stack([i[acc], j[acc]], axis=1))]
         acc = acc[_first_claims(np.stack([k1[acc], k2[acc]], axis=1))]
 

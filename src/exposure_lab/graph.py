@@ -57,8 +57,13 @@ def _simple_edges(edges, num_nodes, directed: bool) -> tuple:
     if not directed:
         src, dst = np.minimum(src, dst), np.maximum(src, dst)
     keep = src != dst
-    keys = sorted_unique(src[keep] * num_nodes + dst[keep])
-    return num_nodes, np.stack(np.divmod(keys, num_nodes), axis=1)
+    keys = src[keep] * num_nodes
+    keys += dst[keep]
+    if not (keys[1:] > keys[:-1]).all():  # rows as write_edge_list writes them are sorted and distinct already
+        keys = sorted_unique(keys)
+    edge_array = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, num_nodes, out=(edge_array[:, 0], edge_array[:, 1]))
+    return num_nodes, edge_array
 
 
 def _csr_from_keys(keys: np.ndarray, counts: np.ndarray, num_nodes: int):

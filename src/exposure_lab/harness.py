@@ -47,7 +47,6 @@ _SAMPLING_MODES = {"vanilla": "node", "fp": "fp", "fp-walk": "fp", "fp-two-step"
                    "d-node": "node", "d-friend": "friend", "d-follower": "follower"}
 WRITE_CHUNK_ROWS = 1 << 16  # id-file rows formatted per write
 CSV_CHUNK_ROWS = 1 << 8  # CSV rows formatted per write; 1024 raised peak RSS by ~0.6 MiB on a 4.8k-row grid ledger
-_COMMENT_LINES = re.compile(r"\n[ \t]*#[^\n]*")  # a comment line with the newline before it
 _ID_TEXT = b"0123456789 \t\n"  # all an id file holds once comments are dropped
 _NODE_ID = re.compile(r"-?[0-9]+")  # ASCII digits; a sign only to report negative ids
 MAX_NODE_ID = 2**63 - 1
@@ -89,10 +88,10 @@ def _read_ids(path: str, count: int):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        body = _COMMENT_LINES.sub("", "\n" + text)  # the added newline precedes a comment on line 1
+        body = _drop_comment_lines(text)
         if not body.isascii() or body.encode("ascii").translate(None, _ID_TEXT):
             raise ValueError("a character other than an ASCII digit, space or tab")
-        ids = (np.empty((0, count), dtype=np.int64) if not body.strip()
+        ids = (np.empty((0, count), dtype=np.int64) if not body or body.isspace()  # no digit; strip() would copy
                else np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8"))
         if ids.shape[1] != count:
             raise ValueError(f"not {count} ids per line")
@@ -100,6 +99,25 @@ def _read_ids(path: str, count: int):
         _raise_first_bad_line(path, count)
     num_lines = text.count("\n") + (len(text) > 0 and not text.endswith("\n"))
     return ids, num_lines - ids.shape[0]
+
+
+def _drop_comment_lines(text: str) -> str:
+    """``text`` without the lines whose first non-blank character is '#';
+    a '#' after data raises ValueError."""
+    kept = []
+    start = 0
+    at = text.find("#")
+    while at >= 0:
+        line = text.rfind("\n", 0, at) + 1
+        if text[line:at].strip(" \t"):
+            raise ValueError("'#' after data")
+        if line > start:
+            kept.append(text[start:line])
+        end = text.find("\n", at)
+        start = len(text) if end < 0 else end
+        at = text.find("#", start)
+    kept.append(text[start:])
+    return "".join(kept)  # one piece, the common case of a header line, is returned as it is
 
 
 def _raise_first_bad_line(path: str, count: int):
@@ -142,17 +160,20 @@ def load_graph(path: str, directed: bool = False, mapping_path: str | None = Non
     Returns (graph, LoadReport).
     """
     edges, ignored = _read_ids(path, 2)
-    ids = graphmod.sorted_unique(edges)
-    remapped = bool(ids.size) and not (
-        ids.size == int(ids[-1]) + 1 and ids[0] == 0
-    )
+    num_nodes = int(edges.max()) + 1 if edges.size else 0
+    # ids are dense when every one of 0..max is present: a presence mask tells
+    # without a sort, unless there are too few ids to cover that range
+    remapped = num_nodes > edges.size
+    if not remapped:
+        present = np.zeros(num_nodes, dtype=bool)
+        present[edges] = True
+        remapped = not present.all()
     if remapped:
+        ids = graphmod.sorted_unique(edges)
         edges = np.searchsorted(ids, edges)
         num_nodes = ids.size
         if mapping_path is not None:
             _write_id_rows(mapping_path, "original_id remapped_id", np.stack([ids, np.arange(ids.size)], axis=1))
-    else:
-        num_nodes = int(ids[-1]) + 1 if ids.size else 0
     g = build_directed(edges, num_nodes) if directed else build_undirected(edges, num_nodes)
     report = LoadReport(
         num_nodes=num_nodes,

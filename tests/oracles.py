@@ -45,7 +45,6 @@ from exposure_lab.genmodel import (
     SWAP_BATCH,
     _assortativity_moments,
     _cut,
-    _first_claims,
 )
 
 # ---------------------------------------------------------------------------
@@ -513,6 +512,29 @@ def reference_walk_precondition_failures(g: Graph) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# First claims: the rows of a shaping batch that can be applied together
+# ---------------------------------------------------------------------------
+
+
+def first_claims_oracle(slots) -> np.ndarray:
+    """Rows of a (k, w) slot array kept by a scan in flat order.
+
+    A row is kept unless one of its slots was seen before, in an earlier row
+    or earlier in the same row; every slot of every row, kept or not, counts
+    as seen from then on.
+    """
+    seen = set()
+    keep = []
+    for row in np.asarray(slots).tolist():
+        kept = True
+        for slot in row:
+            kept = kept and slot not in seen
+            seen.add(slot)
+        keep.append(kept)
+    return np.array(keep, dtype=bool)
+
+
+# ---------------------------------------------------------------------------
 # Reference rewiring: the batched loop with its unsorted edge lookups
 # ---------------------------------------------------------------------------
 
@@ -521,7 +543,8 @@ def reference_rewire(
     g: Graph, target: CorrelationTarget, rng: np.random.Generator, record_trace: bool = False
 ) -> tuple[Graph, ShapingResult]:
     """rewire_to_assortativity with unsorted edge lookups: each batch looks up
-    all 4K new-edge keys of both pairings, in draw order, by searchsorted."""
+    all 4K new-edge keys of both pairings, in draw order, by searchsorted, picks
+    the better pairing by argmax, and keeps first claims by the flat-order scan."""
     if g.num_edges < 2:
         raise ValueError("rewiring needs at least two edges")
     n_points, sum_x, sum_xx, sum_xy = _assortativity_moments(g)
@@ -567,8 +590,8 @@ def reference_rewire(
         best = (np.argmax(score, axis=0), np.arange(k))  # a tie keeps (a c)(b d)
         k1, k2, gain = k1[best], k2[best], gain[best]
         acc = np.flatnonzero(score[best] > 0)
-        acc = acc[_first_claims(np.stack([i[acc], j[acc]], axis=1))]
-        acc = acc[_first_claims(np.stack([k1[acc], k2[acc]], axis=1))]
+        acc = acc[first_claims_oracle(np.stack([i[acc], j[acc]], axis=1))]
+        acc = acc[first_claims_oracle(np.stack([k1[acc], k2[acc]], axis=1))]
         running = rho(sum_xy + 2 * np.cumsum(gain[acc]))
         band = target.target - target.tolerance if up else target.target + target.tolerance
         moves, drawn = _cut(acc, running >= band if up else running <= band, k)
@@ -599,7 +622,8 @@ def reference_swap(
     g: Graph, s: SharingState, target: CorrelationTarget, rng: np.random.Generator, record_trace: bool = False
 ) -> tuple[SharingState, ShapingResult]:
     """swap_to_correlation as it stood with its own loop: the label-swap climb
-    written out in full, with its floor and ceiling stop."""
+    written out in full, with its floor and ceiling stop and the flat-order
+    scan for first claims."""
     n = g.num_nodes
     m = s.num_sharers
     if not 0 < m < n:
@@ -635,7 +659,7 @@ def reference_swap(
         iv = rng.integers(n - m, size=k)
         gain = d[others[iv]] - d[sharers[iu]]
         acc = np.flatnonzero(gain > 0 if up else gain < 0)
-        acc = acc[_first_claims(np.stack([iu[acc], iv[acc] + m], axis=1))]  # non-sharer slots after sharer slots
+        acc = acc[first_claims_oracle(np.stack([iu[acc], iv[acc] + m], axis=1))]  # non-sharer slots after sharer slots
         totals = total + np.cumsum(gain[acc])
         running = rho(totals)
         band = target.target - target.tolerance if up else target.target + target.tolerance

@@ -20,11 +20,12 @@ from exposure_lab import (
     rewire_to_assortativity,
     swap_to_correlation,
 )
-from exposure_lab.genmodel import REWIRE_BATCH_MAX, REWIRE_BATCH_MIN, SWAP_BATCH
+from exposure_lab.genmodel import REWIRE_BATCH_MAX, REWIRE_BATCH_MIN, SWAP_BATCH, _first_claims
 
 from oracles import (
     assortativity_oracle,
     cycle,
+    first_claims_oracle,
     pearson_oracle,
     powerlaw_degree_pmf,
     random_graph,
@@ -406,6 +407,43 @@ def _extreme_correlation(g, m, highest):
     mask = np.zeros(g.num_nodes)
     mask[order[-m:] if highest else order[:m]] = 1.0
     return pearson_oracle(g.degrees, mask)
+
+
+class TestFirstClaims:
+    """_first_claims against the oracle's scan in flat order."""
+
+    @pytest.mark.parametrize("values", [2, 5, 1000, 2**62])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 7, 300, 4096])
+    def test_matches_flat_order_scan(self, rows, width, values):
+        # 2 and 5 values give heavy repeats, within rows too
+        slots = make_generator(74, rows, width, values.bit_length()).integers(values, size=(rows, width))
+        got = _first_claims(slots)
+        assert got.dtype == bool and got.shape == (rows,)
+        assert np.array_equal(got, first_claims_oracle(slots))
+
+    @pytest.mark.parametrize("slots,want", [
+        ([[5, 5]], [False]),  # a repeat within the row blocks it
+        ([[5, 5], [7, 8]], [False, True]),
+        ([[1, 2], [2, 3], [3, 4]], [True, False, False]),  # a blocked row still claims its slots
+        ([[3, 1], [0, 2], [1, 0]], [True, True, False]),
+        ([[9], [9], [8]], [True, False, True]),
+    ])
+    def test_hand_cases(self, slots, want):
+        slots = np.array(slots, dtype=np.int64)
+        assert _first_claims(slots).tolist() == want == first_claims_oracle(slots).tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_packed_keys_near_the_int64_limit(self, seed):
+        # new-edge keys u*n + v with u < v near the top of the largest n whose keys fit int64
+        n = 3037000499
+        assert n * n < 2**63 <= (n + 1) * (n + 1)
+        rng = make_generator(75, seed)
+        ends = np.sort(n - 1 - rng.integers(12, size=(600, 2)), axis=1)
+        keys = ends[:, 0] * n + ends[:, 1]
+        slots = np.where(rng.random(keys.size) < 0.1, rng.integers(50, size=keys.size), keys).reshape(-1, 2)
+        assert slots.max() > 2**63 - 14 * n
+        assert np.array_equal(_first_claims(slots), first_claims_oracle(slots))
 
 
 class TestBatchedShaping:

@@ -184,6 +184,17 @@ PARSE_CASES = [
     ("tab_before_hash", b"0 1\n\t# note\n1 2\n"),
     ("hash_only_lines", b"#\n0 1\n#\n#\n"),
     ("final_comment_without_newline", b"0 1\n1 2\n# end"),
+    # the sorted, distinct u < v rows that write_edge_list writes, and each way out of that form
+    ("canonical", b"# undirected nodes=5 edges=5\n0 1\n0 4\n1 2\n1 3\n3 4\n"),
+    ("canonical_with_a_duplicate", b"0 1\n0 4\n1 2\n1 2\n1 3\n3 4\n"),
+    ("canonical_with_a_reversed_row", b"0 1\n0 4\n2 1\n1 3\n3 4\n"),
+    ("canonical_with_a_self_loop", b"0 1\n0 4\n1 1\n1 2\n1 3\n3 4\n"),
+    ("canonical_with_all_three", b"0 1\n0 4\n1 1\n2 1\n1 3\n1 3\n3 4\n"),
+    ("dense_ids_with_one_missing", b"0 1\n0 4\n1 4\n3 4\n"),
+    ("top_id_equal_to_id_count", b"0 1\n2 4\n"),
+    ("top_id_one_below_id_count", b"0 1\n2 3\n"),
+    ("comments_first_indented_and_last_without_newline", b"# first\n0 1\n \t# indented\n1 2\n# last"),
+    ("hash_right_after_data", b"# header\n0 1\n1 2#x\n"),
 ]
 
 
