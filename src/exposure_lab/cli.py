@@ -17,8 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import cascade, genmodel, harness, tracking
-from .cascade import true_exposure
-from .estimators import condition_empirical, exact_variance_fp, exact_variance_vanilla
+from .estimators import condition_empirical, exact_variance_vanilla
 from .genmodel import (
     assortativity_coefficient,
     configuration_model,
@@ -208,17 +207,17 @@ def _cmd_grid(args) -> int:
                           harness.LEDGER_HEADER, ledger)
         print(f"ledger: {len(ledger)} rows -> {args.ledger_out}")
     per_cell = {c.cell_index: c for c in cells}.values()  # one row per cell: its rows share the flags
-    missed = [c for c in per_cell if c.shaping_missed]
-    for cell in missed:
-        print(f"warning: cell {cell.cell_index} shaping stopped beyond tolerance "
-              f"(rkk {cell.rkk_target}->{cell.rkk_achieved:.4f}, rho {cell.rho_target}->{cell.rho_achieved:.4f})",
-              file=sys.stderr)
+    missed = sorted([(c.cell_index, c.rkk_target, c.rkk_achieved, c.rho_target, c.rho_achieved) for c in per_cell
+                     if c.shaping_missed] + [(i, *shaping) for i, _, *shaping, _, miss in null_cells if miss])
+    for cell, rkk_t, rkk_a, rho_t, rho_a in missed:
+        print(f"warning: cell {cell} shaping stopped beyond tolerance (rkk {rkk_t}->{rkk_a:.4f}, "
+              f"rho {rho_t}->{rho_a:.4f})", file=sys.stderr)
     biased = [c for c in per_cell if c.walk_failures]
     for cell in biased:
         for failure in cell.walk_failures:
             print(f"warning: cell {cell.cell_index}: {failure}", file=sys.stderr)
     for cell in null_cells:
-        print(f"warning: cell {cell[0]} has zero true exposure (alpha={cell[1]}, p={cell[4]}); recorded as null",
+        print(f"warning: cell {cell[0]} has zero true exposure (alpha={cell[1]}, p={cell[6]}); recorded as null",
               file=sys.stderr)
     return EXIT_WARNING if missed or biased or null_cells else EXIT_OK
 
@@ -276,19 +275,18 @@ def _cmd_track(args) -> int:
 def _cmd_analyze(args) -> int:
     g, report = _load_graph(args.graph)
     s = harness.read_sharers(args.sharers, g.num_nodes, id_map=report.id_map)
-    f_bar = true_exposure(g, s)
     verdict = condition_empirical(g, s)
     print(f"nodes: {g.num_nodes}")
     print(f"edges: {g.num_edges}")
     print(f"average_degree: {harness.format_value(average_degree(g))}")
     print(f"sharers: {s.num_sharers}")
-    print(f"true_exposure: {harness.format_value(f_bar)}")
+    print(f"true_exposure: {harness.format_value(verdict.f_bar)}")
     rho = degree_sharing_correlation(g, s)
     print(f"degree_sharing_corr: {harness.format_value(rho) or 'undefined'}")
     rkk = assortativity_coefficient(g)
     print(f"assortativity: {harness.format_value(rkk) or 'undefined'}")
-    print(f"var_vanilla_single_sample: {harness.format_value(exact_variance_vanilla(f_bar, 1))}")
-    print(f"var_fp_single_sample: {harness.format_value(exact_variance_fp(g, s, 1))}")
+    print(f"var_vanilla_single_sample: {harness.format_value(exact_variance_vanilla(verdict.f_bar, 1))}")
+    print(f"var_fp_single_sample: {harness.format_value(verdict.fp_moment - verdict.f_bar * verdict.f_bar)}")
     print(f"condition_lhs: {harness.format_value(verdict.lhs_value)}")
     print(f"fp_preferred: {verdict.fp_preferred}")
     print(f"tie: {verdict.tie}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import SharingState, exposure_all, exposure_bits
+from .cascade import SharingState, exposure_all
 from .graph import DiGraph, Graph, average_degree
 
 TIE_TOLERANCE = 1e-12
@@ -133,7 +133,7 @@ def _sampled_report(g, kind: str, mode: str, samples, s: SharingState, d_bar: fl
     _check_d_bar(d_bar)
     if d_bar is None:
         d_bar = math.nan if mode == "node" else average_degree(g)
-    bits = exposure_bits(g, s, samples.ravel()).reshape(samples.shape)
+    bits = exposure_all(g, s)[samples]
     return EstimatorReport(kind, estimate_from_bits(g, mode, samples, bits, d_bar), samples.shape[-1], float(d_bar))
 
 
@@ -151,10 +151,9 @@ def exact_variance_vanilla(f_bar: float, n: int) -> float:
     return f_bar * (1.0 - f_bar) / n
 
 
-def _exposure_moments(g: Graph, s: SharingState) -> tuple[float, float]:
-    """f_bar and the fp observation's second moment d_bar * E{f(X)/d(X)}, from one exposure pass;
-    f(v)/d(v) is 0 whenever f(v) = 0, so degree-0 nodes never touch the division."""
-    exposed = exposure_all(g, s)
+def _exposure_moments(g: Graph, exposed: np.ndarray) -> tuple[float, float]:
+    """f_bar and the fp observation's second moment d_bar * E{f(X)/d(X)} of the exposure vector ``exposed``
+    (``exposure_all``); f(v)/d(v) is 0 whenever f(v) = 0, so degree-0 nodes never touch the division."""
     ratios = np.zeros(g.num_nodes)
     ratios[exposed] = 1.0 / g.degrees[exposed]
     return float(exposed.mean()), average_degree(g) * float(ratios.mean())
@@ -169,36 +168,40 @@ def exact_variance_fp(g: Graph, s: SharingState, n: int) -> float:
         raise ValueError("need n >= 1")
     if g.num_edges < 1:
         raise ValueError("the friend-based estimator needs at least one edge")
-    f_bar, fp_moment = _exposure_moments(g, s)
+    f_bar, fp_moment = _exposure_moments(g, exposure_all(g, s))
     return (fp_moment - f_bar * f_bar) / n
 
 
 @dataclass(frozen=True)
 class ConditionVerdict:
-    """Which estimator the variance comparison prefers.
+    """Which estimator the variance comparison prefers, and the two moments it compared.
 
-    lhs_value = f_bar - d_bar * E{f(X)/d(X)} = E{f(X) (1 - d_bar/d(X))} over
-    uniform nodes, which equals n * (Var(vanilla) - Var(fp)); lhs_value >= 0
-    prefers the friend-based estimator. A tie is an |lhs_value| within
+    lhs_value = f_bar - fp_moment, with fp_moment = d_bar * E{f(X)/d(X)}, equals
+    E{f(X) (1 - d_bar/d(X))} over uniform nodes and n * (Var(vanilla) - Var(fp)),
+    and lhs_value >= 0 prefers the friend-based estimator; one fp sample has
+    variance fp_moment - f_bar * f_bar. A tie is an |lhs_value| within
     TIE_TOLERANCE of the larger moment, so the test scales with the variances.
     """
 
     lhs_value: float
     fp_preferred: bool
     tie: bool
+    f_bar: float
+    fp_moment: float
 
     @classmethod
     def from_moments(cls, f_bar: float, fp_moment: float) -> "ConditionVerdict":
         """The verdict from f_bar and d_bar * E{f(X)/d(X)}, the two moments every form of the rule compares."""
         lhs = f_bar - fp_moment
-        return cls(lhs, lhs >= 0.0, abs(lhs) <= TIE_TOLERANCE * max(f_bar, fp_moment))
+        return cls(lhs, lhs >= 0.0, abs(lhs) <= TIE_TOLERANCE * max(f_bar, fp_moment), f_bar, fp_moment)
 
 
 def condition_empirical(g: Graph, s: SharingState) -> ConditionVerdict:
-    """Exact decision rule on a concrete graph and sharing state."""
-    if g.num_edges < 1:
-        raise ValueError("the comparison needs at least one edge")
-    return ConditionVerdict.from_moments(*_exposure_moments(g, s))
+    """Exact decision rule on a concrete graph and sharing state, from one exposure pass."""
+    if g.num_edges < 1:  # the verdict's f_bar is the true exposure, which an empty graph lacks
+        raise ValueError("the comparison needs at least one edge" if g.num_nodes
+                         else "true exposure is undefined on an empty graph")
+    return ConditionVerdict.from_moments(*_exposure_moments(g, exposure_all(g, s)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import graph as graphmod
 from .cascade import SharingState, exposure_all
-from .estimators import ConditionVerdict, _check_d_bar, condition_empirical, estimate_from_bits
+from .estimators import ConditionVerdict, _check_d_bar, _exposure_moments, estimate_from_bits
 from .genmodel import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOLERANCE,
@@ -412,7 +412,7 @@ def run_static_experiment(
                             walk_burn_in, walk_thin).tolist() for m in methods]
     rows = [(rep, m, est[rep], abs(est[rep] - f_bar), f_bar)
             for rep in range(reps) for m, est in zip(methods, estimates)]
-    verdict = condition_empirical(g, s) if not directed and g.num_edges >= 1 else None
+    verdict = ConditionVerdict.from_moments(*_exposure_moments(g, exposed)) if not directed and g.num_edges else None
     warnings = graphmod.walk_precondition_failures(g) if "fp-walk" in methods else ()
     missed = int(np.count_nonzero(exposed & (g.out_degrees == 0))) if "d-friend" in methods else 0
     if missed:
@@ -505,7 +505,8 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
     stream (``method_generator``), so adding or reordering methods leaves
     the other methods' rows unchanged. A cell whose sharing exposes nobody
     (true exposure 0) has no defined percent error: it yields no GridCell
-    row and is reported in ``null_cells`` instead. With fp-walk among the
+    row and is reported in ``null_cells`` instead, as the tuple of its first
+    seven GridCell fields and ``shaping_missed``. With fp-walk among the
     methods, each cell's graph is checked for the walk's preconditions and
     a failure is recorded in its rows' ``walk_failures``.
     Percent errors are 100 * |estimate - truth| / truth. Every cell's
@@ -524,7 +525,7 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
         exposed = exposure_all(g, s)
         f_bar = float(exposed.mean())
         if f_bar == 0.0:
-            null_cells.append((cell_index, alpha, rkk_t, rho_t, p))
+            null_cells.append((cell_index, alpha, rkk_t, rkk_a, rho_t, rho_a, p, missed))
             continue
         walk_failures = graphmod.walk_precondition_failures(g) if "fp-walk" in cfg.methods else ()
         for method in cfg.methods:

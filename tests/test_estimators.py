@@ -326,6 +326,24 @@ class TestConditionEmpirical:
             if abs(gap) > 1e-12:
                 assert v.fp_preferred == (gap > 0)
 
+    def test_verdict_keeps_the_moments_it_compared(self):
+        rng = make_generator(79)
+        for _ in range(200):
+            g = random_graph(rng, max_nodes=30)
+            s = SharingState(random_sharing_mask(rng, g.num_nodes))
+            v = condition_empirical(g, s)
+            assert v.f_bar == true_exposure(g, s)
+            assert v.fp_moment - v.f_bar * v.f_bar == exact_variance_fp(g, s, 1)
+            assert v.lhs_value == v.f_bar - v.fp_moment
+
+    @pytest.mark.parametrize("g, message", [
+        (build_undirected([], 0), "true exposure is undefined on an empty graph"),
+        (build_undirected([], 3), "the comparison needs at least one edge"),
+    ])
+    def test_edgeless_graphs_rejected(self, g, message):
+        with pytest.raises(ValueError, match=message):
+            condition_empirical(g, SharingState.from_sharers([], g.num_nodes))
+
 
 class TestPerStepMoments:
     """The per-step moments from exposure times equal the static quantities of every replayed state."""

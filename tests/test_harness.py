@@ -1122,6 +1122,35 @@ class TestCli:
             assert sum(line.startswith(f"warning: cell {cell} has zero true exposure") for line in err) == 1
         assert len(err) == 2
 
+    def test_grid_names_a_null_cells_shaping_miss(self, tmp_path, capsys):
+        # nobody shares at p = 0, and neither cell reaches the 0.9 assortativity target in 2000 iterations
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("nodes = 300\nalphas = 2.5\nk_max = 30\nrkk_targets = 0.9\nsharing_probs = 0.0, 0.05\n"
+                       "methods = vanilla, fp\nreps = 20\nmax_iters = 2000\n")
+        config = parse_grid_config(str(cfg))
+        _, _, rkk_a, rho_a, missed = build_cell(config, 0, 2.5, 0.9, None, 0.0)
+        assert missed and rkk_a == pytest.approx(0.4421, abs=1e-4) and math.isnan(rho_a)
+        [(cell, alpha, rkk_t, rkk_achieved, rho_t, rho_achieved, p, shaping_missed)] = run_grid(config, False)[2]
+        assert (cell, alpha, rkk_t, rkk_achieved, rho_t, p, shaping_missed) == (0, 2.5, 0.9, rkk_a, None, 0.0, True)
+        assert math.isnan(rho_achieved)
+        assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"warning: cell 0 shaping stopped beyond tolerance (rkk 0.9->{rkk_a:.4f}, rho None->nan)"
+        assert err[1].startswith("warning: cell 1 shaping stopped beyond tolerance (rkk 0.9->")
+        assert err[2].startswith("warning: cell 0 has zero true exposure")
+        assert len(err) == 3
+
+    @pytest.mark.parametrize("text, message", [("", "true exposure is undefined on an empty graph"),
+                                               ("0 0\n", "the comparison needs at least one edge")])
+    def test_analyze_rejects_an_edgeless_file(self, tmp_path, capsys, text, message):
+        graph = tmp_path / "g.txt"
+        graph.write_text(text)
+        sharers = tmp_path / "s.txt"
+        sharers.write_text("")
+        assert main(["analyze", "--graph", str(graph), "--sharers", str(sharers)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         assert main(["estimate", "--graph", str(tmp_path / "missing.txt"),
                      "--sharers", str(tmp_path / "also_missing.txt"),
@@ -1161,6 +1190,51 @@ class TestCli:
                      "--method", "vanilla", "--samples", "5", "--reps", "2",
                      "--out", str(tmp_path / "out.csv")])
         assert code == 3
+
+
+class TestOneExposurePass:
+    """Each command computes the exposure vector of a (graph, sharers) pair once, and every exact number it
+    prints or writes reads that vector: one ``cascade._sharing_counts`` call per pair."""
+
+    @pytest.fixture
+    def pair(self, tmp_path):
+        rng = make_generator(41)
+        g, _ = compact_nonisolated(configuration_model(powerlaw_degree_sequence(400, 2.5, 1, rng, k_max=30), rng))
+        graph, sharers = tmp_path / "g.txt", tmp_path / "s.txt"
+        write_edge_list(str(graph), g)
+        write_sharers(str(sharers), SharingState(rng.random(g.num_nodes) < 0.05))
+        return ["--graph", str(graph), "--sharers", str(sharers)]
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        counts = cascade._sharing_counts
+
+        def counted(g, sharers):
+            calls.append(g.num_nodes)
+            return counts(g, sharers)
+
+        monkeypatch.setattr(cascade, "_sharing_counts", counted)
+        return calls
+
+    def test_analyze(self, pair, passes, capsys):
+        assert main(["analyze", *pair]) == 0
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("flags", [["--method", "vanilla,fp,fp-two-step,fp-walk", "--walk-burn-in", "20"],
+                                       ["--directed", "--method", "d-node,d-friend,d-follower"]])
+    def test_estimate(self, tmp_path, pair, passes, capsys, flags):
+        assert main(["estimate", *pair, *flags, "--reps", "5", "--out", str(tmp_path / "out.csv")]) in (0, 3)
+        assert len(passes) == 1
+
+    def test_grid(self, tmp_path, passes, capsys):
+        # cell 0 exposes nobody and is null; it still takes its one pass
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("nodes = 300\nalphas = 2.5\nk_max = 30\nsharing_probs = 0.0, 0.05, 0.1\n"
+                       "methods = vanilla, fp, fp-two-step\nreps = 5\nseed = 3\n")
+        assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 3
+        assert passes == [300] * 3
+
 
 def _estimate_cli(tmp_path, edges, sharers, flags):
     """Runs `estimate` on an edge list and a sharer list; returns (exit code, estimate column)."""
