@@ -386,13 +386,18 @@ def reference_markovian_spec(g: Graph, mask: np.ndarray) -> tuple:
             sharers / nodes)
 
 
+def reference_write_id_rows(path: str, header: str, rows) -> None:
+    """The id-file writer, one formatted line per row, each ending in '\\n'."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# {header}\n")
+        for row in np.asarray(rows).tolist():
+            fh.write(f"{' '.join(map(str, row))}\n")
+
+
 def reference_write_edge_list(path: str, g) -> None:
     """The edge-list writer, one formatted line per edge."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {'directed' if isinstance(g, DiGraph) else 'undirected'}"
-                 f" nodes={g.num_nodes} edges={g.num_edges}\n")
-        for u, v in g.edge_array.tolist():
-            fh.write(f"{u} {v}\n")
+    reference_write_id_rows(path, f"{'directed' if isinstance(g, DiGraph) else 'undirected'}"
+                                  f" nodes={g.num_nodes} edges={g.num_edges}", g.edge_array)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,7 @@ from oracles import (
     reference_write_csv,
     reference_walk_precondition_failures,
     reference_write_edge_list,
+    reference_write_id_rows,
     shuffled_edges,
     star,
 )
@@ -408,9 +410,77 @@ class TestBulkEdgeListWrite:
     def test_idmap_bytes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "WRITE_CHUNK_ROWS", 2)
         f = tmp_path / "g.txt"
-        f.write_text("5 900\n900 7\n7 12\n")
-        load_graph(str(f), mapping_path=str(tmp_path / "g.map"))
-        assert open(tmp_path / "g.map", "rb").read() == b"# original_id remapped_id\n5 0\n7 1\n12 2\n900 3\n"
+        # the second file holds the narrowest and the widest ids
+        for text, mapping in (("5 900\n900 7\n7 12\n", b"5 0\n7 1\n12 2\n900 3\n"),
+                              (f"{2**63 - 1} 0\n1000000000000000000 {2**63 - 1}\n",
+                               b"0 0\n1000000000000000000 1\n9223372036854775807 2\n")):
+            f.write_text(text)
+            load_graph(str(f), mapping_path=str(tmp_path / "g.map"))
+            assert open(tmp_path / "g.map", "rb").read() == b"# original_id remapped_id\n" + mapping
+
+    # 0, 1, 9, 10, 99, 100, ..., 10**18: each digit count's first and last id; then the largest id
+    BOUNDARY_IDS = [i for k in range(19) for i in (10**k - 1, 10**k)] + [2**63 - 1]
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, rows):
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        harness._write_id_rows(str(got), "ids", rows)
+        reference_write_id_rows(str(want), "ids", rows)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, harness.WRITE_CHUNK_ROWS])
+    def test_every_digit_boundary(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(harness, "WRITE_CHUNK_ROWS", chunk_rows)
+        ids = np.array(self.BOUNDARY_IDS, dtype=np.int64)
+        assert ids[0] == 0 and ids[-1] == 2**63 - 1 and ids.size == 39
+        self.assert_same_bytes(tmp_path, ids[:, None])
+        # each id beside every width in turn: the same id, the reversed list, and a shifted one
+        self.assert_same_bytes(tmp_path, np.stack([ids, ids], axis=1))
+        self.assert_same_bytes(tmp_path, np.stack([ids, ids[::-1]], axis=1))
+        self.assert_same_bytes(tmp_path, np.stack([np.roll(ids, 5), ids], axis=1))
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_row_counts_around_the_chunk_size(self, tmp_path, extra, columns):
+        rng = make_generator(25, extra + 1, columns)
+        rows = rng.integers(0, 10 ** rng.integers(1, 19, size=(harness.WRITE_CHUNK_ROWS + extra, 1)),
+                            size=(harness.WRITE_CHUNK_ROWS + extra, columns))
+        self.assert_same_bytes(tmp_path, rows)
+
+    def test_width_is_set_per_chunk(self, tmp_path, monkeypatch):
+        # chunks of 1-digit ids between chunks of 19-digit ids: no chunk is padded to another's width
+        monkeypatch.setattr(harness, "WRITE_CHUNK_ROWS", 7)
+        short = np.arange(14).reshape(7, 2) % 10
+        long = 2**63 - 1 - np.arange(14).reshape(7, 2)
+        for rows in (np.concatenate([short, long, short]), np.concatenate([long, short, long])):
+            self.assert_same_bytes(tmp_path, rows)
+        harness._write_id_rows(str(tmp_path / "mixed.txt"), "h", np.concatenate([short[:1], long[:1]]))
+        assert (tmp_path / "mixed.txt").read_bytes() == b"# h\n0 1\n9223372036854775807 9223372036854775806\n"
+
+    @pytest.mark.parametrize("nodes", [10_000, 100_000])
+    def test_generated_graph_round_trip(self, tmp_path, nodes):
+        rng = make_generator(nodes)
+        g, _ = compact_nonisolated(configuration_model(powerlaw_degree_sequence(nodes, 2.5, 2, rng, k_max=1000), rng))
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        write_edge_list(str(got), g)
+        reference_write_edge_list(str(want), g)
+        assert got.read_bytes() == want.read_bytes()
+        g2, report = load_graph(str(got))
+        assert not report.remapped and g2.num_nodes == g.num_nodes
+        assert np.array_equal(g2.edge_array, g.edge_array)
+
+    def test_memory_stays_bounded(self, tmp_path):
+        # a path of m edges: at 2 and at 8 chunks every id has 6 digits, so each chunk's work is the same
+        peaks = []
+        for chunks in (2, 8):
+            m = chunks * harness.WRITE_CHUNK_ROWS
+            g = Graph(m + 1, np.stack([np.arange(m), np.arange(1, m + 1)], axis=1))
+            tracemalloc.start()
+            write_edge_list(str(tmp_path / "g.txt"), g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # measured: 4.88 MiB at both sizes, while the edge array grows from 2 to 8 MiB
+        assert peaks[1] <= 1.05 * peaks[0]
 
     def test_sharer_bytes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "WRITE_CHUNK_ROWS", 2)
@@ -602,6 +672,7 @@ class TestDegenerateRuns:
 
     @pytest.mark.parametrize("field,value,message", [
         ("reps", 0, "reps >= 1"), ("n_samples", 0, "n_samples >= 1"), ("methods", (), "at least one method"),
+        ("walk_thin", 0, "thin must be >= 1"), ("walk_burn_in", -1, "burn_in must be >= 0"),
     ])
     def test_grid_rejects_before_shaping(self, monkeypatch, field, value, message):
         monkeypatch.setattr(harness, "build_cell", _no_shaping)
@@ -623,6 +694,13 @@ class TestDegenerateRuns:
         with pytest.raises(ValueError, match="'vanilla' listed twice"):
             run_static_experiment(g, s, ["vanilla", "fp", "vanilla"], 5, 2, seed=0)
 
+    @pytest.mark.parametrize("burn_in,thin,message", [(10, 0, "thin must be >= 1"), (-1, 2, "burn_in must be >= 0")])
+    def test_static_experiment_rejects_walk_lengths_before_drawing(self, monkeypatch, burn_in, thin, message):
+        monkeypatch.setattr(harness, "run_method", _no_draw)
+        with pytest.raises(ValueError, match=message):
+            run_static_experiment(star(4), SharingState.from_sharers([0], 5), ["vanilla", "fp-walk"], 5, 2, seed=0,
+                                  walk_burn_in=burn_in, walk_thin=thin)
+
     def test_static_experiment_rejects_an_empty_graph_before_drawing(self, monkeypatch):
         monkeypatch.setattr(harness, "run_method", _no_draw)
         with pytest.raises(ValueError, match="true exposure is undefined on an empty graph"):
@@ -642,7 +720,8 @@ class TestDegenerateRuns:
         assert "true exposure is undefined on an empty graph" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["reps = 0", "n_samples = 0", "methods = ,", "methods = vanilla, fp, vanilla"])
+    @pytest.mark.parametrize("line", ["reps = 0", "n_samples = 0", "methods = ,", "methods = vanilla, fp, vanilla",
+                                      "walk_thin = 0", "walk_burn_in = -1\nmethods = fp-walk"])
     def test_grid_cli_exit_code(self, tmp_path, monkeypatch, line):
         monkeypatch.setattr(harness, "build_cell", _no_shaping)
         cfg = tmp_path / "grid.cfg"
@@ -1384,6 +1463,52 @@ class TestGridWalkPreconditions:
                        "n_samples = 5\nreps = 4\nseed = 6\n")
         assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestGridWalkLengths:
+    """A grid's fp-walk walks with the config's burn-in and thinning; none keeps 10|V| and |V|."""
+
+    def test_short_walk_rows_match_reference(self):
+        cfg = dataclasses.replace(tiny_grid(), methods=("vanilla", "fp-walk"), walk_burn_in=5, walk_thin=1)
+        _, ledger, _ = run_grid(cfg)
+        want = []
+        for cell_index, (alpha, rkk_t, rho_t, p) in enumerate(cfg.cells()):
+            g, s, _, _, _ = build_cell(cfg, cell_index, alpha, rkk_t, rho_t, p)
+            f_bar = true_exposure(g, s)
+            for method in cfg.methods:
+                ests = reference_method_rows(method, g, s, cfg.n_samples, cfg.reps,
+                                             _stream(cfg.seed, cell_index, method), walk_burn_in=5, walk_thin=1)
+                want += [(cell_index, alpha, rkk_t, rho_t, p, method, rep, est, abs(est - f_bar), f_bar)
+                         for rep, est in enumerate(ests.tolist())]
+        assert ledger == want
+        default_walk = run_grid(dataclasses.replace(cfg, walk_burn_in=None, walk_thin=None))[1]
+        assert [row for row in ledger if row[5] == "vanilla"] == [row for row in default_walk if row[5] == "vanilla"]
+        assert [row for row in ledger if row[5] == "fp-walk"] != [row for row in default_walk if row[5] == "fp-walk"]
+
+    def test_none_keeps_the_default_lengths(self):
+        cfg = dataclasses.replace(tiny_grid(), methods=("fp-walk",))
+        explicit = dataclasses.replace(cfg, walk_burn_in=10 * cfg.nodes, walk_thin=cfg.nodes)
+        assert run_grid(cfg)[1] == run_grid(explicit)[1]
+
+    def test_config_keys(self, tmp_path):
+        f = tmp_path / "grid.cfg"
+        f.write_text("nodes = 120\nwalk_burn_in = 0\nwalk_thin = 3\n")
+        cfg = parse_grid_config(str(f))
+        assert (cfg.walk_burn_in, cfg.walk_thin) == (0, 3)
+        f.write_text("nodes = 120\nwalk_burn_in = none\nwalk_thin = None\n")
+        assert parse_grid_config(str(f)) == GridConfig(nodes=120)
+
+    def test_cli_short_walk(self, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("nodes = 120\nalphas = 2.5\nk_max = 25\nsharing_probs = 0.2\nmethods = vanilla, fp-walk\n"
+                       "n_samples = 5\nreps = 4\nseed = 6\nwalk_burn_in = 50\nwalk_thin = 2\n")
+        out, ledger = tmp_path / "out.csv", tmp_path / "ledger.csv"
+        assert main(["grid", "--config", str(cfg), "--out", str(out), "--ledger-out", str(ledger)]) == 0
+        config = parse_grid_config(str(cfg))
+        g, s, _, _, _ = build_cell(config, 0, 2.5, None, None, 0.2)
+        want = reference_method_rows("fp-walk", g, s, 5, 4, _stream(6, 0, "fp-walk"), walk_burn_in=50, walk_thin=2)
+        rows = [line.split(",") for line in ledger.read_text().splitlines()[2:]]
+        assert [float(r[7]) for r in rows if r[5] == "fp-walk"] == pytest.approx(want.tolist(), rel=1e-11)
 
 
 # (rkk target, sharing prob, rho target, tolerance, max_iters): shaped, unshaped,
