@@ -216,14 +216,6 @@ def sample_directed_many(g: DiGraph, mode: str, size: int | tuple, rng: np.rando
     return g.edge_array[idx, 0 if mode == "friend" else 1]
 
 
-def _check_walk_lengths(burn_in: int | None, thin: int | None) -> None:
-    """Reject a walk's burn-in below 0 or thinning below 1; None stands for the default."""
-    if thin is not None and thin < 1:
-        raise ValueError("thin must be >= 1")
-    if burn_in is not None and burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-
-
 def random_walk_friends(
     g: Graph,
     start,
@@ -251,7 +243,10 @@ def random_walk_friends(
         burn_in = WALK_BURN_IN_FACTOR * g.num_nodes
     if thin is None:
         thin = g.num_nodes
-    _check_walk_lengths(burn_in, thin)
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     if num_samples < 0:
         raise ValueError("num_samples must be >= 0")
     starts = np.asarray(start, dtype=np.int64)

@@ -46,7 +46,6 @@ METHODS = UNDIRECTED_METHODS + DIRECTED_METHODS  # a method's place here fixes i
 _SAMPLING_MODES = {"vanilla": "node", "fp": "fp", "fp-walk": "fp", "fp-two-step": "fp",
                    "d-node": "node", "d-friend": "friend", "d-follower": "follower"}
 WRITE_CHUNK_ROWS = 1 << 16  # id-file rows formatted per write
-_POWERS_OF_TEN = 10 ** np.arange(19)  # an id up to MAX_NODE_ID has at most 19 digits
 CSV_CHUNK_ROWS = 1 << 8  # CSV rows formatted per write; 1024 raised peak RSS by ~0.6 MiB on a 4.8k-row grid ledger
 _ID_TEXT = b"0123456789 \t\n"  # all an id file holds once comments are dropped
 _NODE_ID = re.compile(r"-?[0-9]+")  # ASCII digits; a sign only to report negative ids
@@ -206,25 +205,32 @@ def _write_id_rows(path: str, header: str, rows: np.ndarray) -> None:
 
     Ids are non-negative. The file is written in binary, so every line ends
     in '\\n' on every platform. Rows are formatted WRITE_CHUNK_ROWS at a time
-    to bound memory: a chunk's ids are written right to left, one decimal
-    digit per place, into a block as wide as its largest id plus a
-    separator; the leading places of each shorter id are zeroed and dropped.
+    to bound memory. In a chunk, each column's ids are written right to left,
+    one decimal digit per place, into places as wide as the column's largest
+    id, then a separator; the leading places of each shorter id are zeroed
+    and dropped. Widths are per column, so the id mapping's dense column does
+    not pay for the wide original ids beside it, and a column's digits are
+    worked out in uint32 when its largest id has at most 9 digits.
     """
     with open(path, "wb") as fh:
         fh.write(f"# {header}\n".encode())
         for start in range(0, rows.shape[0], WRITE_CHUNK_ROWS):
             chunk = rows[start : start + WRITE_CHUNK_ROWS]
-            width = max(1, int(np.searchsorted(_POWERS_OF_TEN, chunk.max(), side="right")))
-            block = np.empty((*chunk.shape, width + 1), dtype=np.uint8)
-            rest = chunk
-            for place in range(width - 1, -1, -1):
-                quotient = rest // 10  # with the product below, ~4x faster than np.divmod
-                np.add(rest - quotient * 10, ord("0"), out=block[..., place], casting="unsafe")
-                rest = quotient
-            for place in range(width - 1):
-                np.copyto(block[..., place], 0, where=chunk < _POWERS_OF_TEN[width - 1 - place])
-            block[..., width] = ord(" ")
-            block[:, -1, width] = ord("\n")
+            widths = [len(str(largest)) for largest in chunk.max(axis=0).tolist()]
+            block = np.empty((chunk.shape[0], sum(widths) + len(widths)), dtype=np.uint8)
+            end = 0  # the column's separator place
+            for column, width in zip(chunk.T, widths):
+                end += width
+                rest = column.astype(np.uint32 if width <= 9 else np.uint64)
+                for place in range(end - 1, end - width - 1, -1):
+                    quotient = rest // 10  # with the product below, ~4x faster than np.divmod
+                    np.add(rest - quotient * 10, ord("0"), out=block[:, place], casting="unsafe")
+                    if place < end - 1:  # nothing left of the id: a leading place
+                        np.copyto(block[:, place], 0, where=rest == 0)
+                    rest = quotient
+                block[:, end] = ord(" ")
+                end += 1
+            block[:, -1] = ord("\n")
             fh.write(block[block != 0].tobytes())
 
 
@@ -419,7 +425,6 @@ def run_static_experiment(
     _check_methods(methods, directed)
     _check_counts(n_samples, reps)
     _check_d_bar(d_bar)
-    graphmod._check_walk_lengths(walk_burn_in, walk_thin)
     if g.num_nodes < 1:
         raise ValueError("true exposure is undefined on an empty graph")
     exposed = exposure_all(g, s)
@@ -462,8 +467,6 @@ class GridConfig:
     seed: int = 0
     tolerance: float = DEFAULT_TOLERANCE
     max_iters: int = DEFAULT_MAX_ITERS
-    walk_burn_in: int | None = None  # None: fp-walk's default burn-in, 10|V|
-    walk_thin: int | None = None  # None: fp-walk's default thinning, |V|
 
     def cells(self):
         return list(itertools.product(self.alphas, self.rkk_targets, self.rho_targets, self.sharing_probs))
@@ -526,15 +529,12 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
     row and is reported in ``null_cells`` instead, as the tuple of its first
     seven GridCell fields and ``shaping_missed``. With fp-walk among the
     methods, each cell's graph is checked for the walk's preconditions and
-    a failure is recorded in its rows' ``walk_failures``; fp-walk walks with
-    the config's ``walk_burn_in`` and ``walk_thin``.
-    Percent errors are 100 * |estimate - truth| / truth. The walk lengths
-    and every cell's degree and shaping inputs are checked before the first
-    cell is built.
+    a failure is recorded in its rows' ``walk_failures``.
+    Percent errors are 100 * |estimate - truth| / truth. Every cell's
+    degree and shaping inputs are checked before the first cell is built.
     """
     _check_methods(cfg.methods, directed=False)
     _check_counts(cfg.n_samples, cfg.reps)
-    graphmod._check_walk_lengths(cfg.walk_burn_in, cfg.walk_thin)
     for alpha, rkk_t, rho_t, p in cfg.cells():
         powerlaw_cap(cfg.nodes, alpha, cfg.k_min, cfg.k_max)
         shaping_targets(rkk_t, p, rho_t, cfg.tolerance, cfg.max_iters)
@@ -551,8 +551,7 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
         walk_failures = graphmod.walk_precondition_failures(g) if "fp-walk" in cfg.methods else ()
         for method in cfg.methods:
             estimates = run_method(method, g, exposed, cfg.n_samples, cfg.reps,
-                                   method_generator(cfg.seed, cell_index, method),
-                                   walk_burn_in=cfg.walk_burn_in, walk_thin=cfg.walk_thin)
+                                   method_generator(cfg.seed, cell_index, method))
             errors = np.abs(estimates - f_bar)
             if collect_ledger:
                 ledger += [(cell_index, alpha, rkk_t, rho_t, p, method, rep, est, err, f_bar)
@@ -602,30 +601,22 @@ def aggregate_ledger(ledger: list) -> dict:
 # Parsing the flat key = value config format
 # ---------------------------------------------------------------------------
 
-
-def _optional(convert):
-    """A config value converter that reads 'none' or 'null' as None."""
-    return lambda s: None if s.lower() in ("none", "null") else convert(s)
-
-
 _GRID_LIST_KEYS = {
     "alphas": float,
-    "rkk_targets": _optional(float),
-    "rho_targets": _optional(float),
+    "rkk_targets": lambda s: None if s.lower() in ("none", "null") else float(s),
+    "rho_targets": lambda s: None if s.lower() in ("none", "null") else float(s),
     "sharing_probs": float,
     "methods": str,
 }
 _GRID_SCALAR_KEYS = {
     "nodes": int,
     "k_min": int,
-    "k_max": _optional(int),
+    "k_max": lambda s: None if s.lower() in ("none", "null") else int(s),
     "n_samples": int,
     "reps": int,
     "seed": int,
     "tolerance": float,
     "max_iters": int,
-    "walk_burn_in": _optional(int),
-    "walk_thin": _optional(int),
 }
 
 

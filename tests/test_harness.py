@@ -447,12 +447,14 @@ class TestBulkEdgeListWrite:
                             size=(harness.WRITE_CHUNK_ROWS + extra, columns))
         self.assert_same_bytes(tmp_path, rows)
 
-    def test_width_is_set_per_chunk(self, tmp_path, monkeypatch):
-        # chunks of 1-digit ids between chunks of 19-digit ids: no chunk is padded to another's width
+    def test_width_is_set_per_chunk_and_column(self, tmp_path, monkeypatch):
+        # chunks of 1-digit ids between chunks of 19-digit ids, and a column of each beside the other:
+        # no chunk or column is padded to another's width
         monkeypatch.setattr(harness, "WRITE_CHUNK_ROWS", 7)
         short = np.arange(14).reshape(7, 2) % 10
         long = 2**63 - 1 - np.arange(14).reshape(7, 2)
-        for rows in (np.concatenate([short, long, short]), np.concatenate([long, short, long])):
+        for rows in (np.concatenate([short, long, short]), np.concatenate([long, short, long]),
+                     np.concatenate([short[:, :1], long[:, :1]], axis=1), np.concatenate([long[:, :1], short[:, :1]], axis=1)):
             self.assert_same_bytes(tmp_path, rows)
         harness._write_id_rows(str(tmp_path / "mixed.txt"), "h", np.concatenate([short[:1], long[:1]]))
         assert (tmp_path / "mixed.txt").read_bytes() == b"# h\n0 1\n9223372036854775807 9223372036854775806\n"
@@ -479,7 +481,7 @@ class TestBulkEdgeListWrite:
             write_edge_list(str(tmp_path / "g.txt"), g)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-        # measured: 4.88 MiB at both sizes, while the edge array grows from 2 to 8 MiB
+        # measured: 2.81 and 2.88 MiB, while the edge array grows from 2 to 8 MiB
         assert peaks[1] <= 1.05 * peaks[0]
 
     def test_sharer_bytes(self, tmp_path, monkeypatch):
@@ -672,7 +674,6 @@ class TestDegenerateRuns:
 
     @pytest.mark.parametrize("field,value,message", [
         ("reps", 0, "reps >= 1"), ("n_samples", 0, "n_samples >= 1"), ("methods", (), "at least one method"),
-        ("walk_thin", 0, "thin must be >= 1"), ("walk_burn_in", -1, "burn_in must be >= 0"),
     ])
     def test_grid_rejects_before_shaping(self, monkeypatch, field, value, message):
         monkeypatch.setattr(harness, "build_cell", _no_shaping)
@@ -694,13 +695,6 @@ class TestDegenerateRuns:
         with pytest.raises(ValueError, match="'vanilla' listed twice"):
             run_static_experiment(g, s, ["vanilla", "fp", "vanilla"], 5, 2, seed=0)
 
-    @pytest.mark.parametrize("burn_in,thin,message", [(10, 0, "thin must be >= 1"), (-1, 2, "burn_in must be >= 0")])
-    def test_static_experiment_rejects_walk_lengths_before_drawing(self, monkeypatch, burn_in, thin, message):
-        monkeypatch.setattr(harness, "run_method", _no_draw)
-        with pytest.raises(ValueError, match=message):
-            run_static_experiment(star(4), SharingState.from_sharers([0], 5), ["vanilla", "fp-walk"], 5, 2, seed=0,
-                                  walk_burn_in=burn_in, walk_thin=thin)
-
     def test_static_experiment_rejects_an_empty_graph_before_drawing(self, monkeypatch):
         monkeypatch.setattr(harness, "run_method", _no_draw)
         with pytest.raises(ValueError, match="true exposure is undefined on an empty graph"):
@@ -720,8 +714,7 @@ class TestDegenerateRuns:
         assert "true exposure is undefined on an empty graph" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["reps = 0", "n_samples = 0", "methods = ,", "methods = vanilla, fp, vanilla",
-                                      "walk_thin = 0", "walk_burn_in = -1\nmethods = fp-walk"])
+    @pytest.mark.parametrize("line", ["reps = 0", "n_samples = 0", "methods = ,", "methods = vanilla, fp, vanilla"])
     def test_grid_cli_exit_code(self, tmp_path, monkeypatch, line):
         monkeypatch.setattr(harness, "build_cell", _no_shaping)
         cfg = tmp_path / "grid.cfg"
@@ -1463,52 +1456,6 @@ class TestGridWalkPreconditions:
                        "n_samples = 5\nreps = 4\nseed = 6\n")
         assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
         assert capsys.readouterr().err == ""
-
-
-class TestGridWalkLengths:
-    """A grid's fp-walk walks with the config's burn-in and thinning; none keeps 10|V| and |V|."""
-
-    def test_short_walk_rows_match_reference(self):
-        cfg = dataclasses.replace(tiny_grid(), methods=("vanilla", "fp-walk"), walk_burn_in=5, walk_thin=1)
-        _, ledger, _ = run_grid(cfg)
-        want = []
-        for cell_index, (alpha, rkk_t, rho_t, p) in enumerate(cfg.cells()):
-            g, s, _, _, _ = build_cell(cfg, cell_index, alpha, rkk_t, rho_t, p)
-            f_bar = true_exposure(g, s)
-            for method in cfg.methods:
-                ests = reference_method_rows(method, g, s, cfg.n_samples, cfg.reps,
-                                             _stream(cfg.seed, cell_index, method), walk_burn_in=5, walk_thin=1)
-                want += [(cell_index, alpha, rkk_t, rho_t, p, method, rep, est, abs(est - f_bar), f_bar)
-                         for rep, est in enumerate(ests.tolist())]
-        assert ledger == want
-        default_walk = run_grid(dataclasses.replace(cfg, walk_burn_in=None, walk_thin=None))[1]
-        assert [row for row in ledger if row[5] == "vanilla"] == [row for row in default_walk if row[5] == "vanilla"]
-        assert [row for row in ledger if row[5] == "fp-walk"] != [row for row in default_walk if row[5] == "fp-walk"]
-
-    def test_none_keeps_the_default_lengths(self):
-        cfg = dataclasses.replace(tiny_grid(), methods=("fp-walk",))
-        explicit = dataclasses.replace(cfg, walk_burn_in=10 * cfg.nodes, walk_thin=cfg.nodes)
-        assert run_grid(cfg)[1] == run_grid(explicit)[1]
-
-    def test_config_keys(self, tmp_path):
-        f = tmp_path / "grid.cfg"
-        f.write_text("nodes = 120\nwalk_burn_in = 0\nwalk_thin = 3\n")
-        cfg = parse_grid_config(str(f))
-        assert (cfg.walk_burn_in, cfg.walk_thin) == (0, 3)
-        f.write_text("nodes = 120\nwalk_burn_in = none\nwalk_thin = None\n")
-        assert parse_grid_config(str(f)) == GridConfig(nodes=120)
-
-    def test_cli_short_walk(self, tmp_path):
-        cfg = tmp_path / "grid.cfg"
-        cfg.write_text("nodes = 120\nalphas = 2.5\nk_max = 25\nsharing_probs = 0.2\nmethods = vanilla, fp-walk\n"
-                       "n_samples = 5\nreps = 4\nseed = 6\nwalk_burn_in = 50\nwalk_thin = 2\n")
-        out, ledger = tmp_path / "out.csv", tmp_path / "ledger.csv"
-        assert main(["grid", "--config", str(cfg), "--out", str(out), "--ledger-out", str(ledger)]) == 0
-        config = parse_grid_config(str(cfg))
-        g, s, _, _, _ = build_cell(config, 0, 2.5, None, None, 0.2)
-        want = reference_method_rows("fp-walk", g, s, 5, 4, _stream(6, 0, "fp-walk"), walk_burn_in=50, walk_thin=2)
-        rows = [line.split(",") for line in ledger.read_text().splitlines()[2:]]
-        assert [float(r[7]) for r in rows if r[5] == "fp-walk"] == pytest.approx(want.tolist(), rel=1e-11)
 
 
 # (rkk target, sharing prob, rho target, tolerance, max_iters): shaped, unshaped,
