@@ -34,17 +34,19 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_WARNING = 3
 
-# track's network flags, for --nodes only: an omitted one stays out of the
-# parsed arguments, so --graph can tell that one was given
-_TRACK_NETWORK_DEFAULTS = {"alpha": 2.5, "kmin": 1, "kmax": None, "assortativity": None,
-                           "tolerance": genmodel.DEFAULT_TOLERANCE, "max_iters": genmodel.DEFAULT_MAX_ITERS}
-# track's flags that act under one value of another flag only, kept out of the
-# parsed arguments the same way: flag -> (other flag, value, default)
-_TRACK_SCOPED_FLAGS = {"p_inf": ("model", "icm", cascade.DEFAULT_INFECTION_PROB),
-                       "icm_retry": ("model", "icm", False),
-                       "theta": ("model", "ltm", cascade.DEFAULT_LTM_THRESHOLD),
-                       "ltm_strict": ("model", "ltm", False),
-                       "epsilon": ("policy", "constant", tracking.DEFAULT_STEP_SIZE)}
+# track's flags that apply under one condition only: flag -> (where it applies, its test on the parsed
+# arguments, default); argparse.SUPPRESS keeps an omitted one out, so a given one can be refused
+_ICM = ("with --model icm", lambda args: args.model == "icm")
+_LTM = ("with --model ltm", lambda args: args.model == "ltm")
+_CONSTANT = ("with --policy constant", lambda args: args.policy == "constant")
+_NODES = ("to a network generated with --nodes, not to --graph", lambda args: args.graph is None)
+_TRACK_FLAGS = {
+    "p_inf": (*_ICM, cascade.DEFAULT_INFECTION_PROB), "icm_retry": (*_ICM, False),
+    "theta": (*_LTM, cascade.DEFAULT_LTM_THRESHOLD), "ltm_strict": (*_LTM, False),
+    "epsilon": (*_CONSTANT, tracking.DEFAULT_STEP_SIZE),
+    "alpha": (*_NODES, 2.5), "kmin": (*_NODES, 1), "kmax": (*_NODES, None), "assortativity": (*_NODES, None),
+    "tolerance": (*_NODES, genmodel.DEFAULT_TOLERANCE), "max_iters": (*_NODES, genmodel.DEFAULT_MAX_ITERS),
+}
 
 
 def _stamp(subcommand: str, args_text: str) -> str:
@@ -78,8 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--directed", action="store_true")
     p.add_argument("--sharers", required=True)
-    p.add_argument("--method", required=True,
-                   help="comma-separated: vanilla|fp|fp-walk|fp-two-step|d-node|d-friend|d-follower")
+    p.add_argument("--method", required=True, help="comma-separated: " + "|".join(harness.METHODS))
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -223,11 +224,11 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    for flag, (other, value, _) in _TRACK_SCOPED_FLAGS.items():
-        if flag in vars(args) and getattr(args, other) != value:
-            raise ValueError(f"--{flag.replace('_', '-')} applies only with --{other} {value}")
-    args = argparse.Namespace(**{flag: default for flag, (_, _, default) in _TRACK_SCOPED_FLAGS.items()}
-                              | vars(args))
+    for flag, (where, applies, default) in _TRACK_FLAGS.items():
+        if flag not in vars(args):
+            setattr(args, flag, default)
+        elif not applies(args):
+            raise ValueError(f"--{flag.replace('_', '-')} applies only {where}")
     policy = StepPolicy(args.policy, args.epsilon)
     # the run's own inputs, checked before a network is loaded or shaped; the
     # seed count's upper bound only with --nodes, since a --graph file's size is unknown here
@@ -237,13 +238,8 @@ def _cmd_track(args) -> int:
     rng = make_generator(args.seed)
     missed = False
     if args.graph is not None:
-        given = [flag for flag in _TRACK_NETWORK_DEFAULTS if flag in vars(args)]
-        if given:
-            raise ValueError(f"--{given[0].replace('_', '-')} applies only to a network generated with --nodes, "
-                             "not to --graph")
         g, _ = _load_graph(args.graph)
     else:
-        args = argparse.Namespace(**{**_TRACK_NETWORK_DEFAULTS, **vars(args)})
         g, _, rkk, _ = _shaped_network(args, rng, compact=False)
         missed = not rkk.converged
     records = run_tracking_experiment(

@@ -26,7 +26,7 @@ DEFAULT_SUPPORT_MAX = 10_000
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """One estimate with its provenance.
+    """One estimate with its sample count and the average degree that corrected it (NaN for node samples).
 
     The estimators reduce over the last axis of their samples: a 1-D
     sample vector gives a float estimate, a 2-D (reps, n) array one
@@ -36,7 +36,6 @@ class EstimatorReport:
     clamped, which is what keeps them unbiased.
     """
 
-    kind: str
     estimate: float | np.ndarray
     n: int
     d_bar: float
@@ -53,7 +52,7 @@ def vanilla_estimate(exposures) -> EstimatorReport:
     bits = np.asarray(exposures, dtype=float)
     if bits.size < 1:
         raise ValueError("need at least one sample")
-    return EstimatorReport("vanilla", _row_means(bits), bits.shape[-1], math.nan)
+    return EstimatorReport(_row_means(bits), bits.shape[-1], math.nan)
 
 
 def _reject_degree_zero(samples: np.ndarray, degrees: np.ndarray, what: str) -> None:
@@ -98,7 +97,7 @@ def fp_estimate(g: Graph, friends, s: SharingState, d_bar: float | None = None) 
     A sample of degree 0 cannot come from friend sampling and raises
     ValueError.
     """
-    return _sampled_report(g, "fp", "fp", friends, s, d_bar)
+    return _sampled_report(g, "fp", friends, s, d_bar)
 
 
 def directed_estimates(g: DiGraph, mode: str, samples, s: SharingState,
@@ -112,7 +111,9 @@ def directed_estimates(g: DiGraph, mode: str, samples, s: SharingState,
     (an account the node follows) shared. A friend (follower) sample with
     out-degree (in-degree) 0 raises ValueError.
     """
-    return _sampled_report(g, f"directed_{mode}", mode, samples, s, d_bar)
+    if mode not in ("node", "friend", "follower"):
+        raise ValueError(f"unknown estimator mode: {mode!r}")
+    return _sampled_report(g, mode, samples, s, d_bar)
 
 
 def _check_d_bar(d_bar: float | None) -> None:
@@ -121,20 +122,18 @@ def _check_d_bar(d_bar: float | None) -> None:
         raise ValueError(f"d_bar must be finite and > 0, got {d_bar}")
 
 
-def _sampled_report(g, kind: str, mode: str, samples, s: SharingState, d_bar: float | None) -> EstimatorReport:
-    """The one body of fp_estimate and directed_estimates: a report of ``kind`` from samples of ``mode``."""
+def _sampled_report(g, mode: str, samples, s: SharingState, d_bar: float | None) -> EstimatorReport:
+    """The one body of fp_estimate and directed_estimates: a report from samples of ``mode``."""
     samples = np.asarray(samples, dtype=np.int64)
     if samples.size < 1:
         raise ValueError("need at least one sample")
-    if kind not in ("fp", "directed_node", "directed_friend", "directed_follower"):
-        raise ValueError(f"unknown estimator mode: {mode!r}")
     if mode != "node" and g.num_edges < 1:
         raise ValueError(f"{'friend' if mode == 'fp' else mode} sampling requires at least one edge")
     _check_d_bar(d_bar)
     if d_bar is None:
         d_bar = math.nan if mode == "node" else average_degree(g)
     bits = exposure_all(g, s)[samples]
-    return EstimatorReport(kind, estimate_from_bits(g, mode, samples, bits, d_bar), samples.shape[-1], float(d_bar))
+    return EstimatorReport(estimate_from_bits(g, mode, samples, bits, d_bar), samples.shape[-1], float(d_bar))
 
 
 # ---------------------------------------------------------------------------

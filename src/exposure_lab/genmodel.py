@@ -12,7 +12,7 @@ CLI call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class ShapingResult:
     achieved: float
     iterations: int  # proposals drawn, rejected and dropped ones included
     converged: bool
-    trace: list = field(default_factory=list, repr=False)
 
 
 def powerlaw_cap(n: int, alpha: float, k_min: int = 1, k_max: int | None = None) -> int:
@@ -189,7 +188,7 @@ def _cut(accepted: np.ndarray, stop: np.ndarray, batch: int) -> tuple[int, int]:
     return int(hit[0]) + 1, int(accepted[hit[0]]) + 1
 
 
-def _climb(target: CorrelationTarget, rho, total: int, floor, ceiling, batch: int, propose, record_trace):
+def _climb(target: CorrelationTarget, rho, total: int, floor, ceiling, batch: int, propose):
     """The batched, budgeted hill climb of both shaping loops, on ``rho(total)``.
 
     ``propose(k, up)`` draws k proposals climbing up or down and returns the
@@ -199,7 +198,6 @@ def _climb(target: CorrelationTarget, rho, total: int, floor, ceiling, batch: in
     floor or ceiling; there the loop stops. ``iterations`` counts the proposals
     drawn up to the cut, rejected ones included, against max_iters.
     """
-    trace: list[float] = []
     current = rho(total)
     iters = 0
     converged = abs(current - target.target) <= target.tolerance
@@ -219,14 +217,12 @@ def _climb(target: CorrelationTarget, rho, total: int, floor, ceiling, batch: in
             apply(moves)
             total = int(totals[moves - 1])
             current = rho(total)
-            if record_trace:
-                trace += running[:moves].tolist()
         converged = abs(current - target.target) <= target.tolerance
-    return ShapingResult(current, iters, converged, trace)
+    return ShapingResult(current, iters, converged)
 
 
 def rewire_to_assortativity(
-    g: Graph, target: CorrelationTarget, rng: np.random.Generator, record_trace: bool = False
+    g: Graph, target: CorrelationTarget, rng: np.random.Generator
 ) -> tuple[Graph, ShapingResult]:
     """Degree-preserving rewiring toward a target assortativity coefficient.
 
@@ -296,7 +292,7 @@ def rewire_to_assortativity(
 
     # the climb runs on sum_xy / 2, which each move changes by its gain
     result = _climb(target, lambda t: (2 * t / n_points - mean_sq) / denom, sum_xy // 2, -math.inf, math.inf,
-                    min(max(m // 8, REWIRE_BATCH_MIN), REWIRE_BATCH_MAX), propose, record_trace)
+                    min(max(m // 8, REWIRE_BATCH_MIN), REWIRE_BATCH_MAX), propose)
     if not moved:
         return g, result
     # the keys stay sorted and distinct, with u < v: the edges are already simple
@@ -335,7 +331,7 @@ def degree_sharing_correlation(g: Graph, s: SharingState) -> float:
 
 
 def swap_to_correlation(
-    g: Graph, s: SharingState, target: CorrelationTarget, rng: np.random.Generator, record_trace: bool = False
+    g: Graph, s: SharingState, target: CorrelationTarget, rng: np.random.Generator
 ) -> tuple[SharingState, ShapingResult]:
     """Sharer-label swapping toward a target degree-sharing correlation.
 
@@ -378,7 +374,7 @@ def swap_to_correlation(
 
     # the climb runs on the sharers' degree total, the only moving part of the correlation
     result = _climb(target, lambda tot: (tot / n - mean_d * p_bar) / scale, int(d[sharers].sum()),
-                    int(ordered[:m].sum()), int(ordered[n - m :].sum()), SWAP_BATCH, propose, record_trace)
+                    int(ordered[:m].sum()), int(ordered[n - m :].sum()), SWAP_BATCH, propose)
     return SharingState.from_sharers(sharers, n), result
 
 

@@ -216,6 +216,17 @@ def sample_directed_many(g: DiGraph, mode: str, size: int | tuple, rng: np.rando
     return g.edge_array[idx, 0 if mode == "friend" else 1]
 
 
+def _walk_lengths(g, burn_in: int | None, thin: int | None) -> tuple[int, int]:
+    """random_walk_friends' checked (burn_in, thin) on g; None gives the default 10|V| or |V|."""
+    burn_in = WALK_BURN_IN_FACTOR * g.num_nodes if burn_in is None else burn_in
+    thin = g.num_nodes if thin is None else thin
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    return burn_in, thin
+
+
 def random_walk_friends(
     g: Graph,
     start,
@@ -239,14 +250,7 @@ def random_walk_friends(
     non-bipartite graph; walk_precondition_failures checks that. Defaults:
     burn_in = 10|V|, thin = |V|.
     """
-    if burn_in is None:
-        burn_in = WALK_BURN_IN_FACTOR * g.num_nodes
-    if thin is None:
-        thin = g.num_nodes
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    burn_in, thin = _walk_lengths(g, burn_in, thin)
     if num_samples < 0:
         raise ValueError("num_samples must be >= 0")
     starts = np.asarray(start, dtype=np.int64)

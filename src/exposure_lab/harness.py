@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,11 +40,12 @@ from .graph import (
 )
 from .rng import make_generator
 
-UNDIRECTED_METHODS = ("vanilla", "fp", "fp-walk", "fp-two-step")
-DIRECTED_METHODS = ("d-node", "d-friend", "d-follower")
-METHODS = UNDIRECTED_METHODS + DIRECTED_METHODS  # a method's place here fixes its stream
-_SAMPLING_MODES = {"vanilla": "node", "fp": "fp", "fp-walk": "fp", "fp-two-step": "fp",
-                   "d-node": "node", "d-friend": "friend", "d-follower": "follower"}
+# each estimation method's sampling mode (``estimate_from_bits``); a method's place here fixes its stream
+_METHOD_MODES = {"vanilla": "node", "fp": "fp", "fp-walk": "fp", "fp-two-step": "fp",
+                 "d-node": "node", "d-friend": "friend", "d-follower": "follower"}
+METHODS = tuple(_METHOD_MODES)
+DIRECTED_METHODS = tuple(m for m in METHODS if m.startswith("d-"))
+UNDIRECTED_METHODS = tuple(m for m in METHODS if m not in DIRECTED_METHODS)
 WRITE_CHUNK_ROWS = 1 << 16  # id-file rows formatted per write
 CSV_CHUNK_ROWS = 1 << 8  # CSV rows formatted per write; 1024 raised peak RSS by ~0.6 MiB on a 4.8k-row grid ledger
 _ID_TEXT = b"0123456789 \t\n"  # all an id file holds once comments are dropped
@@ -329,37 +330,35 @@ def method_generator(seed: int, cell: int, method: str) -> np.random.Generator:
     return make_generator(seed, cell, 1 + METHODS.index(method))
 
 
-def _draw(method: str, g, n_samples: int, reps: int, rng, walk_burn_in, walk_thin) -> np.ndarray:
-    """A (reps, n_samples) block of samples for the named method, from one generator."""
-    if method == "vanilla":
-        return sample_uniform_nodes(g, (reps, n_samples), rng)
-    if method == "fp":
-        return sample_random_friends(g, (reps, n_samples), rng)
-    if method == "fp-two-step":
-        return sample_friend_two_step(g, (reps, n_samples), rng)
-    if method == "fp-walk":
-        candidates = np.flatnonzero(g.degrees > 0)
-        if not candidates.size:
-            raise ValueError("fp-walk: cannot start a random walk on an edgeless graph")
-        starts = candidates[rng.integers(candidates.size, size=reps)]
-        return random_walk_friends(g, starts, walk_burn_in, walk_thin, n_samples, rng)
-    if method in DIRECTED_METHODS:
-        return graphmod.sample_directed_many(g, method[2:], (reps, n_samples), rng)
-    raise ValueError(f"unknown method: {method!r}")
-
-
 def run_method(method: str, g, exposed: np.ndarray, n_samples: int, reps: int, rng, d_bar: float | None = None,
                walk_burn_in: int | None = None, walk_thin: int | None = None) -> np.ndarray:
     """reps estimates by the named method, n_samples fresh samples each.
 
-    The samples are one (reps, n_samples) block drawn from ``rng``; their
-    exposure bits are read from ``exposed``, the graph's exposure vector
-    (``exposure_all``), and the estimator runs once on the block. Row r's
-    estimate equals a 1-D estimator call on row r's samples. fp-walk draws
-    the reps' start nodes, then walks them in lockstep.
+    The samples are one (reps, n_samples) block drawn from ``rng`` by the
+    method's sampling mode; their exposure bits are read from ``exposed``,
+    the graph's exposure vector (``exposure_all``), and the estimator runs
+    once on the block. Row r's estimate equals a 1-D estimator call on row
+    r's samples. fp-walk draws the reps' start nodes, then walks them in
+    lockstep.
     """
-    samples = _draw(method, g, n_samples, reps, rng, walk_burn_in, walk_thin)
-    return estimate_from_bits(g, _SAMPLING_MODES[method], samples, exposed[samples], d_bar)
+    mode = _METHOD_MODES.get(method)
+    if mode is None:
+        raise ValueError(f"unknown method: {method!r}")
+    if mode == "node":
+        samples = sample_uniform_nodes(g, (reps, n_samples), rng)
+    elif method == "fp":
+        samples = sample_random_friends(g, (reps, n_samples), rng)
+    elif method == "fp-two-step":
+        samples = sample_friend_two_step(g, (reps, n_samples), rng)
+    elif method == "fp-walk":
+        candidates = np.flatnonzero(g.degrees > 0)
+        if not candidates.size:
+            raise ValueError("fp-walk: cannot start a random walk on an edgeless graph")
+        starts = candidates[rng.integers(candidates.size, size=reps)]
+        samples = random_walk_friends(g, starts, walk_burn_in, walk_thin, n_samples, rng)
+    else:
+        samples = graphmod.sample_directed_many(g, mode, (reps, n_samples), rng)
+    return estimate_from_bits(g, mode, samples, exposed[samples], d_bar)
 
 
 def _check_methods(methods, directed: bool) -> None:
@@ -419,7 +418,8 @@ def run_static_experiment(
     method. With fp-walk among the methods, the graph is checked once for
     the walk's preconditions, and with d-friend, for exposed nodes of
     out-degree 0, which friend sampling never draws; either bias is
-    reported in ``warnings``.
+    reported in ``warnings``. Every input is checked before the first draw;
+    a ``d_bar`` or walk length that no listed method reads raises ValueError.
     """
     directed = isinstance(g, DiGraph)
     _check_methods(methods, directed)
@@ -427,6 +427,13 @@ def run_static_experiment(
     _check_d_bar(d_bar)
     if g.num_nodes < 1:
         raise ValueError("true exposure is undefined on an empty graph")
+    if d_bar is not None and all(_METHOD_MODES[m] == "node" for m in methods):
+        raise ValueError("d_bar is read only by the degree-corrected methods, and every listed method "
+                         "samples nodes uniformly")
+    if "fp-walk" in methods:
+        graphmod._walk_lengths(g, walk_burn_in, walk_thin)
+    elif (walk_burn_in, walk_thin) != (None, None):
+        raise ValueError("walk_burn_in and walk_thin are read only by fp-walk, which is not among the methods")
     exposed = exposure_all(g, s)
     f_bar = float(exposed.mean())
     estimates = [run_method(m, g, exposed, n_samples, reps, method_generator(seed, 0, m), d_bar,
@@ -494,11 +501,7 @@ class GridCell:
     walk_failures: tuple  # why fp-walk's samples are biased on the cell's graph; () unless fp-walk is listed
 
 
-GRID_HEADER = [
-    "cell_index", "alpha", "rkk_target", "rkk_achieved", "rho_target", "rho_achieved",
-    "sharing_prob", "method", "n_samples", "reps", "true_exposure",
-    "mean_abs_error", "mean_abs_error_pct", "std_error_pct",
-]
+GRID_HEADER = [f.name for f in fields(GridCell)[:14]]  # the last two fields only feed the CLI's warnings
 
 LEDGER_HEADER = [
     "cell_index", "alpha", "rkk_target", "rho_target", "sharing_prob",

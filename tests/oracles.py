@@ -545,18 +545,19 @@ def first_claims_oracle(slots) -> np.ndarray:
 
 
 def reference_rewire(
-    g: Graph, target: CorrelationTarget, rng: np.random.Generator, record_trace: bool = False
-) -> tuple[Graph, ShapingResult]:
+    g: Graph, target: CorrelationTarget, rng: np.random.Generator
+) -> tuple[Graph, ShapingResult, list]:
     """rewire_to_assortativity with unsorted edge lookups: each batch looks up
     all 4K new-edge keys of both pairings, in draw order, by searchsorted, picks
-    the better pairing by argmax, and keeps first claims by the flat-order scan."""
+    the better pairing by argmax, and keeps first claims by the flat-order scan.
+    Also returns the trace: the coefficient after each applied move, in order."""
     if g.num_edges < 2:
         raise ValueError("rewiring needs at least two edges")
     n_points, sum_x, sum_xx, sum_xy = _assortativity_moments(g)
     mean_sq = (sum_x / n_points) ** 2
     denom = sum_xx / n_points - mean_sq
     if denom <= 0.0:  # regular graph: coefficient undefined, nothing to shape
-        return g, ShapingResult(math.nan, 0, False)
+        return g, ShapingResult(math.nan, 0, False), []
 
     def rho(sxy):
         return (sxy / n_points - mean_sq) / denom
@@ -609,13 +610,12 @@ def reference_rewire(
             keys = np.insert(keys, np.searchsorted(keys, added), added)
             sum_xy += 2 * int(gain[acc].sum())
             current = rho(sum_xy)
-            if record_trace:
-                trace += running[:moves].tolist()
+            trace += running[:moves].tolist()
         converged = abs(current - target.target) <= target.tolerance
-    result = ShapingResult(current, iters, converged, trace)
+    result = ShapingResult(current, iters, converged)
     if not moved:
-        return g, result
-    return build_undirected(np.stack(np.divmod(keys, n), axis=1), n), result
+        return g, result, trace
+    return build_undirected(np.stack(np.divmod(keys, n), axis=1), n), result, trace
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +624,12 @@ def reference_rewire(
 
 
 def reference_swap(
-    g: Graph, s: SharingState, target: CorrelationTarget, rng: np.random.Generator, record_trace: bool = False
-) -> tuple[SharingState, ShapingResult]:
+    g: Graph, s: SharingState, target: CorrelationTarget, rng: np.random.Generator
+) -> tuple[SharingState, ShapingResult, list]:
     """swap_to_correlation as it stood with its own loop: the label-swap climb
     written out in full, with its floor and ceiling stop and the flat-order
-    scan for first claims."""
+    scan for first claims. Also returns the trace: the correlation after each
+    applied move, in order."""
     n = g.num_nodes
     m = s.num_sharers
     if not 0 < m < n:
@@ -639,7 +640,7 @@ def reference_swap(
     p_bar = m / n
     scale = math.sqrt(var_d) * math.sqrt(p_bar * (1.0 - p_bar))
     if scale == 0.0:
-        return s, ShapingResult(math.nan, 0, False)
+        return s, ShapingResult(math.nan, 0, False), []
 
     def rho(tot):
         return (tot / n - mean_d * p_bar) / scale
@@ -676,10 +677,9 @@ def reference_swap(
             sharers[su], others[sv] = others[sv], sharers[su]
             total = int(totals[moves - 1])
             current = rho(total)
-            if record_trace:
-                trace += running[:moves].tolist()
+            trace += running[:moves].tolist()
         converged = abs(current - target.target) <= target.tolerance
-    return SharingState.from_sharers(sharers, n), ShapingResult(current, iters, converged, trace)
+    return SharingState.from_sharers(sharers, n), ShapingResult(current, iters, converged), trace
 
 
 # ---------------------------------------------------------------------------

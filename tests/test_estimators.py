@@ -220,6 +220,12 @@ class TestDirectedEstimates:
             directed_estimates(g, "follower", [2, 0], s)
         assert directed_estimates(g, "node", [0, 1], s).estimate == 0.5
 
+    @pytest.mark.parametrize("mode", ["fp", "friends", ""])
+    def test_unknown_directed_mode_rejected(self, mode):
+        g = build_directed([(0, 1), (1, 2)], 3)
+        with pytest.raises(ValueError, match=f"unknown estimator mode: '{mode}'"):
+            directed_estimates(g, mode, [1], sharing(g, [0]))
+
     def test_node_and_follower_enumeration_unbiased(self):
         rng = make_generator(73)
         for _ in range(40):

@@ -180,13 +180,18 @@ class TestRewireToAssortativity:
         assert res.converged
 
     def test_each_accepted_rewire_moves_toward_target(self):
+        # the reference loop records the coefficient after every applied move;
+        # the library gives the reference's graph and result on the same input
         rng = make_generator(51)
         g = random_graph(rng, max_nodes=40, min_nodes=20, p=0.2)
         start = assortativity_coefficient(g)
         for target in (0.5, -0.5):
-            _, res = rewire_to_assortativity(
-                g, CorrelationTarget(target, 0.005, 20_000), make_generator(52), record_trace=True)
-            values = [start] + res.trace
+            shaping = CorrelationTarget(target, 0.005, 20_000)
+            got, res = rewire_to_assortativity(g, shaping, make_generator(52))
+            want, ref, trace = reference_rewire(g, shaping, make_generator(52))
+            assert np.array_equal(got.edge_array, want.edge_array) and res == ref
+            assert trace
+            values = [start] + trace
             for a, b in zip(values, values[1:]):
                 if a < target:
                     assert b >= a - 1e-15
@@ -328,6 +333,8 @@ class TestSwapToCorrelation:
         assert res.iterations == 0
 
     def test_each_swap_moves_toward_target(self):
+        # the reference loop records the correlation after every applied swap;
+        # the library gives the reference's sharers and result on the same input
         rng = make_generator(60)
         g = random_graph(rng, max_nodes=50, min_nodes=25, p=0.2)
         s = bernoulli_sharing(g, 0.3, rng)
@@ -335,9 +342,12 @@ class TestSwapToCorrelation:
             pytest.skip("degenerate draw")
         start = degree_sharing_correlation(g, s)
         for target in (0.9, -0.9):
-            _, res = swap_to_correlation(
-                g, s, CorrelationTarget(target, 0.005, 20_000), make_generator(61), record_trace=True)
-            values = [start] + res.trace
+            shaping = CorrelationTarget(target, 0.005, 20_000)
+            got, res = swap_to_correlation(g, s, shaping, make_generator(61))
+            want, ref, trace = reference_swap(g, s, shaping, make_generator(61))
+            assert np.array_equal(got.mask, want.mask) and res == ref
+            assert trace
+            values = [start] + trace
             for a, b in zip(values, values[1:]):
                 if a < target:
                     assert b >= a - 1e-15
@@ -521,7 +531,7 @@ class TestBatchedShaping:
     def test_rewiring_equals_unsorted_lookup_reference(self, seed, target):
         # looking up only the climbing pairings, in sorted order, applies the
         # same moves as looking up every pairing in draw order: the same
-        # edges, ShapingResult (trace included) and next draw, on random
+        # edges, ShapingResult and next draw, on random
         # graphs and on grid-style graphs already shaped the other way, with
         # budgets that cut the first batch, a later one, or none
         rng = make_generator(70, seed)
@@ -533,8 +543,8 @@ class TestBatchedShaping:
         for budget in (k // 2, 2 * k + 7, 20_000):
             shaping = CorrelationTarget(target, 0.005, budget)
             rng_got, rng_want = make_generator(71, seed, budget), make_generator(71, seed, budget)
-            got, res = rewire_to_assortativity(g, shaping, rng_got, record_trace=True)
-            want, ref = reference_rewire(g, shaping, rng_want, record_trace=True)
+            got, res = rewire_to_assortativity(g, shaping, rng_got)
+            want, ref, _ = reference_rewire(g, shaping, rng_want)
             assert np.array_equal(got.edge_array, want.edge_array), budget
             assert res == ref, budget
             assert rng_got.random() == rng_want.random(), budget
@@ -543,7 +553,7 @@ class TestBatchedShaping:
     @pytest.mark.parametrize("target", [-0.9, -0.1, 0.3])
     def test_swapping_equals_reference_loop(self, seed, target):
         # the label-swap climb against its loop written out on its own: the
-        # same sharers, ShapingResult (trace included) and next draw, on random
+        # same sharers, ShapingResult and next draw, on random
         # graphs and on grid-style graphs, with budgets that cut the first
         # batch, a later one, or none; -0.9 lies below the floor, so the
         # floor stop ends the unbudgeted run
@@ -556,8 +566,8 @@ class TestBatchedShaping:
         for budget in (SWAP_BATCH // 2, 2 * SWAP_BATCH + 7, 20_000):
             shaping = CorrelationTarget(target, 0.005, budget)
             rng_got, rng_want = make_generator(73, seed, budget), make_generator(73, seed, budget)
-            got, res = swap_to_correlation(g, s, shaping, rng_got, record_trace=True)
-            want, ref = reference_swap(g, s, shaping, rng_want, record_trace=True)
+            got, res = swap_to_correlation(g, s, shaping, rng_got)
+            want, ref, _ = reference_swap(g, s, shaping, rng_want)
             assert np.array_equal(got.mask, want.mask), budget
             assert res == ref, budget
             assert rng_got.random() == rng_want.random(), budget

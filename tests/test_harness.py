@@ -782,8 +782,18 @@ class TestDegenerateRuns:
     @pytest.mark.parametrize("flags,message", [
         (["--method", ","], "at least one method"), (["--method", "vanilla", "--samples", "0"], "n_samples >= 1"),
         (["--method", "vanilla,vanilla"], "'vanilla' listed twice"),
+        (["--method", "vanilla,fp,fp-walk", "--walk-thin", "0"], "thin must be >= 1"),
+        (["--method", "fp-walk", "--walk-burn-in", "-1"], "burn_in must be >= 0"),
+        (["--method", "vanilla,fp", "--walk-thin", "5"],
+         "walk_burn_in and walk_thin are read only by fp-walk, which is not among the methods"),
+        (["--method", "vanilla,fp", "--walk-thin", "5", "--walk-burn-in", "7"],
+         "walk_burn_in and walk_thin are read only by fp-walk, which is not among the methods"),
+        (["--method", "vanilla", "--dbar-override", "3"],
+         "d_bar is read only by the degree-corrected methods, and every listed method samples nodes uniformly"),
+        (["--directed", "--method", "d-node", "--dbar-override", "3"],
+         "d_bar is read only by the degree-corrected methods, and every listed method samples nodes uniformly"),
     ] + [(methods + ["--dbar-override", value], f"d_bar must be finite and > 0, got {float(value)}")
-         for methods in (["--method", "fp"], ["--directed", "--method", "d-node,d-friend"])
+         for methods in (["--method", "fp"], ["--method", "vanilla"], ["--directed", "--method", "d-node,d-friend"])
          for value in ("-3", "0", "nan", "inf")])
     def test_estimate_cli_exit_code(self, tmp_path, monkeypatch, capsys, flags, message):
         monkeypatch.setattr(harness, "run_method", _no_draw)
@@ -796,6 +806,25 @@ class TestDegenerateRuns:
                      "--reps", "2", "--out", str(out)] + flags) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("methods,inputs,message", [
+        # fp-walk listed after two methods that draw first
+        (["vanilla", "fp", "fp-walk"], dict(walk_thin=0), "thin must be >= 1"),
+        (["vanilla", "fp", "fp-walk"], dict(walk_burn_in=-1), "burn_in must be >= 0"),
+        (["vanilla", "fp", "fp-walk"], dict(walk_burn_in=-1, walk_thin=0), "thin must be >= 1"),
+        # an input that no listed method reads; a d_bar that is not finite and > 0 is named first
+        (["vanilla", "fp"], dict(walk_thin=5), "walk_burn_in and walk_thin are read only by fp-walk"),
+        (["fp-two-step"], dict(walk_burn_in=7), "walk_burn_in and walk_thin are read only by fp-walk"),
+        (["vanilla"], dict(d_bar=3.0), "d_bar is read only by the degree-corrected methods"),
+        (["d-node"], dict(d_bar=3.0), "d_bar is read only by the degree-corrected methods"),
+        (["vanilla"], dict(d_bar=-1.0), "d_bar must be finite and > 0, got -1.0"),
+        (["d-node"], dict(d_bar=math.nan), "d_bar must be finite and > 0, got nan"),
+    ])
+    def test_static_experiment_rejects_before_drawing(self, monkeypatch, methods, inputs, message):
+        monkeypatch.setattr(harness, "run_method", _no_draw)
+        g = build_directed([(0, 1), (1, 2)], 3) if methods[0].startswith("d-") else star(4)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_static_experiment(g, SharingState.from_sharers([0], g.num_nodes), methods, 5, 2, seed=0, **inputs)
 
     @pytest.mark.parametrize("d_bar", [-3.0, 0.0, math.nan, math.inf])
     def test_static_experiment_rejects_a_bad_d_bar_before_drawing(self, monkeypatch, d_bar):
@@ -909,6 +938,87 @@ class TestDegenerateRuns:
             k: want[k] for k in ("p_inf", "icm_retry", "theta", "ltm_strict")}
         assert seen["vanilla_policy"] == seen["fp_policy"] == StepPolicy(
             "decreasing" if "decreasing" in flags else "constant", want["epsilon"])
+
+
+# every flag of cli._TRACK_FLAGS: the settings where it does not apply and the
+# exact refusal there, then settings where it applies and its documented default
+# spelled out (None for a default that is the flag's absence: a switch off, no
+# assortativity target)
+_TRACK_FLAG_CASES = {
+    "p_inf": (["--model", "ltm", "--p-inf", "0.3"], "--p-inf applies only with --model icm",
+              ["--model", "icm"], ["--p-inf", "0.05"]),
+    "icm_retry": (["--model", "ltm", "--icm-retry"], "--icm-retry applies only with --model icm",
+                  ["--model", "icm"], None),
+    "theta": (["--model", "icm", "--theta", "0.2"], "--theta applies only with --model ltm",
+              ["--model", "ltm"], ["--theta", "0.05"]),
+    "ltm_strict": (["--model", "icm", "--ltm-strict"], "--ltm-strict applies only with --model ltm",
+                   ["--model", "ltm"], None),
+    "epsilon": (["--model", "icm", "--policy", "decreasing", "--epsilon", "0.1"],
+                "--epsilon applies only with --policy constant", ["--model", "icm"], ["--epsilon", "0.01"]),
+    **{flag: (["--model", "icm", f"--{flag.replace('_', '-')}", value],
+              f"--{flag.replace('_', '-')} applies only to a network generated with --nodes, not to --graph",
+              ["--model", "icm", "--assortativity", "0.1"], default)
+       for flag, value, default in [
+           ("alpha", "2.7", ["--alpha", "2.5"]), ("kmin", "2", ["--kmin", "1"]),
+           ("kmax", "20", ["--kmax", "299"]), ("assortativity", "0.3", None),
+           ("tolerance", "0.1", ["--tolerance", "0.01"]), ("max_iters", "10", ["--max-iters", "100000"])]},
+}
+
+
+class TestTrackFlagTable:
+    """Each conditional track flag is refused where it does not apply, and omitted it takes its documented default."""
+
+    @pytest.mark.parametrize("flag", list(cli._TRACK_FLAGS))
+    def test_refused_where_it_does_not_apply(self, tmp_path, monkeypatch, capsys, flag):
+        wrong, message, _, _ = _TRACK_FLAG_CASES[flag]
+        monkeypatch.setattr(harness, "load_graph", _no_shaping)
+        monkeypatch.setattr(cli, "configuration_model", _no_shaping)
+        monkeypatch.chdir(tmp_path)
+        source = ["--graph", "g.txt"] if message.endswith("--graph") else ["--nodes", "120"]
+        assert main(["track", *source, *wrong, "--steps", "3", "--out", "out.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("flag", list(cli._TRACK_FLAGS))
+    def test_omitted_equals_its_default_given(self, tmp_path, flag):
+        _, _, settings, given = _TRACK_FLAG_CASES[flag]
+        if given is None:  # nothing to spell out: the table's default is the flag's absence
+            assert cli._TRACK_FLAGS[flag][2] in (False, None)
+            return
+        bodies = []
+        for extra in ([], given):
+            out = tmp_path / f"out{len(bodies)}.csv"
+            assert main(["track", "--nodes", "300", *settings, *extra, "--steps", "4", "--seed", "2",
+                         "--out", str(out)]) in (0, 3)
+            bodies.append(out.read_text().splitlines()[1:])
+        assert len(bodies[0]) == 1 + 4  # the header and one row per step
+        assert bodies[0] == bodies[1]
+
+    def test_every_flag_has_a_case(self):
+        assert set(_TRACK_FLAG_CASES) == set(cli._TRACK_FLAGS)
+
+
+class TestSingleDeclarations:
+    """The method list and the grid columns are declared once; their order is part of the output."""
+
+    def test_method_order(self):
+        # a method's place fixes its stream, so the order may not change
+        assert harness.METHODS == ("vanilla", "fp", "fp-walk", "fp-two-step", "d-node", "d-friend", "d-follower")
+        assert UNDIRECTED_METHODS == ("vanilla", "fp", "fp-walk", "fp-two-step")
+        assert DIRECTED_METHODS == ("d-node", "d-friend", "d-follower")
+
+    def test_grid_columns(self):
+        assert harness.GRID_HEADER == [
+            "cell_index", "alpha", "rkk_target", "rkk_achieved", "rho_target", "rho_achieved",
+            "sharing_prob", "method", "n_samples", "reps", "true_exposure",
+            "mean_abs_error", "mean_abs_error_pct", "std_error_pct",
+        ]
+
+    def test_run_method_rejects_an_unknown_method(self):
+        g, s, _ = _oracle_graphs()
+        with pytest.raises(ValueError, match="unknown method: 'fp-walks'"):
+            run_method("fp-walks", g, exposure_all(g, s), 5, 2, make_generator(0))
 
 
 def _oracle_graphs():
