@@ -81,8 +81,7 @@ def estimate_from_bits(g, mode: str, samples: np.ndarray, bits: np.ndarray, d_ba
     if mode == "node":
         return _row_means(np.asarray(bits, dtype=float))
     attr, what = _CORRECTIONS[mode]
-    if d_bar is None:
-        d_bar = average_degree(g)
+    d_bar = _d_bar_or_default(g, mode, d_bar)
     degrees = getattr(g, attr)[samples]
     _reject_degree_zero(samples, degrees, what)
     return float(d_bar) * _row_means(bits / degrees)
@@ -122,6 +121,13 @@ def _check_d_bar(d_bar: float | None) -> None:
         raise ValueError(f"d_bar must be finite and > 0, got {d_bar}")
 
 
+def _d_bar_or_default(g, mode: str, d_bar: float | None) -> float:
+    """d_bar when given, else the default for samples of ``mode``: average_degree(g), or NaN for uniform nodes."""
+    if d_bar is not None:
+        return d_bar
+    return math.nan if mode == "node" else average_degree(g)
+
+
 def _sampled_report(g, mode: str, samples, s: SharingState, d_bar: float | None) -> EstimatorReport:
     """The one body of fp_estimate and directed_estimates: a report from samples of ``mode``."""
     samples = np.asarray(samples, dtype=np.int64)
@@ -130,8 +136,7 @@ def _sampled_report(g, mode: str, samples, s: SharingState, d_bar: float | None)
     if mode != "node" and g.num_edges < 1:
         raise ValueError(f"{'friend' if mode == 'fp' else mode} sampling requires at least one edge")
     _check_d_bar(d_bar)
-    if d_bar is None:
-        d_bar = math.nan if mode == "node" else average_degree(g)
+    d_bar = _d_bar_or_default(g, mode, d_bar)
     bits = exposure_all(g, s)[samples]
     return EstimatorReport(estimate_from_bits(g, mode, samples, bits, d_bar), samples.shape[-1], float(d_bar))
 

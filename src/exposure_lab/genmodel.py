@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import SharingState
-from .graph import Graph, build_undirected
+from .graph import Graph, _edges_from_keys, build_undirected
 
 DEFAULT_TOLERANCE = 0.01
 DEFAULT_MAX_ITERS = 100_000
@@ -296,7 +296,7 @@ def rewire_to_assortativity(
     if not moved:
         return g, result
     # the keys stay sorted and distinct, with u < v: the edges are already simple
-    return Graph(n, np.stack(np.divmod(keys, n), axis=1)), result
+    return Graph(n, _edges_from_keys(keys, n)), result
 
 
 def _check_sharing_prob(p: float) -> None:

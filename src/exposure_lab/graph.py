@@ -1,11 +1,13 @@
 """Immutable graph storage and the sampling primitives estimators consume.
 
-Graphs are stored in compressed sparse row form (sorted neighbor lists)
-plus a flat edge array, so uniform edge sampling -- the primitive behind
-friend sampling -- is O(1). Construction simplifies the input: self-loops
-are dropped and parallel edges collapsed, and degrees always reflect the
-simplified graph. Deduplication and CSR ordering each sort one array of
-int64 packed keys u*n + v, so n*n must stay below 2**63.
+A graph is a flat edge array plus its degrees, so uniform edge sampling --
+the primitive behind friend sampling -- is O(1). Its friend lists, in
+compressed sparse row form (sorted neighbor lists), are built on their
+first read: uniform-node and random-friend estimates never sort them.
+Construction simplifies the input: self-loops are dropped and parallel
+edges collapsed, and degrees always reflect the simplified graph.
+Deduplication and CSR ordering each sort one array of int64 packed keys
+u*n + v, so n*n must stay below 2**63.
 """
 
 from __future__ import annotations
@@ -61,9 +63,14 @@ def _simple_edges(edges, num_nodes, directed: bool) -> tuple:
     keys += dst[keep]
     if not (keys[1:] > keys[:-1]).all():  # rows as write_edge_list writes them are sorted and distinct already
         keys = sorted_unique(keys)
+    return num_nodes, _edges_from_keys(keys, num_nodes)
+
+
+def _edges_from_keys(keys: np.ndarray, num_nodes: int) -> np.ndarray:
+    """The (u, v) rows of packed keys u*n + v, unpacked into one new array."""
     edge_array = np.empty((keys.size, 2), dtype=np.int64)
     np.divmod(keys, num_nodes, out=(edge_array[:, 0], edge_array[:, 1]))
-    return num_nodes, edge_array
+    return edge_array
 
 
 def _csr_from_keys(keys: np.ndarray, counts: np.ndarray, num_nodes: int):
@@ -80,28 +87,69 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
-class Graph:
+class _FriendLists:
+    """What Graph and DiGraph share: the edge count and the friend CSR, built on its first read.
+
+    A subclass sets ``num_nodes`` and ``edge_array`` and gives
+    ``_friend_keys()``: each friend-list entry as a packed key row*n + friend,
+    and each row's entry count. ``indptr``/``indices`` are sorted from
+    them on the first read of either, frozen, and kept in ``_csr``, the one
+    slot filled after construction. Threads racing on the first read each
+    build equal arrays; either may be kept.
+    """
+
+    __slots__ = ("num_nodes", "edge_array", "_csr")
+
+    @property
+    def num_edges(self) -> int:
+        return self.edge_array.shape[0]
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """Row offsets: node v's friends are ``indices[indptr[v]:indptr[v + 1]]``."""
+        return self._friend_csr()[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Every node's ascending friend list, concatenated in node order."""
+        return self._friend_csr()[1]
+
+    def _friend_csr(self) -> tuple:
+        try:
+            return self._csr
+        except AttributeError:
+            csr = _csr_from_keys(*self._friend_keys(), self.num_nodes)
+            _freeze(*csr)
+            self._csr = csr
+            return csr
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
+
+
+class Graph(_FriendLists):
     """Immutable undirected simple graph.
 
     ``edge_array`` holds each edge once as (u, v) with u <= v, in
     lexicographic order; ``indptr``/``indices`` are the CSR adjacency with
-    ascending neighbor lists. Safe to share across threads: nothing here
-    mutates after construction.
+    ascending neighbor lists, built on first read. Safe to share across
+    threads: no array changes once stored, and the one slot filled after
+    construction, the CSR's, is filled once (see _FriendLists).
     """
 
-    __slots__ = ("num_nodes", "indptr", "indices", "edge_array", "degrees")
+    __slots__ = ("degrees",)
+    _FRIENDS_PER_EDGE = 2  # an edge enters the friend lists of both its ends
 
     def __init__(self, num_nodes: int, edge_array):
         self.num_nodes = n = int(num_nodes)
         self.edge_array = edge_array
         self.degrees = np.bincount(edge_array.reshape(-1), minlength=n)
-        # row (u, v) packs to the keys u*n + v and v*n + u of its two orientations
-        self.indptr, self.indices = _csr_from_keys((edge_array @ [[n, 1], [1, n]]).reshape(-1), self.degrees, n)
-        _freeze(self.indptr, self.indices, self.edge_array, self.degrees)
+        _freeze(self.edge_array, self.degrees)
 
-    @property
-    def num_edges(self) -> int:
-        return self.edge_array.shape[0]
+    def _friend_keys(self) -> tuple:
+        # row (u, v) packs to the keys u*n + v and v*n + u of its two orientations
+        n = self.num_nodes
+        return (self.edge_array @ [[n, 1], [1, n]]).reshape(-1), self.degrees
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor list of v (a read-only view)."""
@@ -110,36 +158,30 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
-    def __repr__(self) -> str:
-        return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
 
-
-class DiGraph:
+class DiGraph(_FriendLists):
     """Immutable directed simple graph.
 
     An edge u -> v means v follows u: u is a friend of v. ``edge_array``
     holds distinct (u, v) pairs in lexicographic order; ``indptr``/``indices``
     are, as on Graph, the CSR of each node's ascending friend list (the
-    sources of its incoming links). Of the out side only ``out_degrees`` is kept.
+    sources of its incoming links), built on first read. Of the out side
+    only ``out_degrees`` is kept.
     """
 
-    __slots__ = ("num_nodes", "indptr", "indices", "edge_array", "out_degrees", "in_degrees")
+    __slots__ = ("out_degrees", "in_degrees")
+    _FRIENDS_PER_EDGE = 1  # an edge u -> v enters v's friend list only
 
     def __init__(self, num_nodes: int, edge_array):
         self.num_nodes = n = int(num_nodes)
         self.edge_array = edge_array
         self.out_degrees = np.bincount(edge_array[:, 0], minlength=n)
         self.in_degrees = np.bincount(edge_array[:, 1], minlength=n)
+        _freeze(self.edge_array, self.out_degrees, self.in_degrees)
+
+    def _friend_keys(self) -> tuple:
         # row (src, dst) packs to the key dst*n + src: rows are the friend lists
-        self.indptr, self.indices = _csr_from_keys(edge_array @ [1, n], self.in_degrees, n)
-        _freeze(self.edge_array, self.indptr, self.indices, self.out_degrees, self.in_degrees)
-
-    @property
-    def num_edges(self) -> int:
-        return self.edge_array.shape[0]
-
-    def __repr__(self) -> str:
-        return f"DiGraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
+        return self.edge_array @ [1, self.num_nodes], self.in_degrees
 
 
 def build_undirected(edges, num_nodes: int) -> Graph:
@@ -158,7 +200,7 @@ def build_directed(edges, num_nodes: int) -> DiGraph:
 
 def average_degree(g) -> float:
     """Friend-list entries per node: 2|E|/|V| undirected, |E|/|V| directed (0.0 on an empty graph)."""
-    return int(g.indptr[-1]) / g.num_nodes if g.num_nodes else 0.0
+    return g._FRIENDS_PER_EDGE * g.num_edges / g.num_nodes if g.num_nodes else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +344,28 @@ def _labels_and_sides(edges, num_nodes: int) -> tuple:
     joins to a smaller root onto the smallest such root, on side
     side(u) ^ side(v) ^ 1, then jumps pointers, composing sides, until every
     label is a root. The hooked edges span each component, so a component is
-    bipartite exactly when every one of its edges joins two sides.
+    bipartite exactly when every one of its edges joins two sides. The codes
+    are int32 while 2n fits, which halves the bytes of every gather; both
+    arrays come back as int64.
     """
-    code = 2 * np.arange(num_nodes, dtype=np.int64)  # every node starts as its own root, on side 0
+    dtype = np.int32 if 2 * num_nodes < 2**31 else np.int64
+    code = 2 * np.arange(num_nodes, dtype=dtype)  # every node starts as its own root, on side 0
     u, v = _as_edge_array(edges).T
-    while u.size:
-        cu, cv = code[u], code[v]
-        # the larger root takes the smaller root's label, on side side(u) ^ side(v) ^ 1
-        np.minimum.at(code, np.maximum(cu, cv) >> 1, (np.minimum(cu, cv) | 1) ^ ((cu ^ cv) & 1))
+    # in the first round every code is 2x: no gathers, and the larger end hooks onto the smaller on side 1
+    # (ufunc.at takes its fast path only when the values match the codes' dtype)
+    np.minimum.at(code, np.maximum(u, v), (2 * np.minimum(u, v) | 1).astype(dtype, copy=False))
+    while True:
         jumped = code[code >> 1] ^ (code & 1)
         while not np.array_equal(jumped, code):
             code, jumped = jumped, jumped[jumped >> 1] ^ (jumped & 1)
         cross = (code[u] ^ code[v]) > 1  # the labels differ
         u, v = u[cross], v[cross]
-    return code >> 1, code & 1
+        if not u.size:
+            code = code.astype(np.int64, copy=False)
+            return code >> 1, code & 1
+        cu, cv = code[u], code[v]
+        # the larger root takes the smaller root's label, on side side(u) ^ side(v) ^ 1
+        np.minimum.at(code, np.maximum(cu, cv) >> 1, (np.minimum(cu, cv) | 1) ^ ((cu ^ cv) & 1))
 
 
 def component_labels(edges, num_nodes: int) -> np.ndarray:
