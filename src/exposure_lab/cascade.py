@@ -16,6 +16,7 @@ from .graph import DiGraph, Graph, _freeze, gather_segments, sorted_unique
 DEFAULT_SEED_COUNT = 10
 DEFAULT_INFECTION_PROB = 0.05
 DEFAULT_LTM_THRESHOLD = 0.05
+_COUNT_BLOCK_ENTRIES = 1 << 16  # friend entries per block of _sharing_counts: bounds a cascade step's temporaries
 
 
 class SharingState:
@@ -60,16 +61,36 @@ class SharingState:
         return f"SharingState(num_nodes={self.num_nodes}, num_sharers={self.num_sharers})"
 
 
-def _sharing_counts(g, sharers) -> np.ndarray:
-    """Each node's count of sharing friends: a bincount over the sharers' out-lists.
+def _sharing_counts(g, sharers, counts: np.ndarray | None = None) -> np.ndarray:
+    """Each node's count of sharing friends, added into ``counts`` (new zeros by default).
 
-    A DiGraph's out-lists are the rows of ``edge_array``, which is sorted by source.
+    The sharers' friend entries, their out-lists concatenated, are added in
+    blocks of at most _COUNT_BLOCK_ENTRIES, cut from the sharers' cumulative
+    degrees by one searchsorted; a block may start or end inside a list. So
+    no temporary grows with the number of entries. A DiGraph's out-lists are
+    the rows of ``edge_array``, which is sorted by source.
     """
     if isinstance(g, DiGraph):
         indptr, indices = np.concatenate(([0], np.cumsum(g.out_degrees))), g.edge_array[:, 1]
     else:
         indptr, indices = g.indptr, g.indices
-    return np.bincount(gather_segments(indptr, indices, sharers)[0], minlength=g.num_nodes)
+    if counts is None:
+        counts = np.zeros(g.num_nodes, dtype=np.int64)
+    sharers = np.asarray(sharers, dtype=np.int64)
+    starts = indptr[sharers]
+    lengths = indptr[sharers + 1] - starts
+    ends = np.cumsum(lengths)
+    begins = np.subtract(ends, lengths, out=lengths)  # sharer i's entries are positions begins[i]:ends[i]
+    shift = np.subtract(starts, begins, out=starts)  # and position p among them is indices[p + shift[i]]
+    total = int(ends[-1]) if ends.size else 0
+    cuts = np.minimum(np.arange(0, total + _COUNT_BLOCK_ENTRIES, _COUNT_BLOCK_ENTRIES), total)
+    # each cut with the sharer that holds its entry; a block's sharers run from its first cut's to its last's
+    bounds = list(zip(cuts.tolist(), np.searchsorted(ends, cuts, side="right").tolist()))
+    for (lo, first), (hi, last) in zip(bounds, bounds[1:]):
+        rows = slice(first, last + 1)
+        taken = np.minimum(ends[rows], hi) - np.maximum(begins[rows], lo)
+        np.add.at(counts, indices[np.arange(lo, hi) + np.repeat(shift[rows], taken)], 1)
+    return counts
 
 
 def exposure_bits(g, s: SharingState, nodes) -> np.ndarray:
@@ -207,8 +228,7 @@ def ltm_step(g: Graph, s: SharingState, theta: float, strict: bool = False) -> S
 def _ltm_fire(g: Graph, s: SharingState, counts: np.ndarray, theta: float, strict: bool) -> SharingState:
     """The linear-threshold step from ``counts``, each node's sharing neighbors in ``s``."""
     eligible = (~s.mask) & (g.degrees > 0)
-    frac = np.zeros(g.num_nodes)
-    frac[eligible] = counts[eligible] / g.degrees[eligible]
+    frac = np.divide(counts, g.degrees, out=np.zeros(g.num_nodes), where=eligible)
     fires = frac > theta if strict else frac >= theta
     return _next_state(s, np.flatnonzero(eligible & fires))
 
@@ -254,7 +274,7 @@ def run_cascade(
         if model == "icm":
             state = icm_step(g, state, p_inf, rng, retry=icm_retry)
         else:
-            counts += _sharing_counts(g, state.new_sharers)
+            _sharing_counts(g, state.new_sharers, counts)
             state = _ltm_fire(g, state, counts, theta, ltm_strict)
         if state.new_sharers.size == 0 and may_stop_early:
             fixed_point = t - 1

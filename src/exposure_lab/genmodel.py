@@ -144,9 +144,9 @@ def _assortativity_moments(g: Graph):
     pairs = list(zip(ks.tolist(), hist[ks].tolist()))  # (degree k, nodes of degree k)
     sum_x = sum(c * k * k for k, c in pairs)  # each node appears as an endpoint d(v) times
     sum_xx = sum(c * k * k * k for k, c in pairs)
-    du = d[g.edge_array[:, 0]].astype(np.int64)
-    dv = d[g.edge_array[:, 1]].astype(np.int64)
-    sum_xy = 2 * int(np.sum(du * dv))
+    products = d[g.edge_array[:, 0]].astype(np.int64, copy=False)
+    products *= d[g.edge_array[:, 1]]
+    sum_xy = 2 * int(products.sum())
     return 2 * g.num_edges, sum_x, sum_xx, sum_xy
 
 
@@ -244,7 +244,7 @@ def rewire_to_assortativity(
     if denom <= 0.0:  # regular graph: coefficient undefined, nothing to shape
         return g, ShapingResult(math.nan, 0, False)
     n, m = g.num_nodes, g.num_edges
-    deg = g.degrees.astype(np.int64)  # degree products and gains fit int64 while degrees stay below 2**31
+    deg = g.degrees.astype(np.int64, copy=False)  # degree products and gains fit int64 while degrees stay below 2**31
     # the edges as ascending packed keys u*n + v (u < v); edge_array is sorted
     keys = g.edge_array[:, 0] * n + g.edge_array[:, 1]
     moved = False
@@ -317,17 +317,9 @@ def degree_sharing_correlation(g: Graph, s: SharingState) -> float:
     sharing) -- deliberately distinct from 0, which would silently satisfy
     a zero-correlation target.
     """
-    n = g.num_nodes
-    d = g.degrees.astype(np.int64)
-    sh = s.mask.astype(np.int64)
-    return _pearson_from_moments(
-        n,
-        int(d.sum()),
-        int(np.sum(d * d)),
-        int(np.sum(d * sh)),
-        int(sh.sum()),
-        int(sh.sum()),
-    )
+    d = g.degrees.astype(np.int64, copy=False)
+    m = s.num_sharers
+    return _pearson_from_moments(g.num_nodes, int(d.sum()), int(d @ d), int(d[s.sharers].sum()), m, m)
 
 
 def swap_to_correlation(
@@ -348,7 +340,7 @@ def swap_to_correlation(
     m = s.num_sharers
     if not 0 < m < n:
         raise ValueError("swapping needs a sharer set that is neither empty nor everyone")
-    d = g.degrees.astype(np.int64)
+    d = g.degrees.astype(np.int64, copy=False)
     mean_d = float(d.mean())
     var_d = float(np.mean(d * d) - mean_d * mean_d)
     p_bar = m / n

@@ -56,11 +56,16 @@ def _simple_edges(edges, num_nodes, directed: bool) -> tuple:
     if e.size and (e.min() < 0 or e.max() >= num_nodes):
         raise ValueError(f"edge endpoint out of range [0, {num_nodes})")
     src, dst = e[:, 0], e[:, 1]
-    if not directed:
-        src, dst = np.minimum(src, dst), np.maximum(src, dst)
-    keep = src != dst
-    keys = src[keep] * num_nodes
-    keys += dst[keep]
+    if directed:
+        keys = src * num_nodes
+    else:  # min*n + max, built in one array as min*(n - 1) + src + dst
+        keys = np.minimum(src, dst)
+        keys *= num_nodes - 1
+        keys += src
+    keys += dst
+    loops = src == dst
+    if loops.any():
+        keys = keys[~loops]
     if not (keys[1:] > keys[:-1]).all():  # rows as write_edge_list writes them are sorted and distinct already
         keys = sorted_unique(keys)
     return num_nodes, _edges_from_keys(keys, num_nodes)
@@ -345,27 +350,42 @@ def _labels_and_sides(edges, num_nodes: int) -> tuple:
     side(u) ^ side(v) ^ 1, then jumps pointers, composing sides, until every
     label is a root. The hooked edges span each component, so a component is
     bipartite exactly when every one of its edges joins two sides. The codes
-    are int32 while 2n fits, which halves the bytes of every gather; both
-    arrays come back as int64.
+    are int32 while 2n fits, which halves the bytes of every gather, and each
+    round works them out in place; both arrays come back as int64.
     """
     dtype = np.int32 if 2 * num_nodes < 2**31 else np.int64
     code = 2 * np.arange(num_nodes, dtype=dtype)  # every node starts as its own root, on side 0
     u, v = _as_edge_array(edges).T
     # in the first round every code is 2x: no gathers, and the larger end hooks onto the smaller on side 1
     # (ufunc.at takes its fast path only when the values match the codes' dtype)
-    np.minimum.at(code, np.maximum(u, v), (2 * np.minimum(u, v) | 1).astype(dtype, copy=False))
+    np.minimum.at(code, np.maximum(u, v), np.minimum(u, v, dtype=dtype, casting="same_kind") << 1 | 1)
     while True:
         jumped = code[code >> 1] ^ (code & 1)
         while not np.array_equal(jumped, code):
             code, jumped = jumped, jumped[jumped >> 1] ^ (jumped & 1)
-        cross = (code[u] ^ code[v]) > 1  # the labels differ
+        cross = code[u]
+        cross ^= code[v]
+        cross = cross > 1  # the labels differ
         u, v = u[cross], v[cross]
         if not u.size:
             code = code.astype(np.int64, copy=False)
             return code >> 1, code & 1
-        cu, cv = code[u], code[v]
-        # the larger root takes the smaller root's label, on side side(u) ^ side(v) ^ 1
-        np.minimum.at(code, np.maximum(cu, cv) >> 1, (np.minimum(cu, cv) | 1) ^ ((cu ^ cv) & 1))
+        _hook(code, u, v)
+
+
+def _hook(code: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """One round's hooks: the larger root of each edge's ends takes the smaller root's label, on side
+    side(u) ^ side(v) ^ 1. In place in the codes' dtype, as the smaller code is (cu ^ cv) ^ the larger;
+    a function of its own, so that its arrays are freed before the next round gathers codes."""
+    cu, cv = code[u], code[v]
+    flip = cu ^ cv
+    np.maximum(cu, cv, out=cu)
+    np.bitwise_xor(flip, cu, out=cv)
+    flip &= 1
+    cv |= 1
+    cv ^= flip
+    cu >>= 1
+    np.minimum.at(code, cu, cv)
 
 
 def component_labels(edges, num_nodes: int) -> np.ndarray:

@@ -78,7 +78,8 @@ def _read_ids(path: str, count: int):
 
     One text read checks the file: strict UTF-8, text mode reading CRLF and a
     lone CR as LF, and once the lines whose first non-blank character is '#'
-    are dropped, only ASCII digits, spaces, tabs and newlines left. Then
+    are dropped, only ASCII digits, spaces, tabs and newlines left; its lines
+    are counted, and the text is released. Then
     ``np.loadtxt`` parses the path itself, reading the file in chunks in C;
     the check leaves '#' only at the head of comment lines, which its
     ``comments`` drops as the check did, so it sees the same ids. Each
@@ -89,16 +90,19 @@ def _read_ids(path: str, count: int):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+        num_lines = text.count("\n") + (len(text) > 0 and not text.endswith("\n"))
         body = _drop_comment_lines(text)
+        del text  # np.loadtxt reads the path, so neither string has to live through the parse
         if not body.isascii() or body.encode("ascii").translate(None, _ID_TEXT):
             raise ValueError("a character other than an ASCII digit, space or tab")
-        ids = (np.empty((0, count), dtype=np.int64) if not body or body.isspace()  # no digit; strip() would copy
-               else np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8"))
+        has_digit = bool(body) and not body.isspace()  # strip() would copy
+        del body
+        ids = (np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8") if has_digit
+               else np.empty((0, count), dtype=np.int64))
         if ids.shape[1] != count:
             raise ValueError(f"not {count} ids per line")
     except ValueError:  # also invalid UTF-8, and loadtxt's ragged rows or ids beyond int64
         _raise_first_bad_line(path, count)
-    num_lines = text.count("\n") + (len(text) > 0 and not text.endswith("\n"))
     return ids, num_lines - ids.shape[0]
 
 

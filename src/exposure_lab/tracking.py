@@ -180,8 +180,8 @@ def run_tracking_experiment(
     n = g.num_nodes
     times = exposure_times(g, traj.activation)
     exposed = np.cumsum(np.bincount(times[times <= steps], minlength=steps + 1)).tolist()
-    d = g.degrees.astype(np.int64)
-    sum_d, sum_dd = int(d.sum()), int(np.sum(d * d))
+    d = g.degrees.astype(np.int64, copy=False)
+    sum_d, sum_dd = int(d.sum()), int(d @ d)
     shared = traj.activation >= 0
     sharers = traj.sharer_counts().tolist()
     sharer_degrees = np.cumsum(np.bincount(traj.activation[shared], weights=d[shared], minlength=steps + 1)

@@ -100,6 +100,17 @@ def shuffled_edges(edges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return e
 
 
+def random_multigraph_edges(rng, n: int) -> np.ndarray:
+    """Edges over [0, n) with self-loops, both orientations and repeats; often misses nodes."""
+    if n == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    m = int(rng.integers(0, 3 * n + 2))
+    e = rng.integers(0, max(1, n // 2 + 1) if rng.random() < 0.3 else n, size=(m, 2))
+    loops = rng.integers(0, n, size=int(rng.integers(0, 3)))
+    e = np.concatenate([e, e[: m // 3, ::-1], e[: m // 4], np.stack([loops, loops], axis=1)])
+    return e[rng.permutation(e.shape[0])]
+
+
 def random_sharing_mask(rng: np.random.Generator, n: int, nontrivial: bool = False) -> np.ndarray:
     """Random subset of sharers; with nontrivial=True, neither empty nor full."""
     while True:

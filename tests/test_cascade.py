@@ -1,6 +1,7 @@
 """Exposure semantics and the two diffusion models."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from oracles import (
     nonbacktracking_matrix,
     path,
     random_graph,
+    random_multigraph_edges,
     random_sharing_mask,
     sharing_count_oracle,
     star,
@@ -104,6 +106,76 @@ class TestSharingCounts:
         mask = np.full(g.num_nodes, everyone_shares)
         counts = cascade._sharing_counts(g, np.flatnonzero(mask))
         assert counts.tolist() == sharing_count_oracle(g, mask) == [0] * g.num_nodes
+
+
+class TestSharingCountBlocks:
+    """_sharing_counts adds the sharers' friend entries in blocks of at most _COUNT_BLOCK_ENTRIES."""
+
+    @staticmethod
+    def cases():
+        # random multigraphs with isolated nodes appended, under empty, degree-0, random and full
+        # sharer sets; and a star whose hub alone holds more friend entries than a small block
+        rng = make_generator(41)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            edges = random_multigraph_edges(rng, n)
+            g = build_undirected(edges, n + 3)
+            for mask in (np.zeros(n + 3, dtype=bool), g.degrees == 0, random_sharing_mask(rng, n + 3),
+                         np.ones(n + 3, dtype=bool)):
+                yield g, mask
+            dg = build_directed(edges, n + 3)
+            yield dg, random_sharing_mask(rng, n + 3)
+        yield star(20), np.arange(21) == 0
+
+    @staticmethod
+    def outputs(g, mask):
+        s = SharingState(mask)
+        out = [cascade._sharing_counts(g, s.sharers), exposure_all(g, s)]
+        if not isinstance(g, DiGraph):
+            for strict in (False, True):
+                out.append(ltm_step(g, s, 0.3, strict).mask)
+                if mask.any():
+                    out.append(run_cascade(g, "ltm", 6, seeds=s.sharers, theta=0.3, ltm_strict=strict).activation)
+        return out
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_blocks_equal_one_block(self, block, monkeypatch):
+        single = [self.outputs(g, mask) for g, mask in self.cases()]
+        assert all(cascade._COUNT_BLOCK_ENTRIES > g.num_edges * 2 for g, _ in self.cases())
+        monkeypatch.setattr(cascade, "_COUNT_BLOCK_ENTRIES", block)
+        seen = set()
+        for (g, mask), want in zip(self.cases(), single):
+            got = self.outputs(g, mask)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert got[0].tolist() == sharing_count_oracle(g, mask)
+            degrees = g.out_degrees if isinstance(g, DiGraph) else g.degrees
+            seen.add("empty" if not mask.any() else "degree 0" if (degrees[mask] == 0).any() else "other")
+            if (degrees[mask] > block).any():
+                seen.add("list beyond a block")
+        assert seen == {"empty", "degree 0", "other", "list beyond a block"}
+
+    def test_ltm_memory_stays_bounded(self):
+        # two 1e5-node graphs, average degree 4 and 16, one seed set: the seeds' step
+        # counts 4x the friend entries on the second graph; at theta 1 few nodes fire,
+        # so every other array of the cascade is the same size on both
+        peaks, entries = [], []
+        seeds = np.arange(0, 100_000, 5)
+        for k in (4, 16):
+            rng = make_generator(42)
+            g = build_undirected(rng.integers(0, 100_000, size=(k * 50_000, 2)), 100_000)
+            g.indptr  # the CSR is the graph's, built before the window
+            entries.append(int(g.degrees[seeds].sum()))
+            tracemalloc.start()
+            try:
+                run_cascade(g, "ltm", 3, seeds=seeds, theta=1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert entries[1] >= 4 * entries[0]
+        # measured: 2.98 and 2.88 MiB; one bincount over every entry took 4.18 and 9.18 MiB
+        assert peaks[1] <= 1.05 * peaks[0]
+        assert entries[0] > cascade._COUNT_BLOCK_ENTRIES  # both steps fill whole blocks
 
 
 class TestEdgelessGraphs:

@@ -1,6 +1,7 @@
 """Network generation and correlation shaping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,18 @@ class TestAssortativityCoefficient:
                 continue
             assert assortativity_coefficient(g) == pytest.approx(expected, abs=1e-12)
             checked += 1
+
+    def test_traced_peak_stays_within_one_and_a_quarter_edge_arrays(self):
+        # the endpoint degrees are multiplied in place: 1.00 edge arrays here, 1.50 with two int64 copies
+        rng = make_generator(49)
+        g = configuration_model(powerlaw_degree_sequence(100_000, 2.5, 2, rng, k_max=1000), rng)
+        tracemalloc.start()
+        try:
+            assortativity_coefficient(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * g.edge_array.nbytes
 
 
 class TestRewireToAssortativity:
