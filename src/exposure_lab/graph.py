@@ -49,8 +49,13 @@ def sorted_unique(values) -> np.ndarray:
     return keys
 
 
-def _simple_edges(edges, num_nodes, directed: bool) -> tuple:
-    """Checked (n, edge_array): the distinct non-loop pairs in lexicographic order, undirected ones as u <= v."""
+def _simple_edges(edges, num_nodes, directed: bool, adopt: bool = False) -> tuple:
+    """Checked (n, edge_array): the distinct non-loop pairs in lexicographic order, undirected ones as u <= v.
+
+    Rows already in that form, as write_edge_list writes them, are kept as
+    they are: copied, or with ``adopt`` (the caller hands over an int64
+    array it reads no more) returned themselves.
+    """
     num_nodes = _packed_key_base(num_nodes)
     e = _as_edge_array(edges)
     if e.size and (e.min() < 0 or e.max() >= num_nodes):
@@ -66,8 +71,10 @@ def _simple_edges(edges, num_nodes, directed: bool) -> tuple:
     loops = src == dst
     if loops.any():
         keys = keys[~loops]
-    if not (keys[1:] > keys[:-1]).all():  # rows as write_edge_list writes them are sorted and distinct already
+    if not (keys[1:] > keys[:-1]).all():
         keys = sorted_unique(keys)
+    elif keys.size == e.shape[0] and (directed or not (src > dst).any()):
+        return num_nodes, e if adopt else e.copy()
     return num_nodes, _edges_from_keys(keys, num_nodes)
 
 
@@ -309,8 +316,9 @@ def random_walk_friends(
     total_steps = burn_in + (num_samples - 1) * thin if num_samples else 0
     if num_samples and burn_in == 0:
         out[0] = cur
-    # u < 1 is a multiple of 2**-53, so u * d rounds below d for any degree d < 2**53
-    indptr, indices, degrees = g.indptr, g.indices, g.degrees
+    # u < 1 is a multiple of 2**-53, so u * d rounds below d for any degree d < 2**53; the degrees
+    # are converted to float64 once, exactly, rather than cast on every step's product
+    indptr, indices, degrees = g.indptr, g.indices, g.degrees.astype(np.float64)
     rows = max(WALK_CHUNK_UNIFORMS // max(cur.size, 1), 1)
     step = 0
     while step < total_steps:

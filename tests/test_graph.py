@@ -191,6 +191,15 @@ class TestPackedKeyEdgeCore:
         assert peak <= 2 * g.edge_array.nbytes
 
 
+    @pytest.mark.parametrize("build", [build_undirected, build_directed])
+    def test_rows_already_simple_are_copied(self, build):
+        # the caller keeps its array: neither shared with the graph nor frozen
+        edges = np.array([[0, 1], [0, 4], [1, 2], [1, 3], [3, 4]], dtype=np.int64)
+        g = build(edges, 5)
+        assert np.array_equal(g.edge_array, edges) and not np.shares_memory(g.edge_array, edges)
+        assert edges.flags.writeable and not g.edge_array.flags.writeable
+
+
 class TestFriendCSROnFirstRead:
     """Both graph classes keep the edges and degrees and sort their friend CSR once, when it is first read."""
 

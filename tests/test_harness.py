@@ -31,6 +31,7 @@ from exposure_lab.harness import (
     write_sharers,
 )
 
+from exposure_lab import graph as graph_module
 from exposure_lab import (
     StepPolicy,
     build_directed,
@@ -297,9 +298,9 @@ class TestBulkEdgeListParse:
         assert np.array_equal(load_graph(str(f))[0].edge_array, build_undirected(edges, 3000).edge_array)
 
     def test_traced_peak_of_a_load(self, tmp_path):
-        # the text read for the check and its comment-free body are released before
-        # np.loadtxt parses the path: 2.60 edge arrays here, 2.95 when both lived through
-        # it, and 3.60 when the dedupe also copied the endpoints in (min, max) order
+        # the digit parse reads the file's bytes in place, 256 KiB at a time, into the array that
+        # becomes the edge array: 2.03 edge arrays here, 2.78 with 1 MiB blocks, and 2.60 when
+        # np.loadtxt parsed the path and the rows were unpacked again from their packed keys
         rng = make_generator(100_001)
         g, _ = compact_nonisolated(configuration_model(powerlaw_degree_sequence(100_000, 2.5, 2, rng, k_max=1000), rng))
         write_edge_list(str(tmp_path / "g.txt"), g)
@@ -404,6 +405,135 @@ class TestPathParse:
         f.write_bytes(b"0 x\n\xff\n")
         with pytest.raises(ValueError, match=r"g\.txt: line 1: expected two node ids, got '0 x'$"):
             load_graph(str(f))
+
+
+# (name, file bytes, ids per line, ids, ignored lines): files whose lines, once comments are dropped,
+# are in the writer's form, which the digit parse reads without np.loadtxt
+WRITER_FORM_FILES = [
+    ("header_comment", b"# undirected nodes=3 edges=2\n0 1\n1 2\n", 2, [[0, 1], [1, 2]], 1),
+    ("leading_zeros", b"007 0100\n000 9\n000000000000000042 0\n", 2, [[7, 100], [0, 9], [42, 0]], 0),
+    ("eighteen_digits", b"999999999999999999 100000000000000000\n0 123456789012345678\n", 2,
+     [[10**18 - 1, 10**17], [0, 123456789012345678]], 0),
+    ("nine_and_ten_digits", b"999999999 1000000000\n4294967295 4294967296\n", 2,
+     [[999999999, 10**9], [2**32 - 1, 2**32]], 0),
+    ("one_id_per_line", b"# sharers=3 of nodes=10\n0\n42\n999999999\n", 1, [[0], [42], [999999999]], 1),
+    ("crlf", b"# h\r\n0 1\r\n1 2\r\n", 2, [[0, 1], [1, 2]], 1),
+    ("lone_cr", b"# h\r0 1\r12 345\r", 2, [[0, 1], [12, 345]], 1),
+    ("comments_between_and_last_without_newline", b"# a\n0 1\n \t# b\n1 2\n# end", 2, [[0, 1], [1, 2]], 3),
+    ("utf8_comment", "# \u00fcber \u2192 graph\n3 4\n".encode(), 2, [[3, 4]], 1),
+    ("comments_only", b"# a\n# b\n", 2, [], 2),
+]
+
+# (edge file line, sharer file line): lines that leave the writer's form but stay valid, so np.loadtxt reads them
+OFF_FORM_LINES = [(b"5\t6\n", b"5\t\n"), (b"5  6\n", b"\t5\n"), (b" 5 6\n", b" 5\n"), (b"5 6 \n", b"5 \n"),
+                  (b"\n", b"\n"), (b"9223372036854775807 6\n", b"9223372036854775807\n"),
+                  (b"0000000000000000005 6\n", b"0000000000000000005\n")]
+
+
+def _counting_loadtxt(monkeypatch):
+    """Patch np.loadtxt to count its calls; returns the list of paths it was called on."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(path, *args, **kwargs):
+        calls.append(path)
+        return loadtxt(path, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+class TestWriterFormParse:
+    """Files in the writer's form are parsed by digit arithmetic; every other file still goes to np.loadtxt."""
+
+    @pytest.mark.parametrize("name,data,count,ids,ignored", WRITER_FORM_FILES, ids=[c[0] for c in WRITER_FORM_FILES])
+    def test_pinned_ids_without_loadtxt(self, tmp_path, monkeypatch, name, data, count, ids, ignored):
+        f = tmp_path / "ids.txt"
+        f.write_bytes(data)
+        calls = _counting_loadtxt(monkeypatch)
+        want = ("read", np.dtype(np.int64), (len(ids), count), ids, ignored)
+        assert _read_outcome(harness._read_ids, str(f), count) == want
+        assert _read_outcome(reference_read_ids, str(f), count) == want
+        assert calls == []
+
+    @pytest.mark.parametrize("block_bytes", [1, 16, 64])
+    @pytest.mark.parametrize("lines", OFF_FORM_LINES)
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_leaving_the_form_in_a_later_block(self, tmp_path, monkeypatch, block_bytes, lines, count):
+        # 40 lines in the writer's form first, so that the line that leaves it falls in a later block
+        monkeypatch.setattr(harness, "_PARSE_BLOCK_BYTES", block_bytes)
+        rows = (np.arange(80) * 37).reshape(40, 2).tolist()
+        good = b"".join(b" ".join(b"%d" % i for i in row[:count]) + b"\n" for row in rows)
+        line = lines[2 - count]
+        f = tmp_path / "ids.txt"
+        for data in (b"# h\n" + good + line, b"# h\n" + good + line + good, good + good.rstrip(b"\n")):
+            f.write_bytes(data)
+            calls = _counting_loadtxt(monkeypatch)
+            outcome = _read_outcome(harness._read_ids, str(f), count)
+            assert outcome == _read_outcome(reference_read_ids, str(f), count)
+            assert outcome[0] == "read" and len(calls) == 1
+
+    @pytest.mark.parametrize("block_bytes", [1, 16, 1 << 18])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_bad_line_in_a_later_block(self, tmp_path, monkeypatch, block_bytes, count):
+        monkeypatch.setattr(harness, "_PARSE_BLOCK_BYTES", block_bytes)
+        good = b"".join(b" ".join([b"%d" % i] * count) + b"\n" for i in range(300))
+        f = tmp_path / "ids.txt"
+        for bad, message in ((b"7 x", "expected "), (b"9223372036854775808", "node id above 9223372036854775807"),
+                             (b"-1", "node ids must be non-negative")):
+            f.write_bytes(b"# ids\n" + good + b" ".join([bad] + [b"1"] * (count - 1)) + b"\n" + good)
+            with pytest.raises(ValueError, match=f"ids\\.txt: line 302: {message}"):
+                harness._read_ids(str(f), count)
+            assert _read_outcome(harness._read_ids, str(f), count) == _read_outcome(reference_read_ids, str(f), count)
+
+    def test_nineteen_digit_ids(self, tmp_path):
+        # 2**63 - 1 is read through np.loadtxt; 2**63 keeps its pinned error
+        f = tmp_path / "g.txt"
+        f.write_bytes(b"# h\n9223372036854775807 0\n1000000000000000000 9223372036854775807\n")
+        g, report = load_graph(str(f))
+        assert report.id_map.tolist() == [0, 10**18, 2**63 - 1] and g.edge_array.tolist() == [[0, 2], [1, 2]]
+        f.write_bytes(b"# h\n9223372036854775807\n")
+        assert read_sharers(str(f), 3, id_map=report.id_map).sharers.tolist() == [2]
+        f.write_bytes(b"# h\n9223372036854775808 0\n")
+        with pytest.raises(ValueError) as err:
+            load_graph(str(f))
+        assert str(err.value) == f"{f}: line 2: node id above 9223372036854775807"
+
+    def test_written_files_never_reach_loadtxt(self, tmp_path, monkeypatch):
+        rng = make_generator(3001)
+        g, _ = compact_nonisolated(configuration_model(powerlaw_degree_sequence(20_000, 2.5, 2, rng, k_max=300), rng))
+        s = SharingState.from_sharers(rng.choice(g.num_nodes, size=500, replace=False), g.num_nodes)
+        write_edge_list(str(tmp_path / "g.txt"), g)
+        write_sharers(str(tmp_path / "s.txt"), s)
+        (tmp_path / "sparse.txt").write_bytes(b"5 900\n900 7\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called on a file in the writer's form")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        loaded, report = load_graph(str(tmp_path / "g.txt"))
+        assert np.array_equal(loaded.edge_array, g.edge_array) and report.num_ignored_lines == 1
+        assert np.array_equal(read_sharers(str(tmp_path / "s.txt"), g.num_nodes).sharers, s.sharers)
+        assert np.array_equal(load_graph(str(tmp_path / "g.txt"), directed=True)[0].edge_array, g.edge_array)
+        load_graph(str(tmp_path / "sparse.txt"), mapping_path=str(tmp_path / "sparse.map"))
+        assert harness._read_ids(str(tmp_path / "sparse.map"), 2)[0].tolist() == [[5, 0], [7, 1], [900, 2]]
+
+    def test_written_rows_become_the_edge_array(self, tmp_path, monkeypatch):
+        # rows sorted, distinct and u < v are neither unpacked from packed keys nor copied
+        g = build_undirected([[0, 1], [0, 4], [1, 2], [1, 3], [3, 4]], 5)
+        write_edge_list(str(tmp_path / "g.txt"), g)
+        read, parsed = harness._read_ids, []
+
+        def kept(path, count):
+            ids, ignored = read(path, count)
+            parsed.append(ids)
+            return ids, ignored
+
+        monkeypatch.setattr(harness, "_read_ids", kept)
+        monkeypatch.setattr(graph_module, "_edges_from_keys", None)
+        for directed in (False, True):
+            loaded, _ = load_graph(str(tmp_path / "g.txt"), directed=directed)
+            assert loaded.edge_array is parsed[-1] and loaded.edge_array.tolist() == g.edge_array.tolist()
 
 
 class TestBulkEdgeListWrite:
