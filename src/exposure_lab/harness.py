@@ -47,10 +47,10 @@ UNDIRECTED_METHODS = tuple(m for m in METHODS if m not in DIRECTED_METHODS)
 WRITE_CHUNK_ROWS = 1 << 16  # id-file rows formatted per write
 CSV_CHUNK_ROWS = 1 << 8  # CSV rows formatted per write; 1024 raised peak RSS by ~0.6 MiB on a 4.8k-row grid ledger
 _PARSE_BLOCK_BYTES = 1 << 18  # bytes per block of the id-file digit parse; 1 MiB took a load's traced peak 2.0x -> 2.8x
-_ID_TEXT = b"0123456789 \t\n"  # all an id file holds once comments are dropped
-_ZERO, _NINE, _SPACE, _LF = b"09 \n"
+_ZERO, _NINE, _TAB, _SPACE, _LF = b"09\t \n"
 _NODE_ID = re.compile(r"-?[0-9]+")  # ASCII digits; a sign only to report negative ids
 MAX_NODE_ID = 2**63 - 1
+_MAX_DIGITS = len(str(MAX_NODE_ID))  # 19, all below 2**64
 _LINE_BLANKS = " \t\n"  # text mode reads \r\n and a lone \r as \n
 _FIELD_SEP = re.compile(r"[ \t]+")  # not str.split(), which also splits on Unicode spaces
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # how errors="surrogateescape" reads a byte that is not UTF-8
@@ -79,13 +79,7 @@ def _read_ids(path: str, count: int):
     The file is read once, as bytes, and checked: strict UTF-8 (decoded
     only when some byte is not ASCII), CRLF and a lone CR read as LF, and
     the lines whose first non-blank character is '#' dropped with their LF;
-    its lines are counted. When every line left is in the writer's form,
-    ``_parse_writer_form`` parses them. Any other file must hold only ASCII
-    digits, spaces, tabs and newlines once its comments are dropped; its
-    bytes are released, and ``np.loadtxt`` parses the path itself, reading
-    the file in chunks in C. The check leaves '#' only at the head of
-    comment lines, which its ``comments`` drops as the check did, so it
-    sees the same ids. Each non-blank line must hold ``count`` ids. A file
+    its lines are counted, and ``_parse_ids`` parses the lines left. A file
     that fails is scanned line by line, only to raise its first bad line's
     error. Returns (ids of shape (rows, count), number of blank and comment
     lines).
@@ -97,23 +91,10 @@ def _read_ids(path: str, count: int):
             data.decode("utf-8")  # strict: its UnicodeDecodeError is a ValueError
         if b"\r" in data:
             data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        num_newlines = _count_newlines(data)
-        num_lines = num_newlines + (len(data) > 0 and not data.endswith(b"\n"))
-        spans, comment_newlines = _data_spans(data)
-        ids = _parse_writer_form(data, spans, num_newlines - comment_newlines, count)
-        if ids is None:
-            view = memoryview(data)
-            body = b"".join(view[start:end] for start, end in spans)
-            del data, view  # np.loadtxt reads the path, so neither copy has to live through the parse
-            if body.translate(None, _ID_TEXT):
-                raise ValueError("a character other than an ASCII digit, space or tab")
-            has_digit = bool(body) and not body.isspace()  # strip() would copy
-            del body
-            ids = (np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8") if has_digit
-                   else np.empty((0, count), dtype=np.int64))
-            if ids.shape[1] != count:
-                raise ValueError(f"not {count} ids per line")
-    except ValueError:  # also invalid UTF-8, and loadtxt's ragged rows or ids beyond int64
+        num_lines = _count_newlines(data) + (len(data) > 0 and not data.endswith(b"\n"))
+        spans, comment_lines = _data_spans(data)
+        ids = _parse_ids(data, spans, num_lines - comment_lines, count)
+    except ValueError:  # invalid UTF-8, a '#' after data, or a line the digit parse refuses
         _raise_first_bad_line(path, count)
     return ids, num_lines - ids.shape[0]
 
@@ -127,7 +108,7 @@ def _count_newlines(data: bytes) -> int:
 
 def _data_spans(data: bytes) -> tuple:
     """(the (start, end) byte spans of ``data`` left once each line whose first non-blank
-    character is '#' is dropped with its LF, the number of LFs so dropped); a '#' after
+    character is '#' is dropped with its LF, the number of lines so dropped); a '#' after
     data raises ValueError."""
     spans = []
     dropped = 0
@@ -139,65 +120,79 @@ def _data_spans(data: bytes) -> tuple:
             raise ValueError("'#' after data")
         spans.append((start, line))
         end = data.find(b"\n", at) + 1
-        dropped += end > 0
+        dropped += 1
         start = end or len(data)
         at = data.find(b"#", start)
     spans.append((start, len(data)))
     return [(start, end) for start, end in spans if end > start], dropped
 
 
-def _parse_writer_form(data: bytes, spans: list, rows: int, count: int):
-    """The ids of the ``spans`` of ``data``, which hold ``rows`` LFs, when each of their lines is
-    ``count`` ids of at most 18 digits joined by single spaces and ended by LF, as
-    ``_write_id_rows`` writes them; None for any other form.
+def _parse_ids(data: bytes, spans: list, lines: int, count: int):
+    """The ids of the ``spans`` of ``data``, which hold at most ``lines`` lines, each blank or
+    ``count`` ids of ASCII digits, at most MAX_NODE_ID, between blanks (spaces or tabs); any
+    other line raises ValueError.
 
     The spans are cut at LF into blocks of at most _PARSE_BLOCK_BYTES (a longer line is a
-    block of its own), which ``_parse_block`` reads without copying them.
+    block of its own), which ``_parse_block`` reads without copying them; a last line with
+    no LF is read from a copy that has one.
     """
-    if spans and data[spans[-1][1] - 1] != _LF:
-        return None
-    ids = np.empty((rows, count), dtype=np.int64)
+    ids = np.empty((lines, count), dtype=np.int64)
     out = ids.reshape(-1)
     done = 0
     for start, stop in spans:
         while start < stop:
             end = (data.rfind(b"\n", start, min(start + _PARSE_BLOCK_BYTES, stop)) + 1
-                   or data.find(b"\n", start) + 1)
-            values = _parse_block(np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start), count)
-            if values is None:
-                return None
+                   or data.find(b"\n", start, stop) + 1 or stop)
+            block = np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start)
+            values = _parse_block(block if block[-1] == _LF else np.append(block, np.uint8(_LF)), count)
             out[done : done + values.size] = values
             done += values.size
             start = end
-    return ids
+    return ids if done == ids.size else ids[: done // count].copy()  # a copy only when some lines were blank
 
 
 def _parse_block(block: np.ndarray, count: int):
-    """The ids of a block of whole lines in the writer's form, or None.
+    """The ids of a block of whole lines, each blank or ``count`` ids between blanks; any other
+    line raises ValueError.
 
-    Once no byte is above '9', the bytes below '0' are the separators; the
-    form holds when they run ``count`` - 1 spaces then an LF on every line
-    and 1 to 18 digits stand between each two. Each id is then read right to
-    left, as the writer writes it: one decimal place at a time over all the
-    block's ids, in uint32 when its longest id has at most 9 digits, else in
-    uint64 (any 18-digit id is below 2**63), the digits widened by the
-    product's own dtype rather than by promotion, which numpy 1.x would
-    keep at uint8; a place left of an id's first digit reads 0.
+    Once no byte is above '9', the bytes below '0' are the separators, and
+    each must be a blank or an LF. Each id ends at a separator that follows
+    a digit, and ends its line when the run of separators after it holds an
+    LF; every count-th id, and no other, must end its line. In the form
+    ``_write_id_rows`` writes, every separator follows a digit, so each run
+    is one byte; only a block with longer runs reduces them. Each id is then
+    read right to left, one decimal place at a time over all the block's
+    ids, in uint32 when its longest id has at most 9 digits, else in uint64,
+    which holds any 19 digits; a place left of an id's first digit reads 0.
+    A longer id holds only if the digits left of its last 19 are '0', and
+    one above MAX_NODE_ID fails.
     """
     if block.max() > _NINE:
-        return None
-    ends = np.flatnonzero(block < _ZERO)  # each id's end: the separator that follows it
-    if ends.size % count:
-        return None
-    separators = block[ends].reshape(-1, count)
-    if not ((separators[:, -1] == _LF).all() and (separators[:, :-1] == _SPACE).all()):
-        return None
-    digits = ends - np.concatenate(([-1], ends[:-1]))  # not np.diff(prepend=...), ~8x slower here
-    digits -= 1  # each id's digit count
+        raise ValueError
+    ends = np.flatnonzero(block < _ZERO)  # the separators, until those that end no id are dropped
+    digits = ends - 1  # the digits before each separator, formed in place: no concatenated temporary
+    digits[1:] -= ends[:-1]
+    digits[0] += 1
+    separators = block[ends]
+    lf = separators == _LF
+    if not (lf | (separators == _SPACE) | (separators == _TAB)).all():
+        raise ValueError
+    if digits.min() == 0:  # runs of blanks, or blank lines: one flag per id, whether its run holds an LF
+        after_id = np.flatnonzero(digits)
+        if not after_id.size:
+            return after_id
+        lf = np.logical_or.reduceat(lf, after_id)
+        ends, digits = ends[after_id], digits[after_id]
+    if ends.size != count * np.count_nonzero(lf) or not lf[count - 1 :: count].all():
+        raise ValueError  # not an LF after every count-th id and after no other
     longest = int(digits.max())
+    if longest > _MAX_DIGITS:
+        nonzero = np.concatenate(([0], np.cumsum(block > _ZERO)))  # nonzero digits before each byte
+        last = np.minimum(digits, _MAX_DIGITS)
+        if (nonzero[ends - last] != nonzero[ends - digits]).any():
+            raise ValueError
+        digits, longest = last, _MAX_DIGITS
     shortest = int(digits.min())
-    if shortest < 1 or longest > 18:
-        return None
     dtype = np.uint32 if longest <= 9 else np.uint64
     values = np.zeros(ends.size, dtype=dtype)
     term = np.empty_like(values)
@@ -209,6 +204,8 @@ def _parse_block(block: np.ndarray, count: int):
         if place >= shortest:  # a leading place of the shorter ids
             np.copyto(digit, 0, where=digits <= place)
         values += np.multiply(digit, dtype(10**place), out=term, dtype=dtype)
+    if longest == _MAX_DIGITS and values.max() > MAX_NODE_ID:
+        raise ValueError
     return values
 
 

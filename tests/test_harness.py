@@ -162,6 +162,8 @@ PARSE_CASES = [
     ("one_id", b"0 1\n2\n"),
     ("three_ids_on_one_line", b"0 1\n1 2 3\n"),
     ("three_ids_on_every_line", b"0 1 2\n1 2 3\n"),
+    ("an_id_moved_to_the_line_before", b"0 1 2\n3\n"),
+    ("an_id_moved_to_the_line_before_with_blank_runs", b"0 1  2\n\n3\n"),
     ("negative_id", b"0 1\n-1 2\n"),
     ("plus_sign", b"+5 1\n1 0\n"),
     ("underscore", b"1_000 1\n"),
@@ -266,17 +268,21 @@ class TestBulkEdgeListParse:
 
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("name,data", PARSE_CASES, ids=[c[0] for c in PARSE_CASES])
-    def test_bulk_and_line_wise_agree(self, tmp_path, name, data, directed):
+    def test_bulk_and_line_wise_agree(self, tmp_path, monkeypatch, name, data, directed):
         f = tmp_path / "g.txt"
         f.write_bytes(data)
+        calls = _counting_loadtxt(monkeypatch)
         assert _read_outcome(harness._read_ids, str(f), 2) == _read_outcome(reference_read_ids, str(f), 2)
         assert _load_outcome(str(f), directed) == _reference_load_outcome(str(f), directed)
+        assert calls == []
 
     @pytest.mark.parametrize("name,data", PARSE_CASES, ids=[c[0] for c in PARSE_CASES])
-    def test_sharer_files_agree(self, tmp_path, name, data):
+    def test_sharer_files_agree(self, tmp_path, monkeypatch, name, data):
         f = tmp_path / "s.txt"
         f.write_bytes(_one_id_variant(data))
+        calls = _counting_loadtxt(monkeypatch)
         assert _read_outcome(harness._read_ids, str(f), 1) == _read_outcome(reference_read_ids, str(f), 1)
+        assert calls == []
 
     def test_bulk_line_counts(self, tmp_path):
         f = tmp_path / "g.txt"
@@ -408,7 +414,7 @@ class TestPathParse:
 
 
 # (name, file bytes, ids per line, ids, ignored lines): files whose lines, once comments are dropped,
-# are in the writer's form, which the digit parse reads without np.loadtxt
+# are in the writer's form, which the digit parse checks with one separator after each id
 WRITER_FORM_FILES = [
     ("header_comment", b"# undirected nodes=3 edges=2\n0 1\n1 2\n", 2, [[0, 1], [1, 2]], 1),
     ("leading_zeros", b"007 0100\n000 9\n000000000000000042 0\n", 2, [[7, 100], [0, 9], [42, 0]], 0),
@@ -424,7 +430,8 @@ WRITER_FORM_FILES = [
     ("comments_only", b"# a\n# b\n", 2, [], 2),
 ]
 
-# (edge file line, sharer file line): lines that leave the writer's form but stay valid, so np.loadtxt reads them
+# (edge file line, sharer file line): lines that leave the writer's form but stay valid, which the same
+# digit parse reads
 OFF_FORM_LINES = [(b"5\t6\n", b"5\t\n"), (b"5  6\n", b"\t5\n"), (b" 5 6\n", b" 5\n"), (b"5 6 \n", b"5 \n"),
                   (b"\n", b"\n"), (b"9223372036854775807 6\n", b"9223372036854775807\n"),
                   (b"0000000000000000005 6\n", b"0000000000000000005\n")]
@@ -443,8 +450,35 @@ def _counting_loadtxt(monkeypatch):
     return calls
 
 
+def _reformatted_id_file(rng, count: int, oversized: bool) -> bytes:
+    """Random rows of ``count`` ids in every accepted form: blanks and tabs in runs, at the ends of
+    lines and on lines of their own, comment lines, LF, CRLF and lone CR line ends, leading zeros
+    to 25 digits, ids up to 2**63 - 1 and no final line end; with ``oversized``, one id is 2**63."""
+    rows = rng.integers(0, 60, size=(int(rng.integers(1, 40)), count)).tolist()
+    for row in rows:
+        for k in range(count):
+            if rng.random() < 0.1:
+                row[k] = int(rng.integers(2**62, 2**63)) if rng.random() < 0.7 else 2**63 - 1
+    if oversized:
+        rows[int(rng.integers(len(rows)))][int(rng.integers(count))] = 2**63
+
+    def blanks(chance, otherwise=""):
+        return str(rng.choice([" ", "\t", "  ", " \t ", "\t\t"])) if rng.random() < chance else otherwise
+
+    lines = []
+    for row in rows:
+        while rng.random() < 0.2:
+            lines.append(str(rng.choice(["", " ", "\t \t", "# note", "  # 1 2", "\t#"])))
+        ids = [str(i).zfill(int(rng.integers(len(str(i)), 26))) if rng.random() < 0.1 else str(i) for i in row]
+        lines.append(blanks(0.15) + blanks(0.3, " ").join(ids) + blanks(0.15))
+    ends = [str(rng.choice(["\n", "\r\n", "\r"])) if rng.random() < 0.3 else "\n" for _ in lines]
+    if rng.random() < 0.3:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode()
+
+
 class TestWriterFormParse:
-    """Files in the writer's form are parsed by digit arithmetic; every other file still goes to np.loadtxt."""
+    """Every accepted form, the writer's and the others, is parsed by the one digit parse, never by np.loadtxt."""
 
     @pytest.mark.parametrize("name,data,count,ids,ignored", WRITER_FORM_FILES, ids=[c[0] for c in WRITER_FORM_FILES])
     def test_pinned_ids_without_loadtxt(self, tmp_path, monkeypatch, name, data, count, ids, ignored):
@@ -471,7 +505,7 @@ class TestWriterFormParse:
             calls = _counting_loadtxt(monkeypatch)
             outcome = _read_outcome(harness._read_ids, str(f), count)
             assert outcome == _read_outcome(reference_read_ids, str(f), count)
-            assert outcome[0] == "read" and len(calls) == 1
+            assert outcome[0] == "read" and calls == []
 
     @pytest.mark.parametrize("block_bytes", [1, 16, 1 << 18])
     @pytest.mark.parametrize("count", [1, 2])
@@ -486,8 +520,22 @@ class TestWriterFormParse:
                 harness._read_ids(str(f), count)
             assert _read_outcome(harness._read_ids, str(f), count) == _read_outcome(reference_read_ids, str(f), count)
 
+    @pytest.mark.parametrize("block_bytes", [1, 16, 64, 1 << 18])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_reformatted_files_agree_with_the_reference(self, tmp_path, monkeypatch, block_bytes, count):
+        monkeypatch.setattr(harness, "_PARSE_BLOCK_BYTES", block_bytes)
+        rng = make_generator(3101, count, block_bytes)
+        f = tmp_path / "ids.txt"
+        for trial in range(30):
+            f.write_bytes(_reformatted_id_file(rng, count, oversized=trial % 5 == 4))
+            outcome = _read_outcome(harness._read_ids, str(f), count)
+            assert outcome == _read_outcome(reference_read_ids, str(f), count)
+            assert outcome[0] == ("raised" if trial % 5 == 4 else "read")
+            if count == 2:
+                assert _load_outcome(str(f), trial % 2 == 1) == _reference_load_outcome(str(f), trial % 2 == 1)
+
     def test_nineteen_digit_ids(self, tmp_path):
-        # 2**63 - 1 is read through np.loadtxt; 2**63 keeps its pinned error
+        # 19-digit ids are read in uint64 by the digit parse; 2**63 keeps its pinned error
         f = tmp_path / "g.txt"
         f.write_bytes(b"# h\n9223372036854775807 0\n1000000000000000000 9223372036854775807\n")
         g, report = load_graph(str(f))
