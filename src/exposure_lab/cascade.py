@@ -164,7 +164,7 @@ class CascadeTrajectory:
 
 
 def _cascade_csr(g):
-    """The friend CSR a cascade spreads over; cascades need an undirected graph."""
+    """The friend CSR a cascade spreads over; both steps and run_cascade refuse a DiGraph."""
     if isinstance(g, DiGraph):
         raise ValueError("cascades run on undirected graphs, not on a DiGraph")
     return g.indptr, g.indices
@@ -208,9 +208,14 @@ def icm_step(g: Graph, s: SharingState, p_inf: float, rng: np.random.Generator, 
     variant where every current sharer attempts each step).
     """
     _check_model_value("icm", p_inf)
-    targets = gather_segments(*_cascade_csr(g), s.sharers if retry else s.new_sharers)[0]
-    targets = targets[~s.mask[targets]]  # one entry per (source, target) attempt
-    return _next_state(s, targets[rng.random(targets.shape[0]) < p_inf])  # SharingState dedupes repeat hits
+    return _next_state(s, _icm_hits(g, s.mask, s.sharers if retry else s.new_sharers, p_inf, rng))
+
+
+def _icm_hits(g: Graph, mask: np.ndarray, sources: np.ndarray, p_inf: float, rng: np.random.Generator) -> np.ndarray:
+    """The nodes an ICM step adds: the sources' friends outside ``mask``, one uniform per attempt in gather order."""
+    targets = gather_segments(*_cascade_csr(g), sources)[0]
+    targets = targets[~mask[targets]]  # one entry per (source, target) attempt
+    return sorted_unique(targets[rng.random(targets.shape[0]) < p_inf])
 
 
 def ltm_step(g: Graph, s: SharingState, theta: float, strict: bool = False) -> SharingState:
@@ -222,15 +227,15 @@ def ltm_step(g: Graph, s: SharingState, theta: float, strict: bool = False) -> S
     """
     _check_model_value("ltm", theta)
     _cascade_csr(g)  # refuses a DiGraph
-    return _ltm_fire(g, s, _sharing_counts(g, s.sharers), theta, strict)
+    return _next_state(s, _ltm_hits(g, s.mask, _sharing_counts(g, s.sharers), theta, strict))
 
 
-def _ltm_fire(g: Graph, s: SharingState, counts: np.ndarray, theta: float, strict: bool) -> SharingState:
-    """The linear-threshold step from ``counts``, each node's sharing neighbors in ``s``."""
-    eligible = (~s.mask) & (g.degrees > 0)
+def _ltm_hits(g: Graph, mask: np.ndarray, counts: np.ndarray, theta: float, strict: bool) -> np.ndarray:
+    """The nodes an LTM step adds, ascending, from ``counts``: each node's sharing neighbors in ``mask``."""
+    eligible = (~mask) & (g.degrees > 0)
     frac = np.divide(counts, g.degrees, out=np.zeros(g.num_nodes), where=eligible)
     fires = frac > theta if strict else frac >= theta
-    return _next_state(s, np.flatnonzero(eligible & fires))
+    return np.flatnonzero(eligible & fires)
 
 
 def run_cascade(
@@ -251,34 +256,39 @@ def run_cascade(
     Returns the trajectory as one activation step per node. If a step adds
     no sharers the cascade stops there and the fixed point is flagged. An
     LTM cascade's counts of sharing neighbors start at zero and add the
-    friends of each state's new sharers, the seeds first. Every input, the
-    graph's kind included, is checked before the seeds are drawn, also
-    when ``steps`` is 0.
+    friends of each step's new sharers, the seeds first. A step draws and
+    fires as ``icm_step`` and ``ltm_step`` do, on one mask. Every input, the
+    graph's kind included, is checked before the seeds are drawn, also when
+    ``steps`` is 0; ``icm_retry`` with LTM, or ``ltm_strict`` with ICM, raises.
     """
     _check_cascade_inputs(model, steps, p_inf, theta, seed_count if seeds is None else None, g.num_nodes)
+    for flag, value, reader in (("icm_retry", icm_retry, "icm"), ("ltm_strict", ltm_strict, "ltm")):
+        if value and model != reader:
+            raise ValueError(f"{flag} is read only by the {reader} model, not by {model!r}")
     _cascade_csr(g)
     if seeds is None:
         if rng is None:
             raise ValueError("either explicit seeds or an rng for seed selection is required")
         seeds = rng.choice(g.num_nodes, size=seed_count, replace=False)
-    state = SharingState.from_sharers(seeds, g.num_nodes)
+    start = SharingState.from_sharers(seeds, g.num_nodes)
+    mask, new = start.mask.copy(), start.sharers  # the sharers so far, and those of the last step
     activation = np.full(g.num_nodes, -1, dtype=np.int32)
-    activation[state.sharers] = 0
+    activation[new] = 0
     fixed_point = None
     # A stalled step is a true fixed point for LTM (deterministic) and for
     # single-attempt ICM (empty frontier); the retry variant can stall by
     # chance and still grow later, so it never terminates early.
     may_stop_early = model == "ltm" or not icm_retry
-    counts = np.zeros(g.num_nodes, dtype=np.int64)  # LTM: each node's sharing neighbors in the current state
+    counts = np.zeros(g.num_nodes, dtype=np.int64)  # LTM: each node's sharing neighbors in ``mask``
     for t in range(1, steps + 1):
         if model == "icm":
-            state = icm_step(g, state, p_inf, rng, retry=icm_retry)
+            new = _icm_hits(g, mask, np.flatnonzero(mask) if icm_retry else new, p_inf, rng)
         else:
-            _sharing_counts(g, state.new_sharers, counts)
-            state = _ltm_fire(g, state, counts, theta, ltm_strict)
-        if state.new_sharers.size == 0 and may_stop_early:
+            new = _ltm_hits(g, mask, _sharing_counts(g, new, counts), theta, ltm_strict)
+        if new.size == 0 and may_stop_early:
             fixed_point = t - 1
             break
-        activation[state.new_sharers] = t
+        mask[new] = True
+        activation[new] = t
     activation.setflags(write=False)
     return CascadeTrajectory(activation, steps, fixed_point)

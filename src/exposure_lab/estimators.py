@@ -297,7 +297,8 @@ def _degree_class_verdict(ks: np.ndarray, pk: np.ndarray, p_exposed: np.ndarray)
 
 
 def condition_analytic(spec: MarkovianSpec) -> ConditionVerdict:
-    """Analytic decision rule for a degree-mixing ensemble: the rule over its degree classes."""
+    """Analytic decision rule for a degree-mixing ensemble: the rule over its degree classes,
+    every class's exposure probability from one matrix-vector product."""
     return _degree_class_verdict(spec.degree_support, spec.degree_dist, _class_exposure_probs(spec))
 
 

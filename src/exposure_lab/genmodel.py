@@ -66,7 +66,11 @@ class CorrelationTarget:
 
 @dataclass(frozen=True)
 class ShapingResult:
-    """Outcome of a best-effort shaping loop."""
+    """Outcome of a best-effort shaping loop: the value reached, the proposals drawn, and whether it converged.
+
+    No per-move trace is kept; the reference loops in ``tests/oracles.py``
+    record one.
+    """
 
     achieved: float
     iterations: int  # proposals drawn, rejected and dropped ones included

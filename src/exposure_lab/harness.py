@@ -509,6 +509,8 @@ def run_static_experiment(
     out-degree 0, which friend sampling never draws; either bias is
     reported in ``warnings``. Every input is checked before the first draw;
     a ``d_bar`` or walk length that no listed method reads raises ValueError.
+    One exposure pass: the estimates and the verdict read one
+    ``exposure_all`` vector.
     """
     directed = isinstance(g, DiGraph)
     _check_methods(methods, directed)
@@ -624,6 +626,7 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
     a failure is recorded in its rows' ``walk_failures``.
     Percent errors are 100 * |estimate - truth| / truth. Every cell's
     degree and shaping inputs are checked before the first cell is built.
+    Each cell makes one exposure pass, which its truth and methods read.
     """
     _check_methods(cfg.methods, directed=False)
     _check_counts(cfg.n_samples, cfg.reps)

@@ -73,7 +73,7 @@ def _fold(state: TrackerState, obs: np.ndarray) -> tuple[TrackerState, list]:
     """
     n = state.updates_done
     steps = state.policy.step(np.arange(n + 1, n + obs.size + 1))
-    rows = np.asarray(obs, dtype=float).tolist()
+    rows = np.asarray(obs, dtype=float).tolist()  # floats even for bool blocks: bool - float is the slow path
     estimate = state.estimate
     estimates = []
     if isinstance(steps, np.ndarray):

@@ -497,6 +497,69 @@ class TestRunCascade:
         if theta < 0.1:
             assert saturated == 10
 
+    @pytest.mark.parametrize("p_inf", [0.3, 0.7])
+    @pytest.mark.parametrize("retry", [False, True], ids=["single", "retry"])
+    @pytest.mark.parametrize("drawn", [False, True], ids=["explicit-seeds", "drawn-seeds"])
+    def test_icm_draws_equal_step_replay(self, p_inf, retry, drawn):
+        # a replay through icm_step on a generator of the same seed, which
+        # also draws the seeds when the cascade does, gives the same
+        # activation steps and fixed point and leaves the generator at the
+        # same next draw: the cascade draws its uniforms as icm_step does
+        rng = make_generator(41)
+        grown = 0
+        for i in range(12):
+            g = random_graph(rng, max_nodes=40, min_nodes=5, p=0.1)
+            explicit = None if drawn else rng.choice(g.num_nodes, size=2, replace=False)
+            ours, theirs = make_generator(42, i), make_generator(42, i)
+            traj = run_cascade(g, "icm", steps=8, seeds=explicit, seed_count=2, p_inf=p_inf, rng=ours,
+                               icm_retry=retry)
+            seeds = theirs.choice(g.num_nodes, size=2, replace=False) if drawn else explicit
+            replay = sharing(g, seeds)
+            activation = np.where(replay.mask, 0, -1)
+            fixed_point = None
+            for t in range(1, 9):
+                replay = icm_step(g, replay, p_inf, theirs, retry=retry)
+                if replay.new_sharers.size == 0 and not retry:
+                    fixed_point = t - 1
+                    break
+                activation[replay.new_sharers] = t
+            assert traj.activation.tolist() == activation.tolist(), i
+            assert traj.fixed_point_step == fixed_point, i
+            assert ours.random() == theirs.random(), i
+            grown += int((activation > 0).any())
+        assert grown >= 6
+
+    @pytest.mark.parametrize("model,retry,strict", [
+        ("icm", False, False), ("icm", True, False), ("ltm", False, False), ("ltm", False, True),
+    ])
+    def test_one_sharing_state_per_call(self, model, retry, strict, monkeypatch):
+        # the seeds' state is the only one a cascade builds; its steps
+        # advance one mask
+        built = []
+        init = SharingState.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SharingState, "__init__", counted)
+        g = path(12)
+        traj = run_cascade(g, model, steps=6, seeds=[0], p_inf=1.0, theta=0.5, rng=make_generator(43),
+                           icm_retry=retry, ltm_strict=strict)
+        assert len(built) == 1
+        assert (traj.activation >= 0).sum() == (1 if strict else 7)  # a strict 0.5 never fires on a path
+
+    @pytest.mark.parametrize("model,flag", [("ltm", "icm_retry"), ("icm", "ltm_strict")])
+    @pytest.mark.parametrize("seeds", [[0], None], ids=["explicit-seeds", "drawn-seeds"])
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_rejects_a_flag_of_the_other_model(self, model, flag, seeds, steps):
+        # the flag would be ignored, so it is refused before any seed is drawn
+        g = star(4)
+        rng = make_generator(44)
+        with pytest.raises(ValueError, match=f"{flag} is read only by the {flag[:3]} model, not by '{model}'"):
+            run_cascade(g, model, steps, seeds=seeds, seed_count=1, rng=rng, **{flag: True})
+        assert rng.random() == make_generator(44).random()
+
     def test_states_past_fixed_point_are_one_object(self):
         rng = make_generator(39)
         stopped = 0
