@@ -107,21 +107,27 @@ def exposure_times(g, activation) -> np.ndarray:
     """Each node's earliest exposure step under a cascade's activation steps.
 
     ``activation`` holds each node's step of first sharing, or -1 for never
-    (``CascadeTrajectory.activation``). A node is exposed at step t exactly
+    (``CascadeTrajectory.activation``): an integer array of shape
+    ``(num_nodes,)``, else ValueError. A node is exposed at step t exactly
     when some friend's activation step lies in [0, t], so its exposure step
     is the least such step among its friends; a node with no friend that
     ever shares (degree-0 nodes included) gets ``np.iinfo(np.int32).max``.
     So ``exposure_times(g, traj.activation) <= t`` is
-    ``exposure_all(g, traj.state(t))``. One ``np.minimum.reduceat`` over the
-    friend CSR rows that have entries.
+    ``exposure_all(g, traj.state(t))``. Each edge u -> v scatters u's step
+    onto v by ``np.minimum.at`` over the ``edge_array`` columns; an
+    undirected edge also scatters v's onto u.
     """
-    never = np.iinfo(np.int32).max
     act = np.asarray(activation)
+    if act.shape != (g.num_nodes,) or not np.issubdtype(act.dtype, np.integer):
+        raise ValueError(f"activation must be an integer array of shape ({g.num_nodes},), "
+                         f"not {act.dtype} of shape {act.shape}")
+    never = np.iinfo(np.int32).max
     first = np.where(act >= 0, act, never).astype(np.int32, copy=False)
     times = np.full(g.num_nodes, never, dtype=np.int32)
-    rows = np.flatnonzero(g.indptr[1:] > g.indptr[:-1])
-    if rows.size:
-        times[rows] = np.minimum.reduceat(first[g.indices], g.indptr[rows])
+    src, dst = g.edge_array.T
+    np.minimum.at(times, dst, first[src])
+    if g._FRIENDS_PER_EDGE == 2:  # an undirected edge makes each end the other's friend
+        np.minimum.at(times, src, first[dst])
     return times
 
 

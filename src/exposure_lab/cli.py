@@ -156,7 +156,7 @@ def _shaped_network(args, rng, compact: bool, sharing_prob=None, rho_target=None
         print(f"assortativity: achieved={rkk.achieved:.6f} (unshaped)")
     else:
         print(f"assortativity: target={args.assortativity} achieved={rkk.achieved:.6f} "
-              f"iterations={rkk.iterations} converged={rkk.converged}")
+              f"iterations={rkk.iterations} converged={rkk.converged} stop={rkk.stop}")
     return g, s, rkk, rho
 
 
@@ -170,7 +170,8 @@ def _cmd_generate(args) -> int:
     if args.degree_sharing_corr is not None:
         if 0 < s.num_sharers < g.num_nodes:
             print(f"degree-sharing correlation: target={args.degree_sharing_corr} "
-                  f"achieved={rho.achieved:.6f} iterations={rho.iterations} converged={rho.converged}")
+                  f"achieved={rho.achieved:.6f} iterations={rho.iterations} converged={rho.converged} "
+                  f"stop={rho.stop}")
         else:
             print("degree-sharing correlation: degenerate sharer set, swapping skipped")
     if args.out_sharers:
@@ -208,11 +209,12 @@ def _cmd_grid(args) -> int:
                           harness.LEDGER_HEADER, ledger)
         print(f"ledger: {len(ledger)} rows -> {args.ledger_out}")
     per_cell = {c.cell_index: c for c in cells}.values()  # one row per cell: its rows share the flags
-    missed = sorted([(c.cell_index, c.rkk_target, c.rkk_achieved, c.rho_target, c.rho_achieved) for c in per_cell
-                     if c.shaping_missed] + [(i, *shaping) for i, _, *shaping, _, miss in null_cells if miss])
-    for cell, rkk_t, rkk_a, rho_t, rho_a in missed:
-        print(f"warning: cell {cell} shaping stopped beyond tolerance (rkk {rkk_t}->{rkk_a:.4f}, "
-              f"rho {rho_t}->{rho_a:.4f})", file=sys.stderr)
+    missed = sorted([(c.cell_index, c.rkk_target, c.rkk_achieved, c.rho_target, c.rho_achieved, c.shaping_stops)
+                     for c in per_cell if c.shaping_missed]
+                    + [(i, *shaping, stops) for i, _, *shaping, _, miss, stops in null_cells if miss])
+    for cell, rkk_t, rkk_a, rho_t, rho_a, (rkk_stop, rho_stop) in missed:
+        print(f"warning: cell {cell} shaping stopped beyond tolerance (rkk {rkk_t}->{rkk_a:.4f} stop={rkk_stop}, "
+              f"rho {rho_t}->{rho_a:.4f} stop={rho_stop})", file=sys.stderr)
     biased = [c for c in per_cell if c.walk_failures]
     for cell in biased:
         for failure in cell.walk_failures:

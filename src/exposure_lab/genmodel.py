@@ -22,7 +22,7 @@ from .graph import Graph, _edges_from_keys, build_undirected
 
 DEFAULT_TOLERANCE = 0.01
 DEFAULT_MAX_ITERS = 100_000
-REWIRE_BATCH_MIN, REWIRE_BATCH_MAX = 64, 4096  # rewiring proposals per step: m/8, clamped
+REWIRE_BATCH_MIN, REWIRE_BATCH_MAX = 64, 16384  # rewiring proposals per step: m/8, clamped
 SWAP_BATCH = 256  # label-swap proposals per step
 _MOMENT_BLOCK_EDGES = 1 << 16  # edges per block of the endpoint-degree products: bounds their temporaries
 
@@ -66,15 +66,20 @@ class CorrelationTarget:
 
 @dataclass(frozen=True)
 class ShapingResult:
-    """Outcome of a best-effort shaping loop: the value reached, the proposals drawn, and whether it converged.
+    """Outcome of a best-effort shaping loop: the value reached, the proposals
+    drawn, whether it converged, and why it stopped.
 
-    No per-move trace is kept; the reference loops in ``tests/oracles.py``
-    record one.
+    ``stop`` is "band" (converged), "floor" or "ceiling" (no move can go
+    further that way), or "budget" (max_iters proposals drawn) for a loop
+    that ran; "undefined" when the coefficient is undefined on the input,
+    and "skipped" when ``shape_network`` ran no loop. No per-move trace is
+    kept; the reference loops in ``tests/oracles.py`` record one.
     """
 
     achieved: float
     iterations: int  # proposals drawn, rejected and dropped ones included
     converged: bool
+    stop: str
 
 
 def powerlaw_cap(n: int, alpha: float, k_min: int = 1, k_max: int | None = None) -> int:
@@ -207,17 +212,22 @@ def _climb(target: CorrelationTarget, rho, total: int, floor, ceiling, batch: in
     accepted ones' batch indices, their gains to ``total``, and ``apply(moves)``,
     which applies the first ``moves``. A batch is cut at the first move that
     reaches the tolerance band, crosses the target, or brings ``total`` to its
-    floor or ceiling; there the loop stops. ``iterations`` counts the proposals
-    drawn up to the cut, rejected ones included, against max_iters.
+    floor or ceiling. The loop stops in the band, at the floor or ceiling it
+    climbs toward, or with the budget spent, in that order of precedence, and
+    names the reason in ``stop``. ``iterations`` counts the proposals drawn up
+    to the cut, rejected ones included, against max_iters.
     """
     current = rho(total)
     iters = 0
-    converged = abs(current - target.target) <= target.tolerance
-    while not converged and iters < target.max_iters:
+    while True:
         up = target.target > current
         bound = ceiling if up else floor
+        if abs(current - target.target) <= target.tolerance:
+            return ShapingResult(current, iters, True, "band")
         if total == bound:
-            break
+            return ShapingResult(current, iters, False, "ceiling" if up else "floor")
+        if iters >= target.max_iters:
+            return ShapingResult(current, iters, False, "budget")
         k = min(batch, target.max_iters - iters)
         acc, gain, apply = propose(k, up)
         totals = total + np.cumsum(gain)
@@ -229,8 +239,20 @@ def _climb(target: CorrelationTarget, rho, total: int, floor, ceiling, batch: in
             apply(moves)
             total = int(totals[moves - 1])
             current = rho(total)
-        converged = abs(current - target.target) <= target.tolerance
-    return ShapingResult(current, iters, converged)
+
+
+def _absent(keys: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Which pairs of packed edge keys (first[i], second[i]) are both missing from the sorted, non-empty ``keys``.
+
+    One searchsorted over all of them in ascending order, which keeps its
+    successive searches close.
+    """
+    new = np.concatenate([first, second])
+    order = np.argsort(new)
+    ordered = new[order]
+    absent = np.empty(new.size, dtype=bool)
+    absent[order] = keys[np.minimum(np.searchsorted(keys, ordered), keys.size - 1)] != ordered
+    return absent.reshape(2, -1).all(axis=0)
 
 
 def rewire_to_assortativity(
@@ -241,12 +263,19 @@ def rewire_to_assortativity(
     Each proposal draws two distinct edges and, among the three pairings of
     their four endpoints, keeps the one moving the coefficient furthest in
     the needed direction; pairings creating self-loops or existing edges
-    are skipped. ``_climb`` evaluates them K = clamp(m/8, 64, 4096) at a time
-    against the graph as it stood before the batch, dropping an accepted
-    proposal that touches or creates an edge an earlier one touched or
-    created. Returns a best-effort graph plus the achieved coefficient when
-    the target is out of reach, and the input graph itself when no move
-    was applied.
+    are skipped. ``_climb`` evaluates them K = clamp(m/8, 64, 16384) at a
+    time against the graph as it stood before the batch, dropping an
+    accepted proposal that touches or creates an edge an earlier one
+    touched or created.
+
+    The edges are kept as sorted packed keys. A batch looks up each
+    proposal's first choice, its better climbing pairing without a
+    self-loop, in one sorted search; only the blocked first choices whose
+    other pairing also climbs are searched again. An apply drops the moved
+    keys by a mask, appends the sorted new ones and merges the two sorted
+    runs by one stable sort. Returns a best-effort graph plus the achieved
+    coefficient when the target is out of reach, and the input graph
+    itself when no move was applied.
     """
     if g.num_edges < 2:
         raise ValueError("rewiring needs at least two edges")
@@ -254,7 +283,7 @@ def rewire_to_assortativity(
     mean_sq = (sum_x / n_points) ** 2
     denom = sum_xx / n_points - mean_sq
     if denom <= 0.0:  # regular graph: coefficient undefined, nothing to shape
-        return g, ShapingResult(math.nan, 0, False)
+        return g, ShapingResult(math.nan, 0, False, "undefined")
     n, m = g.num_nodes, g.num_edges
     deg = g.degrees.astype(np.int64, copy=False)  # degree products and gains fit int64 while degrees stay below 2**31
     # the edges as ascending packed keys u*n + v (u < v); edge_array is sorted
@@ -266,41 +295,53 @@ def rewire_to_assortativity(
         j = rng.integers(m - 1, size=k)
         j += j >= i
         a, b = np.divmod(keys[i], n)
-        c, d = np.divmod(keys[j], n)
-        da, db, dc, dd = deg[a], deg[b], deg[c], deg[d]
+        q = np.empty((2, k), dtype=np.int64)
+        np.divmod(keys[j], n, out=(q[0], q[1]))
         # keeping the current pairing is the zero-gain baseline; row 0 scores the
-        # alternative pairing (a c)(b d) against it, row 1 (a d)(b c)
-        q, t = np.stack([c, d]), np.stack([d, c])
-        k1 = np.minimum(a, q) * n + np.maximum(a, q)
-        k2 = np.minimum(b, t) * n + np.maximum(b, t)
-        gain = np.stack([(da - dd) * (dc - db), (da - dc) * (dd - db)])
+        # alternative pairing (a c)(b d) against it, row 1 (a d)(b c), with q = (c, d)
+        dq = deg[q]
+        gain = (deg[a] - dq[::-1]) * (dq - deg[b])
+        # their new edges {a, q} and {b, q[::-1]} as packed keys min*n + max = min*(n-1) + both ends
+        k1, k2 = np.minimum(a, q), np.minimum(b, q[::-1])
+        for key, p, r in ((k1, a, q), (k2, b, q[::-1])):
+            key *= n - 1
+            key += p
+            key += r
+        # a pairing that does not climb or makes a self-loop scores 0
         score = gain if up else -gain
-        # a pairing that does not climb, or makes a self-loop or an existing
-        # edge, scores 0 and is never accepted: only the others are looked up,
-        # in ascending order, which keeps searchsorted's successive searches close
-        cand = (score > 0) & (a != q) & (b != t)
-        new = np.concatenate([k1[cand], k2[cand]])
-        order = np.argsort(new)
-        new = new[order]
-        absent = np.empty(new.size, dtype=bool)
-        absent[order] = keys[np.minimum(np.searchsorted(keys, new), m - 1)] != new
-        cand[cand] = absent.reshape(2, -1).all(axis=0)
-        score = np.where(cand, score, 0)
-        best = score[1] > score[0]  # a tie keeps (a c)(b d)
-        k1, k2, gain = (np.where(best, x[1], x[0]) for x in (k1, k2, gain))
-        acc = np.flatnonzero(np.maximum(score[0], score[1]) > 0)
-        acc = acc[_first_claims(np.stack([i[acc], j[acc]], axis=1))]
-        acc = acc[_first_claims(np.stack([k1[acc], k2[acc]], axis=1))]
+        score = np.where((score > 0) & (a != q) & (b != q[::-1]), score, 0)
+        # each proposal's first choice as a flat position row*k + proposal; a tie keeps (a c)(b d)
+        acc = np.flatnonzero(np.maximum(score[0], score[1]))
+        pos = acc + k * (score[1, acc] > score[0, acc])
+        k1, k2, score = k1.ravel(), k2.ravel(), score.ravel()
+        free = _absent(keys, k1[pos], k2[pos])
+        # a first choice that makes an existing edge falls back on the other pairing, if it climbs
+        other = (pos + k) % (2 * k)
+        retry = np.flatnonzero(~free & (score[other] > 0))
+        if retry.size:
+            alt = other[retry]
+            found = _absent(keys, k1[alt], k2[alt])
+            pos[retry[found]] = alt[found]
+            free[retry[found]] = True
+        acc, pos = acc[free], pos[free]
+        claims = _first_claims(np.stack([i[acc], j[acc]], axis=1))
+        acc, pos = acc[claims], pos[claims]
+        k1, k2 = k1[pos], k2[pos]
+        claims = _first_claims(np.stack([k1, k2], axis=1))
+        acc, pos, k1, k2 = acc[claims], pos[claims], k1[claims], k2[claims]
 
         def apply(moves):
             nonlocal keys, moved
-            done = acc[:moves]
-            added = np.sort(np.concatenate([k1[done], k2[done]]))
-            keys = np.delete(keys, np.concatenate([i[done], j[done]]))
-            keys = np.insert(keys, np.searchsorted(keys, added), added)
+            keep = np.ones(m, dtype=bool)
+            keep[i[acc[:moves]]] = False
+            keep[j[acc[:moves]]] = False
+            added = np.sort(np.concatenate([k1[:moves], k2[:moves]]))
+            keys = keys[keep]  # rebinding frees the old keys before the concatenation copies
+            keys = np.concatenate([keys, added])
+            keys.sort(kind="stable")  # timsort: one merge of the kept run and the added run
             moved = True
 
-        return acc, gain[acc], apply
+        return acc, gain.ravel()[pos], apply
 
     # the climb runs on sum_xy / 2, which each move changes by its gain
     result = _climb(target, lambda t: (2 * t / n_points - mean_sq) / denom, sum_xy // 2, -math.inf, math.inf,
@@ -358,7 +399,7 @@ def swap_to_correlation(
     p_bar = m / n
     scale = math.sqrt(var_d) * math.sqrt(p_bar * (1.0 - p_bar))
     if scale == 0.0:
-        return s, ShapingResult(math.nan, 0, False)
+        return s, ShapingResult(math.nan, 0, False, "undefined")
     sharers = s.sharers.copy()
     others = np.flatnonzero(~s.mask)
     ordered = np.sort(d)
@@ -398,19 +439,20 @@ def shape_network(g: Graph, rng: np.random.Generator, rkk_target=None, sharing_p
     sharers, swap their labels toward ``rho_target``; every input is checked first.
 
     Returns (graph, sharing, rkk, rho), a ShapingResult per loop. A skipped loop
-    (target None) reports (value, 0, True); a rho target with nobody or everyone
-    sharing, (value, 0, False). No ``sharing_prob``: sharing None, rho (nan, 0, True).
+    (target None) reports (value, 0, True, "skipped"); a rho target with nobody or
+    everyone sharing, (value, 0, False, "skipped"). No ``sharing_prob``: sharing
+    None, rho (nan, 0, True, "skipped").
     """
     rkk_t, rho_t = shaping_targets(rkk_target, sharing_prob, rho_target, tolerance, max_iters)
     if rkk_t is None:
-        rkk = ShapingResult(assortativity_coefficient(g), 0, True)
+        rkk = ShapingResult(assortativity_coefficient(g), 0, True, "skipped")
     else:
         g, rkk = rewire_to_assortativity(g, rkk_t, rng)
     if sharing_prob is None:
-        return g, None, rkk, ShapingResult(math.nan, 0, True)
+        return g, None, rkk, ShapingResult(math.nan, 0, True, "skipped")
     s = bernoulli_sharing(g, sharing_prob, rng)
     if rho_t is not None and 0 < s.num_sharers < g.num_nodes:
         s, rho = swap_to_correlation(g, s, rho_t, rng)
     else:
-        rho = ShapingResult(degree_sharing_correlation(g, s), 0, rho_t is None)
+        rho = ShapingResult(degree_sharing_correlation(g, s), 0, rho_t is None, "skipped")
     return g, s, rkk, rho

@@ -590,9 +590,10 @@ class GridCell:
     std_error_pct: float | None
     shaping_missed: bool
     walk_failures: tuple  # why fp-walk's samples are biased on the cell's graph; () unless fp-walk is listed
+    shaping_stops: tuple  # (rkk, rho): each shaping loop's ShapingResult.stop
 
 
-GRID_HEADER = [f.name for f in fields(GridCell)[:14]]  # the last two fields only feed the CLI's warnings
+GRID_HEADER = [f.name for f in fields(GridCell)[:14]]  # the last three fields only feed the CLI's warnings
 
 LEDGER_HEADER = [
     "cell_index", "alpha", "rkk_target", "rho_target", "sharing_prob",
@@ -603,14 +604,15 @@ LEDGER_HEADER = [
 def build_cell(cfg: GridConfig, cell_index: int, alpha: float, rkk_target, rho_target, p: float):
     """Generate and shape one grid cell's graph and sharing state.
 
-    Returns (graph, sharing, rkk_achieved, rho_achieved, missed) where
-    ``missed`` flags a best-effort shaping stop beyond tolerance.
+    Returns (graph, sharing, rkk_achieved, rho_achieved, missed, stops) where
+    ``missed`` flags a best-effort shaping stop beyond tolerance and
+    ``stops`` holds the two loops' ``ShapingResult.stop``, rkk first.
     """
     rng = make_generator(cfg.seed, cell_index)
     seq = powerlaw_degree_sequence(cfg.nodes, alpha, cfg.k_min, rng, k_max=cfg.k_max)
     g, s, rkk, rho = shape_network(configuration_model(seq, rng), rng, rkk_target, p, rho_target,
                                    cfg.tolerance, cfg.max_iters)
-    return g, s, rkk.achieved, rho.achieved, not (rkk.converged and rho.converged)
+    return g, s, rkk.achieved, rho.achieved, not (rkk.converged and rho.converged), (rkk.stop, rho.stop)
 
 
 def run_grid(cfg: GridConfig, collect_ledger: bool = True):
@@ -621,9 +623,9 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
     the other methods' rows unchanged. A cell whose sharing exposes nobody
     (true exposure 0) has no defined percent error: it yields no GridCell
     row and is reported in ``null_cells`` instead, as the tuple of its first
-    seven GridCell fields and ``shaping_missed``. With fp-walk among the
-    methods, each cell's graph is checked for the walk's preconditions and
-    a failure is recorded in its rows' ``walk_failures``.
+    seven GridCell fields, ``shaping_missed`` and ``shaping_stops``. With
+    fp-walk among the methods, each cell's graph is checked for the walk's
+    preconditions and a failure is recorded in its rows' ``walk_failures``.
     Percent errors are 100 * |estimate - truth| / truth. Every cell's
     degree and shaping inputs are checked before the first cell is built.
     Each cell makes one exposure pass, which its truth and methods read.
@@ -637,11 +639,11 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
     ledger: list[tuple] = []
     null_cells: list[tuple] = []
     for cell_index, (alpha, rkk_t, rho_t, p) in enumerate(cfg.cells()):
-        g, s, rkk_a, rho_a, missed = build_cell(cfg, cell_index, alpha, rkk_t, rho_t, p)
+        g, s, rkk_a, rho_a, missed, stops = build_cell(cfg, cell_index, alpha, rkk_t, rho_t, p)
         exposed = exposure_all(g, s)
         f_bar = float(exposed.mean())
         if f_bar == 0.0:
-            null_cells.append((cell_index, alpha, rkk_t, rkk_a, rho_t, rho_a, p, missed))
+            null_cells.append((cell_index, alpha, rkk_t, rkk_a, rho_t, rho_a, p, missed, stops))
             continue
         walk_failures = graphmod.walk_precondition_failures(g) if "fp-walk" in cfg.methods else ()
         for method in cfg.methods:
@@ -670,6 +672,7 @@ def run_grid(cfg: GridConfig, collect_ledger: bool = True):
                     std_error_pct=float(pct.std(ddof=1) / math.sqrt(cfg.reps)) if cfg.reps > 1 else None,
                     shaping_missed=missed,
                     walk_failures=walk_failures,
+                    shaping_stops=stops,
                 )
             )
     return cells_out, ledger, null_cells

@@ -568,7 +568,7 @@ def reference_rewire(
     mean_sq = (sum_x / n_points) ** 2
     denom = sum_xx / n_points - mean_sq
     if denom <= 0.0:  # regular graph: coefficient undefined, nothing to shape
-        return g, ShapingResult(math.nan, 0, False), []
+        return g, ShapingResult(math.nan, 0, False, "undefined"), []
 
     def rho(sxy):
         return (sxy / n_points - mean_sq) / denom
@@ -623,7 +623,8 @@ def reference_rewire(
             current = rho(sum_xy)
             trace += running[:moves].tolist()
         converged = abs(current - target.target) <= target.tolerance
-    result = ShapingResult(current, iters, converged)
+    # rewiring has no floor or ceiling: a loop that did not converge spent its budget
+    result = ShapingResult(current, iters, converged, "band" if converged else "budget")
     if not moved:
         return g, result, trace
     return build_undirected(np.stack(np.divmod(keys, n), axis=1), n), result, trace
@@ -651,7 +652,7 @@ def reference_swap(
     p_bar = m / n
     scale = math.sqrt(var_d) * math.sqrt(p_bar * (1.0 - p_bar))
     if scale == 0.0:
-        return s, ShapingResult(math.nan, 0, False), []
+        return s, ShapingResult(math.nan, 0, False, "undefined"), []
 
     def rho(tot):
         return (tot / n - mean_d * p_bar) / scale
@@ -690,7 +691,13 @@ def reference_swap(
             current = rho(total)
             trace += running[:moves].tolist()
         converged = abs(current - target.target) <= target.tolerance
-    return SharingState.from_sharers(sharers, n), ShapingResult(current, iters, converged), trace
+    if converged:
+        stop = "band"
+    elif target.target > current:
+        stop = "ceiling" if total == ceiling else "budget"
+    else:
+        stop = "floor" if total == floor else "budget"
+    return SharingState.from_sharers(sharers, n), ShapingResult(current, iters, converged, stop), trace
 
 
 # ---------------------------------------------------------------------------
@@ -699,29 +706,32 @@ def reference_swap(
 
 
 def reference_shaped_network(g, rng, rkk_target, sharing_prob, rho_target, tolerance, max_iters):
-    """(graph, sharing, rkk_achieved, rho_achieved, missed) for a generated graph.
+    """(graph, sharing, rkk_achieved, rho_achieved, missed, stops) for a generated graph.
 
     Rewire toward rkk_target unless it is None; then, unless sharing_prob
     is None (sharing None, rho_achieved None), draw Bernoulli sharers and
     swap them toward rho_target when it is set and the sharer set is
     neither empty nor everyone. ``missed`` flags a loop that stopped beyond
     tolerance, or a rho target with a sharer set that cannot be swapped.
+    ``stops`` holds each loop's ShapingResult.stop, "skipped" for a loop
+    that did not run, rkk first.
     """
     missed = False
+    rkk_stop = rho_stop = "skipped"
     if rkk_target is None:
         rkk_achieved = assortativity_coefficient(g)
     else:
         g, res = rewire_to_assortativity(g, CorrelationTarget(rkk_target, tolerance, max_iters), rng)
-        rkk_achieved = res.achieved
+        rkk_achieved, rkk_stop = res.achieved, res.stop
         missed |= not res.converged
     if sharing_prob is None:
-        return g, None, rkk_achieved, None, missed
+        return g, None, rkk_achieved, None, missed, (rkk_stop, rho_stop)
     s = bernoulli_sharing(g, sharing_prob, rng)
     if rho_target is None or not 0 < s.num_sharers < g.num_nodes:
         rho_achieved = degree_sharing_correlation(g, s)
         missed |= rho_target is not None
     else:
         s, res = swap_to_correlation(g, s, CorrelationTarget(rho_target, tolerance, max_iters), rng)
-        rho_achieved = res.achieved
+        rho_achieved, rho_stop = res.achieved, res.stop
         missed |= not res.converged
-    return g, s, rkk_achieved, rho_achieved, missed
+    return g, s, rkk_achieved, rho_achieved, missed, (rkk_stop, rho_stop)

@@ -168,7 +168,7 @@ class TestEstimatorOrderingsOnShapedGrids:
             cfg = GridConfig(nodes=2000, alphas=(alpha,), k_min=1, k_max=85,
                              rkk_targets=(rkk,), rho_targets=(rho,), sharing_probs=(p,),
                              n_samples=100, reps=500, seed=seed, max_iters=300_000)
-            g, s, _, _, _ = build_cell(cfg, 0, alpha, rkk, rho, p)
+            g, s, *_ = build_cell(cfg, 0, alpha, rkk, rho, p)
             f_bar = true_exposure(g, s)
             exposed = exposure_all(g, s)
             err = {m: float(np.abs(run_method(m, g, exposed, 100, 500, method_generator(seed, 0, m)) - f_bar).sum())

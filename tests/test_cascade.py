@@ -9,6 +9,7 @@ import pytest
 from exposure_lab import (
     DiGraph,
     SharingState,
+    StepPolicy,
     build_directed,
     build_undirected,
     cascade,
@@ -19,6 +20,8 @@ from exposure_lab import (
     ltm_step,
     make_generator,
     run_cascade,
+    run_tracking_experiment,
+    tracking,
     true_exposure,
 )
 
@@ -299,6 +302,26 @@ class TestExposureTimes:
             for t in range(7):
                 state = SharingState((activation >= 0) & (activation <= t))
                 assert np.array_equal(times <= t, exposure_all(g, state)), (i, t)
+
+    @pytest.mark.parametrize("activation", [np.array([0, -1, 1, 2, -1]), np.array([0.7, -1.0, -1.0])],
+                             ids=["five entries on three nodes", "float steps"])
+    def test_rejects_activation_not_one_integer_per_node(self, activation):
+        with pytest.raises(ValueError, match=r"activation must be an integer array of shape \(3,\)"):
+            exposure_times(path(3), activation)
+
+    def test_tracking_passes_its_int32_activation(self, monkeypatch):
+        # run_tracking_experiment hands over run_cascade's int32 activation steps, which pass the check
+        seen = []
+
+        def recorded(g, activation):
+            seen.append(activation.dtype)
+            return exposure_times(g, activation)
+
+        monkeypatch.setattr(tracking, "exposure_times", recorded)
+        policy = StepPolicy("constant", 0.1)
+        records = run_tracking_experiment(cycle(12), model="icm", steps=3, schedule=5, vanilla_policy=policy,
+                                          fp_policy=policy, seed_count=2, p_inf=0.5, rng=make_generator(314))
+        assert seen == [np.dtype(np.int32)] and len(records) == 3
 
 
 class TestIcm:

@@ -21,6 +21,7 @@ from exposure_lab import (
     rewire_to_assortativity,
     swap_to_correlation,
 )
+from exposure_lab import genmodel
 from exposure_lab.genmodel import REWIRE_BATCH_MAX, REWIRE_BATCH_MIN, SWAP_BATCH, _first_claims
 
 from oracles import (
@@ -262,6 +263,7 @@ class TestRewireToAssortativity:
             assert np.array_equal(got, ref)
         assert res.iterations == target.max_iters * (case == "every proposal rejected")
         assert res.converged == (case == "target met")
+        assert res.stop == ("band" if case == "target met" else "budget")
         assert res.achieved == assortativity_coefficient(g)
 
     def test_regular_graph_returns_the_input_unconverged(self):
@@ -270,6 +272,7 @@ class TestRewireToAssortativity:
         out, res = rewire_to_assortativity(g, CorrelationTarget(0.3), make_generator(0))
         assert out is g
         assert math.isnan(res.achieved) and res.iterations == 0 and not res.converged
+        assert res.stop == "undefined"
 
     def test_too_few_edges_rejected(self):
         with pytest.raises(ValueError):
@@ -407,6 +410,7 @@ class TestSwapToCorrelation:
         out, res = swap_to_correlation(g, s, CorrelationTarget(0.3), make_generator(0))
         assert out is s
         assert math.isnan(res.achieved) and res.iterations == 0 and not res.converged
+        assert res.stop == "undefined"
 
     def test_degenerate_sharer_sets_rejected(self):
         g = star(4)
@@ -484,6 +488,7 @@ class TestBatchedShaping:
         assert degree_sharing_correlation(g, out) == pytest.approx(bound, abs=1e-12)
         assert res.iterations < 300_000
         assert not res.converged
+        assert res.stop == ("ceiling" if target > 0 else "floor")
         assert out.num_sharers == s.num_sharers
 
     @pytest.mark.parametrize("sharers,target", [([0], -0.9), ([1, 2, 3, 4], 0.9)])
@@ -492,7 +497,7 @@ class TestBatchedShaping:
         # floor (-0.25) or ceiling (+0.25) at once: exactly one proposal is drawn
         out, res = swap_to_correlation(star(4), SharingState.from_sharers(sharers, 5),
                                        CorrelationTarget(target, 0.01, 1000), make_generator(69))
-        assert (res.iterations, res.converged) == (1, False)
+        assert (res.iterations, res.converged, res.stop) == (1, False, "ceiling" if target > 0 else "floor")
         assert res.achieved == pytest.approx(math.copysign(0.25, target), abs=1e-12)
         assert out.num_sharers == len(sharers)
 
@@ -503,7 +508,7 @@ class TestBatchedShaping:
         at_floor = SharingState.from_sharers(order[: s.num_sharers], g.num_nodes)
         state = rng.bit_generator.state
         out, res = swap_to_correlation(g, at_floor, CorrelationTarget(-0.9, 0.01, 1000), rng)
-        assert (res.iterations, res.converged) == (0, False)
+        assert (res.iterations, res.converged, res.stop) == (0, False, "floor")
         assert np.array_equal(out.mask, at_floor.mask)
         assert rng.bit_generator.state == state
 
@@ -563,6 +568,54 @@ class TestBatchedShaping:
             assert res == ref, budget
             assert rng_got.random() == rng_want.random(), budget
 
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("target", [-0.2, 0.2])
+    def test_rewiring_beyond_the_old_batch_cap_equals_reference(self, seed, target):
+        # track-style graphs (1e4 nodes, power law 2.5, k 3..300) have m > 32768,
+        # so K = m/8 exceeds 4096: the same edges, ShapingResult and next draw
+        rng = make_generator(74, seed)
+        g = configuration_model(powerlaw_degree_sequence(10_000, 2.5, 3, rng, k_max=300), rng)
+        assert g.num_edges // 8 > 4096
+        shaping = CorrelationTarget(target, 0.01, 100_000)
+        rng_got, rng_want = make_generator(75, seed), make_generator(75, seed)
+        got, res = rewire_to_assortativity(g, shaping, rng_got)
+        want, ref, _ = reference_rewire(g, shaping, rng_want)
+        assert res.iterations > 0
+        assert np.array_equal(got.edge_array, want.edge_array)
+        assert res == ref
+        assert rng_got.random() == rng_want.random()
+
+    def test_dense_graph_searches_blocked_first_choices_again(self, monkeypatch):
+        # on 40 nodes at p = 0.5 a first choice often makes an existing edge,
+        # so some batches search the other pairing too: more lookups than
+        # batches, and still the reference's edges, result and next draw
+        lookups, batches = [0], [0]
+        absent, cut = genmodel._absent, genmodel._cut
+
+        def counted_absent(*args):
+            lookups[0] += 1
+            return absent(*args)
+
+        def counted_cut(*args):
+            batches[0] += 1
+            return cut(*args)
+
+        monkeypatch.setattr(genmodel, "_absent", counted_absent)
+        monkeypatch.setattr(genmodel, "_cut", counted_cut)
+        for seed in range(20):
+            rng = make_generator(76, seed)
+            mask = rng.random((40, 40)) < 0.5
+            g = build_undirected([(u, v) for u in range(40) for v in range(u + 1, 40) if mask[u, v]], 40)
+            for target in (-0.5, 0.5):
+                shaping = CorrelationTarget(target, 0.005, 5_000)
+                rng_got, rng_want = make_generator(77, seed), make_generator(77, seed)
+                got, res = rewire_to_assortativity(g, shaping, rng_got)
+                want, ref, _ = reference_rewire(g, shaping, rng_want)
+                assert np.array_equal(got.edge_array, want.edge_array), (seed, target)
+                assert res == ref, (seed, target)
+                assert rng_got.random() == rng_want.random(), (seed, target)
+        assert lookups[0] > batches[0] > 0
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("target", [-0.9, -0.1, 0.3])
     def test_swapping_equals_reference_loop(self, seed, target):
@@ -602,7 +655,7 @@ class TestBatchedShaping:
         for budget in (0, 1, 7, k - 1, k, k + 1, 3 * k + 5):
             _, res = rewire_to_assortativity(g, CorrelationTarget(0.99, 0.01, budget), make_generator(66))
             assert res.iterations == budget
-            assert not res.converged
+            assert not res.converged and res.stop == "budget"
 
     def test_swap_budgets_count_every_proposal(self):
         # -0.9 is below the floor, which takes far more than SWAP_BATCH + 1 proposals to reach
@@ -610,4 +663,4 @@ class TestBatchedShaping:
         for budget in (0, 1, 7, SWAP_BATCH - 1, SWAP_BATCH, SWAP_BATCH + 1):
             _, res = swap_to_correlation(g, s, CorrelationTarget(-0.9, 0.01, budget), make_generator(67))
             assert res.iterations == budget
-            assert not res.converged
+            assert not res.converged and res.stop == "budget"

@@ -1270,7 +1270,7 @@ class TestRunMethod:
         _, ledger, _ = run_grid(cfg)
         want = []
         for cell_index, (alpha, rkk_t, rho_t, p) in enumerate(cfg.cells()):
-            g, s, _, _, _ = build_cell(cfg, cell_index, alpha, rkk_t, rho_t, p)
+            g, s, *_ = build_cell(cfg, cell_index, alpha, rkk_t, rho_t, p)
             f_bar = true_exposure(g, s)
             if f_bar == 0.0:
                 continue
@@ -1287,7 +1287,7 @@ class TestRunMethod:
         cells, ledger, _ = run_grid(cfg)
         want_rows, want_ledger = [], []
         for cell_index, (alpha, rkk_t, rho_t, p) in enumerate(cfg.cells()):
-            g, s, rkk_a, rho_a, _ = build_cell(cfg, cell_index, alpha, rkk_t, rho_t, p)
+            g, s, rkk_a, rho_a, *_ = build_cell(cfg, cell_index, alpha, rkk_t, rho_t, p)
             f_bar = true_exposure(g, s)
             if f_bar == 0.0:
                 continue
@@ -1480,6 +1480,8 @@ class TestCli:
         for cell in range(3):
             assert sum(line.startswith(f"warning: cell {cell} shaping stopped beyond tolerance") for line in err) == 1
         assert len(err) == 3
+        # the warnings name where label swapping stopped: at the degree floor
+        assert all(line.endswith(" stop=floor)") for line in err)
 
     def test_grid_null_cells_left_out_and_named_once(self, tmp_path, capsys):
         # nobody shares at p = 0, so cells 0 and 2 have zero true exposure
@@ -1504,15 +1506,20 @@ class TestCli:
         cfg.write_text("nodes = 300\nalphas = 2.5\nk_max = 30\nrkk_targets = 0.9\nsharing_probs = 0.0, 0.05\n"
                        "methods = vanilla, fp\nreps = 20\nmax_iters = 2000\n")
         config = parse_grid_config(str(cfg))
-        _, _, rkk_a, rho_a, missed = build_cell(config, 0, 2.5, 0.9, None, 0.0)
+        _, _, rkk_a, rho_a, missed, stops = build_cell(config, 0, 2.5, 0.9, None, 0.0)
         assert missed and rkk_a == pytest.approx(0.4421, abs=1e-4) and math.isnan(rho_a)
-        [(cell, alpha, rkk_t, rkk_achieved, rho_t, rho_achieved, p, shaping_missed)] = run_grid(config, False)[2]
-        assert (cell, alpha, rkk_t, rkk_achieved, rho_t, p, shaping_missed) == (0, 2.5, 0.9, rkk_a, None, 0.0, True)
+        assert stops == ("budget", "skipped")
+        [(cell, alpha, rkk_t, rkk_achieved, rho_t, rho_achieved, p, shaping_missed, shaping_stops)] = \
+            run_grid(config, False)[2]
+        assert (cell, alpha, rkk_t, rkk_achieved, rho_t, p, shaping_missed, shaping_stops) == \
+            (0, 2.5, 0.9, rkk_a, None, 0.0, True, stops)
         assert math.isnan(rho_achieved)
         assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 3
         err = capsys.readouterr().err.splitlines()
-        assert err[0] == f"warning: cell 0 shaping stopped beyond tolerance (rkk 0.9->{rkk_a:.4f}, rho None->nan)"
-        assert err[1].startswith("warning: cell 1 shaping stopped beyond tolerance (rkk 0.9->")
+        assert err[0] == (f"warning: cell 0 shaping stopped beyond tolerance (rkk 0.9->{rkk_a:.4f} stop=budget, "
+                          "rho None->nan stop=skipped)")
+        assert re.fullmatch(r"warning: cell 1 shaping stopped beyond tolerance "
+                            r"\(rkk 0\.9->0\.\d{4} stop=budget, rho None->-?0\.\d{4} stop=skipped\)", err[1])
         assert err[2].startswith("warning: cell 0 has zero true exposure")
         assert len(err) == 3
 
@@ -1734,7 +1741,7 @@ class TestGridWalkPreconditions:
         cells, _, _ = run_grid(cfg)
         assert len(cells) == 6
         for c in cells:
-            g, _, _, _, _ = build_cell(cfg, c.cell_index, *cfg.cells()[c.cell_index])
+            g, *_ = build_cell(cfg, c.cell_index, *cfg.cells()[c.cell_index])
             assert c.walk_failures == reference_walk_precondition_failures(g)
             assert "components" in c.walk_failures[0]
 
@@ -1797,7 +1804,7 @@ class TestNetworkRecipe:
         assert np.array_equal(got[0].edge_array, want[0].edge_array)
         assert np.array_equal(got[1].mask, want[1].mask)
         assert np.array_equal(got[2:4], want[2:4], equal_nan=True)
-        assert got[4] == want[4]
+        assert got[4:] == want[4:]
 
         rng = make_generator(self.SEED)
         g, _ = compact_nonisolated(self._drawn_graph(rng))
