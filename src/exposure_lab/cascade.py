@@ -16,7 +16,6 @@ from .graph import DiGraph, Graph, _freeze, gather_segments, sorted_unique
 DEFAULT_SEED_COUNT = 10
 DEFAULT_INFECTION_PROB = 0.05
 DEFAULT_LTM_THRESHOLD = 0.05
-_COUNT_BLOCK_ENTRIES = 1 << 16  # friend entries per block of _sharing_counts: bounds a cascade step's temporaries
 
 
 class SharingState:
@@ -64,11 +63,7 @@ class SharingState:
 def _sharing_counts(g, sharers, counts: np.ndarray | None = None) -> np.ndarray:
     """Each node's count of sharing friends, added into ``counts`` (new zeros by default).
 
-    The sharers' friend entries, their out-lists concatenated, are added in
-    blocks of at most _COUNT_BLOCK_ENTRIES, cut from the sharers' cumulative
-    degrees by one searchsorted; a block may start or end inside a list. So
-    no temporary grows with the number of entries. A DiGraph's out-lists are
-    the rows of ``edge_array``, which is sorted by source.
+    One np.add.at per gather_segments block of the sharers' out-lists: a DiGraph's are its source-sorted edge rows.
     """
     if isinstance(g, DiGraph):
         indptr, indices = np.concatenate(([0], np.cumsum(g.out_degrees))), g.edge_array[:, 1]
@@ -76,20 +71,9 @@ def _sharing_counts(g, sharers, counts: np.ndarray | None = None) -> np.ndarray:
         indptr, indices = g.indptr, g.indices
     if counts is None:
         counts = np.zeros(g.num_nodes, dtype=np.int64)
-    sharers = np.asarray(sharers, dtype=np.int64)
-    starts = indptr[sharers]
-    lengths = indptr[sharers + 1] - starts
-    ends = np.cumsum(lengths)
-    begins = np.subtract(ends, lengths, out=lengths)  # sharer i's entries are positions begins[i]:ends[i]
-    shift = np.subtract(starts, begins, out=starts)  # and position p among them is indices[p + shift[i]]
-    total = int(ends[-1]) if ends.size else 0
-    cuts = np.minimum(np.arange(0, total + _COUNT_BLOCK_ENTRIES, _COUNT_BLOCK_ENTRIES), total)
-    # each cut with the sharer that holds its entry; a block's sharers run from its first cut's to its last's
-    bounds = list(zip(cuts.tolist(), np.searchsorted(ends, cuts, side="right").tolist()))
-    for (lo, first), (hi, last) in zip(bounds, bounds[1:]):
-        rows = slice(first, last + 1)
-        taken = np.minimum(ends[rows], hi) - np.maximum(begins[rows], lo)
-        np.add.at(counts, indices[np.arange(lo, hi) + np.repeat(shift[rows], taken)], 1)
+    for friends in gather_segments(indptr, indices, sharers):
+        np.add.at(counts, friends, 1)
+        del friends  # let go before the next block is gathered
     return counts
 
 
@@ -169,11 +153,9 @@ class CascadeTrajectory:
         return np.cumsum(np.bincount(act[act >= 0], minlength=self.steps + 1))
 
 
-def _cascade_csr(g):
-    """The friend CSR a cascade spreads over; both steps and run_cascade refuse a DiGraph."""
+def _check_undirected(g) -> None:
     if isinstance(g, DiGraph):
         raise ValueError("cascades run on undirected graphs, not on a DiGraph")
-    return g.indptr, g.indices
 
 
 def _next_state(s: SharingState, hits: np.ndarray) -> SharingState:
@@ -214,14 +196,20 @@ def icm_step(g: Graph, s: SharingState, p_inf: float, rng: np.random.Generator, 
     variant where every current sharer attempts each step).
     """
     _check_model_value("icm", p_inf)
+    _check_undirected(g)
     return _next_state(s, _icm_hits(g, s.mask, s.sharers if retry else s.new_sharers, p_inf, rng))
 
 
 def _icm_hits(g: Graph, mask: np.ndarray, sources: np.ndarray, p_inf: float, rng: np.random.Generator) -> np.ndarray:
-    """The nodes an ICM step adds: the sources' friends outside ``mask``, one uniform per attempt in gather order."""
-    targets = gather_segments(*_cascade_csr(g), sources)[0]
-    targets = targets[~mask[targets]]  # one entry per (source, target) attempt
-    return sorted_unique(targets[rng.random(targets.shape[0]) < p_inf])
+    """The nodes an ICM step adds, ascending: one uniform per attempt on a source's friend outside ``mask``.
+
+    Drawn per gather_segments block, in gather order: consecutive draws, so the blocks change none."""
+    hits = [np.empty(0, dtype=np.int64)]
+    for targets in gather_segments(g.indptr, g.indices, sources):
+        targets = targets[~mask[targets]]
+        hits.append(targets[rng.random(targets.shape[0]) < p_inf])
+        del targets  # let go before the next block is gathered
+    return sorted_unique(np.concatenate(hits))
 
 
 def ltm_step(g: Graph, s: SharingState, theta: float, strict: bool = False) -> SharingState:
@@ -232,7 +220,7 @@ def ltm_step(g: Graph, s: SharingState, theta: float, strict: bool = False) -> S
     ``strict``). Degree-0 nodes never activate.
     """
     _check_model_value("ltm", theta)
-    _cascade_csr(g)  # refuses a DiGraph
+    _check_undirected(g)
     return _next_state(s, _ltm_hits(g, s.mask, _sharing_counts(g, s.sharers), theta, strict))
 
 
@@ -271,7 +259,7 @@ def run_cascade(
     for flag, value, reader in (("icm_retry", icm_retry, "icm"), ("ltm_strict", ltm_strict, "ltm")):
         if value and model != reader:
             raise ValueError(f"{flag} is read only by the {reader} model, not by {model!r}")
-    _cascade_csr(g)
+    _check_undirected(g)
     if seeds is None:
         if rng is None:
             raise ValueError("either explicit seeds or an rng for seed selection is required")

@@ -16,6 +16,7 @@ import numpy as np
 
 WALK_BURN_IN_FACTOR = 10  # default burn-in = 10 * |V|, a conservative mixing heuristic
 WALK_CHUNK_UNIFORMS = 1 << 16  # uniforms per draw of random_walk_friends: bounds its block's memory
+_GATHER_BLOCK_ENTRIES = 1 << 16  # entries per block of gather_segments: bounds its callers' temporaries
 
 
 def _as_edge_array(edges) -> np.ndarray:
@@ -330,24 +331,32 @@ def random_walk_friends(
     return np.ascontiguousarray(out.T) if starts.ndim else out[:, 0]
 
 
-# ---------------------------------------------------------------------------
-# Structure checks (the random-walk preconditions)
-# ---------------------------------------------------------------------------
+def gather_segments(indptr: np.ndarray, indices: np.ndarray, rows):
+    """Yield the concatenated CSR segments ``indices[indptr[r]:indptr[r + 1]]`` of ``rows``, in blocks.
 
-
-def gather_segments(indptr: np.ndarray, indices: np.ndarray, rows) -> tuple:
-    """Concatenated CSR segments ``indices[indptr[r]:indptr[r + 1]]`` of ``rows``.
-
-    Rows keep their order and repeats. Returns (values, bounds): row i's
-    segment is ``values[bounds[i]:bounds[i + 1]]``.
+    Rows keep their order and repeats. A block holds _GATHER_BLOCK_ENTRIES entries, the last one up to
+    that, and may cut a segment; no entries give no block. So no temporary grows with the entry count,
+    as long as the caller lets go of a block before it asks for the next.
     """
     rows = np.asarray(rows, dtype=np.int64)
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
-    bounds = np.zeros(rows.shape[0] + 1, dtype=np.int64)
-    np.cumsum(lengths, out=bounds[1:])
-    offsets = np.repeat(starts - bounds[:-1], lengths)
-    return indices[np.arange(int(bounds[-1])) + offsets], bounds
+    ends = np.cumsum(lengths)
+    begins = np.subtract(ends, lengths, out=lengths)  # row i's entries are positions begins[i]:ends[i]
+    shift = np.subtract(starts, begins, out=starts)  # and position p among them is indices[p + shift[i]]
+    total = int(ends[-1]) if ends.size else 0
+    cuts = np.minimum(np.arange(0, total + _GATHER_BLOCK_ENTRIES, _GATHER_BLOCK_ENTRIES), total)
+    # each cut with the row that holds its entry; a block's rows run from its first cut's to its last's
+    bounds = list(zip(cuts.tolist(), np.searchsorted(ends, cuts, side="right").tolist()))
+    for (lo, first), (hi, last) in zip(bounds, bounds[1:]):
+        held = slice(first, last + 1)
+        taken = np.minimum(ends[held], hi) - np.maximum(begins[held], lo)
+        yield indices[np.arange(lo, hi) + np.repeat(shift[held], taken)]
+
+
+# ---------------------------------------------------------------------------
+# Structure checks (the random-walk preconditions)
+# ---------------------------------------------------------------------------
 
 
 def _labels_and_sides(edges, num_nodes: int) -> tuple:

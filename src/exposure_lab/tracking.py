@@ -95,7 +95,7 @@ def _check_schedule(schedule: int) -> None:
 
 
 def _check_tracked_graph(g, kind: str) -> None:
-    cascade._cascade_csr(g)  # trackers follow cascades, which need an undirected graph
+    cascade._check_undirected(g)
     if kind == "fp" and g.num_edges < 1:
         raise ValueError("the fp tracker needs at least one edge")
 
@@ -151,10 +151,10 @@ def run_tracking_experiment(
     """Run one cascade with ``run_cascade``, then let both trackers chase its exposure.
 
     Other keywords (seeds, seed_count, p_inf, theta, ...) go to ``run_cascade``.
-    The trackers and the graph are checked first (an undirected graph, with
-    an edge for the fp tracker when steps >= 1), then the cascade draws
-    from ``rng``. Node v is exposed at step t when its ``exposure_times``
-    entry is <= t, so the run needs no per-step sharing state:
+    The trackers, the graph and ``rng`` are checked first (an undirected
+    graph; when steps >= 1, an edge for the fp tracker and an rng), then the
+    cascade draws from ``rng``. Node v is exposed at step t when its
+    ``exposure_times`` entry is <= t, so the run needs no per-step sharing state:
 
     - truth: the exposed fraction per step, from one ``bincount`` and
       ``cumsum`` of the exposure times;
@@ -176,6 +176,8 @@ def run_tracking_experiment(
     vanilla = make_tracker("vanilla", vanilla_policy, initial_estimate)
     fp = make_tracker("fp", fp_policy, initial_estimate)
     _check_tracked_graph(g, "fp" if steps >= 1 else "vanilla")
+    if steps >= 1 and rng is None:
+        raise ValueError("the trackers draw their samples from rng, which is None")
     traj = cascade.run_cascade(g, model, steps, rng=rng, **cascade_args)
     n = g.num_nodes
     times = exposure_times(g, traj.activation)

@@ -24,6 +24,7 @@ from exposure_lab import (
     tracking,
     true_exposure,
 )
+from exposure_lab import graph as graphmod
 
 from oracles import (
     complete,
@@ -112,7 +113,8 @@ class TestSharingCounts:
 
 
 class TestSharingCountBlocks:
-    """_sharing_counts adds the sharers' friend entries in blocks of at most _COUNT_BLOCK_ENTRIES."""
+    """_sharing_counts and the ICM step read friend entries in gather_segments' blocks of at most
+    _GATHER_BLOCK_ENTRIES."""
 
     @staticmethod
     def cases():
@@ -139,13 +141,21 @@ class TestSharingCountBlocks:
                 out.append(ltm_step(g, s, 0.3, strict).mask)
                 if mask.any():
                     out.append(run_cascade(g, "ltm", 6, seeds=s.sharers, theta=0.3, ltm_strict=strict).activation)
+            for retry in (False, True):
+                # one uniform per attempt in gather order, whatever the blocks: the same hits and next draw
+                rng = make_generator(42)
+                out.append(icm_step(g, s, 0.5, rng, retry).mask)
+                if mask.any():
+                    out.append(run_cascade(g, "icm", 6, seeds=s.sharers, p_inf=0.5, rng=rng, icm_retry=retry)
+                               .activation)
+                out.append(rng.random(2))
         return out
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     def test_blocks_equal_one_block(self, block, monkeypatch):
         single = [self.outputs(g, mask) for g, mask in self.cases()]
-        assert all(cascade._COUNT_BLOCK_ENTRIES > g.num_edges * 2 for g, _ in self.cases())
-        monkeypatch.setattr(cascade, "_COUNT_BLOCK_ENTRIES", block)
+        assert all(graphmod._GATHER_BLOCK_ENTRIES > g.num_edges * 2 for g, _ in self.cases())
+        monkeypatch.setattr(graphmod, "_GATHER_BLOCK_ENTRIES", block)
         seen = set()
         for (g, mask), want in zip(self.cases(), single):
             got = self.outputs(g, mask)
@@ -178,7 +188,28 @@ class TestSharingCountBlocks:
         assert entries[1] >= 4 * entries[0]
         # measured: 2.98 and 2.88 MiB; one bincount over every entry took 4.18 and 9.18 MiB
         assert peaks[1] <= 1.05 * peaks[0]
-        assert entries[0] > cascade._COUNT_BLOCK_ENTRIES  # both steps fill whole blocks
+        assert entries[0] > graphmod._GATHER_BLOCK_ENTRIES  # both steps fill whole blocks
+
+    def test_icm_retry_memory_stays_bounded(self):
+        # the graphs and seeds above: with retry every sharer attempts each step, so a step
+        # gathers 4x the friend entries on the second graph; at p_inf 0.001 few nodes join
+        peaks, entries = [], []
+        seeds = np.arange(0, 100_000, 5)
+        for k in (4, 16):
+            rng = make_generator(42)
+            g = build_undirected(rng.integers(0, 100_000, size=(k * 50_000, 2)), 100_000)
+            g.indptr  # the CSR is the graph's, built before the window
+            entries.append(int(g.degrees[seeds].sum()))
+            tracemalloc.start()
+            try:
+                run_cascade(g, "icm", 3, seeds=seeds, p_inf=0.001, icm_retry=True, rng=make_generator(43))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert entries[1] >= 4 * entries[0]
+        # measured: 3.23 and 3.15 MiB; one gather of every attempt took 3.95 and 9.64 MiB
+        assert peaks[1] <= 1.05 * peaks[0]
+        assert entries[0] > graphmod._GATHER_BLOCK_ENTRIES  # both steps fill whole blocks
 
 
 class TestEdgelessGraphs:

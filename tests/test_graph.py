@@ -8,6 +8,7 @@ from scipy import stats
 
 from exposure_lab import (
     Graph,
+    StepPolicy,
     average_degree,
     build_directed,
     build_undirected,
@@ -15,11 +16,14 @@ from exposure_lab import (
     is_bipartite,
     is_connected,
     make_generator,
+    make_tracker,
     random_walk_friends,
+    run_tracking_experiment,
     sample_directed_many,
     sample_friend_two_step,
     sample_random_friends,
     sample_uniform_nodes,
+    tracker_update,
 )
 from exposure_lab import graph as graphmod
 from exposure_lab.genmodel import (
@@ -241,6 +245,16 @@ class TestFriendCSROnFirstRead:
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert average_degree(g) == (int(g.indptr[-1]) / n if n else 0.0)
             assert average_degree(dg) == (int(dg.indptr[-1]) / n if n else 0.0)
+
+    def test_trackers_sort_no_friend_lists(self, builds):
+        # a tracker update reads the edge array, the degrees and the exposure vector, and the
+        # refusal of a DiGraph before it is a type check; so is the experiment's without steps
+        g = build_undirected(make_generator(718).integers(0, 50, size=(200, 2)), 50)
+        exposed = np.arange(50) % 2 == 0
+        for kind in ("vanilla", "fp"):
+            tracker_update(make_tracker(kind, StepPolicy()), g, exposed, make_generator(0), 5)
+        run_tracking_experiment(g, model="ltm", steps=0, seeds=[0])
+        assert builds == []
 
     def test_generate_path_sorts_no_friend_lists(self, builds):
         # the configuration model, then rewiring at the large-1e5 benchmark's
@@ -711,11 +725,11 @@ class TestGatherSegments:
     @staticmethod
     def brute(indptr, indices, rows):
         segs = [indices[indptr[r] : indptr[r + 1]] for r in rows]
-        bounds = np.concatenate(([0], np.cumsum([s.size for s in segs], dtype=np.int64)))
-        values = np.concatenate(segs) if segs else np.empty(0, dtype=indices.dtype)
-        return values, bounds
+        return np.concatenate(segs) if segs else np.empty(0, dtype=indices.dtype)
 
-    def test_matches_per_row_slices(self):
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    def test_matches_per_row_slices(self, block, monkeypatch):
+        monkeypatch.setattr(graphmod, "_GATHER_BLOCK_ENTRIES", block)
         rng = make_generator(303)
         for _ in range(30):
             g = random_graph(rng, max_nodes=15, require_edge=False)
@@ -723,16 +737,15 @@ class TestGatherSegments:
             for indptr, indices, n in ((g.indptr, g.indices, g.num_nodes),
                                        (dg.indptr, dg.indices, dg.num_nodes)):
                 rows = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))  # repeats, isolated rows
-                values, bounds = gather_segments(indptr, indices, rows)
-                want_values, want_bounds = self.brute(indptr, indices, rows)
-                assert np.array_equal(values, want_values) and values.dtype == np.int64
-                assert np.array_equal(bounds, want_bounds)
+                blocks = list(gather_segments(indptr, indices, rows))
+                want = self.brute(indptr, indices, rows)
+                assert all(b.dtype == np.int64 for b in blocks)
+                full, rest = divmod(want.size, block)
+                assert [b.size for b in blocks] == [block] * full + [rest] * (rest > 0)
+                assert np.array_equal(np.concatenate(blocks) if blocks else want[:0], want)
 
     def test_empty_rows_and_isolated_rows(self):
         g = build_undirected([(0, 1)], 3)
-        values, bounds = gather_segments(g.indptr, g.indices, [])
-        assert values.size == 0 and bounds.tolist() == [0]
-        values, bounds = gather_segments(g.indptr, g.indices, [2, 2])
-        assert values.size == 0 and bounds.tolist() == [0, 0, 0]
-        values, bounds = gather_segments(g.indptr, g.indices, [1, 2, 0, 1])
-        assert values.tolist() == [0, 1, 0] and bounds.tolist() == [0, 1, 1, 2, 3]
+        assert list(gather_segments(g.indptr, g.indices, [])) == []
+        assert list(gather_segments(g.indptr, g.indices, [2, 2])) == []
+        assert [b.tolist() for b in gather_segments(g.indptr, g.indices, [1, 2, 0, 1])] == [[0, 1, 0]]

@@ -82,7 +82,7 @@ class TestLoadGraph:
         assert g.num_nodes == 2
         assert g.num_edges == 1
         assert report.remapped
-        lines = [l for l in open(tmp_path / "g.map") if not l.startswith("#")]
+        lines = [l for l in (tmp_path / "g.map").read_text().splitlines() if not l.startswith("#")]
         assert [l.split() for l in lines] == [["5", "0"], ["900", "1"]]
 
     def test_sparse_ids_write_no_file_unless_asked(self, tmp_path):
@@ -610,7 +610,7 @@ class TestBulkEdgeListWrite:
                                b"0 0\n1000000000000000000 1\n9223372036854775807 2\n")):
             f.write_text(text)
             load_graph(str(f), mapping_path=str(tmp_path / "g.map"))
-            assert open(tmp_path / "g.map", "rb").read() == b"# original_id remapped_id\n" + mapping
+            assert (tmp_path / "g.map").read_bytes() == b"# original_id remapped_id\n" + mapping
 
     # 0, 1, 9, 10, 99, 100, ..., 10**18: each digit count's first and last id; then the largest id
     BOUNDARY_IDS = [i for k in range(19) for i in (10**k - 1, 10**k)] + [2**63 - 1]
@@ -1369,6 +1369,12 @@ class TestGridConfigFile:
         assert cfg.rkk_targets == (None, 0.2)
         assert cfg.rho_targets == (-0.2,)
         assert cfg.methods == ("vanilla", "fp")
+
+    def test_every_field_has_one_key(self):
+        # a GridConfig field in neither table could not be set from grid --config
+        lists, scalars = set(harness._GRID_LIST_KEYS), set(harness._GRID_SCALAR_KEYS)
+        assert lists | scalars == {f.name for f in dataclasses.fields(GridConfig)}
+        assert not lists & scalars
 
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "grid.cfg"

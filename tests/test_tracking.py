@@ -225,6 +225,17 @@ class TestRunTrackingExperiment:
             run_tracking_experiment(star(4), model="icm", steps=2, vanilla_policy=policy, fp_policy=policy,
                                     rng=make_generator(0), initial_estimate=start)
 
+    def test_no_rng_rejected_before_the_cascade(self, monkeypatch):
+        # explicit seeds leave an LTM cascade nothing to draw, but the trackers sample from rng
+        def no_cascade(*args, **kwargs):
+            raise AssertionError("the cascade ran before rng was checked")
+        monkeypatch.setattr(cascade, "run_cascade", no_cascade)
+        with pytest.raises(ValueError, match="rng"):
+            run_tracking_experiment(star(4), model="ltm", steps=3, seeds=[0], theta=0.3)
+
+    def test_no_rng_needed_without_steps(self):
+        assert run_tracking_experiment(star(4), model="ltm", steps=0, seeds=[0], theta=0.3) == []
+
     @pytest.mark.parametrize("model", ["icm", "ltm"])
     def test_directed_graph_rejected(self, model):
         g = build_directed([(0, 1), (1, 2)], 3)
