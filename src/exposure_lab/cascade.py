@@ -60,18 +60,23 @@ class SharingState:
         return f"SharingState(num_nodes={self.num_nodes}, num_sharers={self.num_sharers})"
 
 
-def _sharing_counts(g, sharers, counts: np.ndarray | None = None) -> np.ndarray:
-    """Each node's count of sharing friends, added into ``counts`` (new zeros by default).
+def _friend_arcs(g):
+    """Yield g's friendship arcs (src, dst), src a friend of dst, as edge-array columns: u -> v per edge,
+    and v -> u too when an edge makes each end the other's friend (``_FRIENDS_PER_EDGE`` 2, undirected)."""
+    src, dst = g.edge_array.T
+    yield src, dst
+    if g._FRIENDS_PER_EDGE == 2:
+        yield dst, src
 
-    One np.add.at per gather_segments block of the sharers' out-lists: a DiGraph's are its source-sorted edge rows.
+
+def _sharing_counts(g: Graph, sharers, counts: np.ndarray | None = None) -> np.ndarray:
+    """Each node's count of sharing neighbors, added into ``counts`` (new zeros by default): LTM's input.
+
+    One np.add.at per gather_segments block of the sharers' friend lists, so the cost follows their degrees.
     """
-    if isinstance(g, DiGraph):
-        indptr, indices = np.concatenate(([0], np.cumsum(g.out_degrees))), g.edge_array[:, 1]
-    else:
-        indptr, indices = g.indptr, g.indices
     if counts is None:
         counts = np.zeros(g.num_nodes, dtype=np.int64)
-    for friends in gather_segments(indptr, indices, sharers):
+    for friends in gather_segments(g.indptr, g.indices, sharers):
         np.add.at(counts, friends, 1)
         del friends  # let go before the next block is gathered
     return counts
@@ -83,8 +88,11 @@ def exposure_bits(g, s: SharingState, nodes) -> np.ndarray:
 
 
 def exposure_all(g, s: SharingState) -> np.ndarray:
-    """Exposure indicator for every node: counted from the sharers' side, so the cost follows their degrees."""
-    return _sharing_counts(g, s.sharers) > 0
+    """Exposure indicator for every node: each arc whose source shares marks its target (``_friend_arcs``)."""
+    exposed = np.zeros(g.num_nodes, dtype=bool)
+    for src, dst in _friend_arcs(g):
+        exposed[dst[s.mask[src]]] = True
+    return exposed
 
 
 def exposure_times(g, activation) -> np.ndarray:
@@ -92,26 +100,25 @@ def exposure_times(g, activation) -> np.ndarray:
 
     ``activation`` holds each node's step of first sharing, or -1 for never
     (``CascadeTrajectory.activation``): an integer array of shape
-    ``(num_nodes,)``, else ValueError. A node is exposed at step t exactly
-    when some friend's activation step lies in [0, t], so its exposure step
-    is the least such step among its friends; a node with no friend that
-    ever shares (degree-0 nodes included) gets ``np.iinfo(np.int32).max``.
-    So ``exposure_times(g, traj.activation) <= t`` is
-    ``exposure_all(g, traj.state(t))``. Each edge u -> v scatters u's step
-    onto v by ``np.minimum.at`` over the ``edge_array`` columns; an
-    undirected edge also scatters v's onto u.
+    ``(num_nodes,)`` with steps below ``never = np.iinfo(np.int32).max``, else
+    ValueError. A node is exposed at step t exactly when some friend's
+    activation step lies in [0, t], so its exposure step is the least such
+    step among its friends; a node with no friend that ever shares (degree-0
+    nodes included) gets ``never``. So ``exposure_times(g, traj.activation)
+    <= t`` is ``exposure_all(g, traj.state(t))``. Each arc of
+    ``_friend_arcs`` scatters its source's step onto its target by ``np.minimum.at``.
     """
     act = np.asarray(activation)
     if act.shape != (g.num_nodes,) or not np.issubdtype(act.dtype, np.integer):
         raise ValueError(f"activation must be an integer array of shape ({g.num_nodes},), "
                          f"not {act.dtype} of shape {act.shape}")
     never = np.iinfo(np.int32).max
+    if act.size and act.max() >= never:
+        raise ValueError(f"activation steps must lie below {never}, not {act.max()}")
     first = np.where(act >= 0, act, never).astype(np.int32, copy=False)
     times = np.full(g.num_nodes, never, dtype=np.int32)
-    src, dst = g.edge_array.T
-    np.minimum.at(times, dst, first[src])
-    if g._FRIENDS_PER_EDGE == 2:  # an undirected edge makes each end the other's friend
-        np.minimum.at(times, src, first[dst])
+    for src, dst in _friend_arcs(g):
+        np.minimum.at(times, dst, first[src])
     return times
 
 

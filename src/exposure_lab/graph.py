@@ -1,9 +1,10 @@
 """Immutable graph storage and the sampling primitives estimators consume.
 
 A graph is a flat edge array plus its degrees, so uniform edge sampling --
-the primitive behind friend sampling -- is O(1). Its friend lists, in
-compressed sparse row form (sorted neighbor lists), are built on their
-first read: uniform-node and random-friend estimates never sort them.
+the primitive behind friend sampling -- is O(1). An undirected graph's
+friend lists, in compressed sparse row form (sorted neighbor lists), are
+built on their first read: exposure, uniform-node and random-friend
+estimates never sort them, and a directed graph has none.
 Construction simplifies the input: self-loops are dropped and parallel
 edges collapsed, and degrees always reflect the simplified graph.
 Deduplication and CSR ordering each sort one array of int64 packed keys
@@ -100,22 +101,41 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
-class _FriendLists:
-    """What Graph and DiGraph share: the edge count and the friend CSR, built on its first read.
+class _EdgeGraph:
+    """What Graph and DiGraph share: ``num_nodes``, ``edge_array`` and the edge count.
 
-    A subclass sets ``num_nodes`` and ``edge_array`` and gives
-    ``_friend_keys()``: each friend-list entry as a packed key row*n + friend,
-    and each row's entry count. ``indptr``/``indices`` are sorted from
-    them on the first read of either, frozen, and kept in ``_csr``, the one
-    slot filled after construction. Threads racing on the first read each
-    build equal arrays; either may be kept.
-    """
+    A subclass's ``_FRIENDS_PER_EDGE`` says how many friend-list entries an edge makes."""
 
-    __slots__ = ("num_nodes", "edge_array", "_csr")
+    __slots__ = ("num_nodes", "edge_array")
 
     @property
     def num_edges(self) -> int:
         return self.edge_array.shape[0]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
+
+
+class Graph(_EdgeGraph):
+    """Immutable undirected simple graph.
+
+    ``edge_array`` holds each edge once as (u, v) with u <= v, in
+    lexicographic order; ``indptr``/``indices`` are the friend CSR (ascending
+    neighbor lists), which the two-step sampler, the walk and the cascade
+    steps read. It is sorted on the first read of either, frozen, and kept in
+    ``_csr``, the one slot filled after construction. Safe to share across
+    threads: no array changes once stored, and threads racing on the first
+    read each build equal arrays; either may be kept.
+    """
+
+    __slots__ = ("degrees", "_csr")
+    _FRIENDS_PER_EDGE = 2  # an edge enters the friend lists of both its ends
+
+    def __init__(self, num_nodes: int, edge_array):
+        self.num_nodes = n = int(num_nodes)
+        self.edge_array = edge_array
+        self.degrees = np.bincount(edge_array.reshape(-1), minlength=n)
+        _freeze(self.edge_array, self.degrees)
 
     @property
     def indptr(self) -> np.ndarray:
@@ -131,38 +151,12 @@ class _FriendLists:
         try:
             return self._csr
         except AttributeError:
-            csr = _csr_from_keys(*self._friend_keys(), self.num_nodes)
+            n = self.num_nodes
+            # row (u, v) packs to the keys u*n + v and v*n + u of its two orientations
+            csr = _csr_from_keys((self.edge_array @ [[n, 1], [1, n]]).reshape(-1), self.degrees, n)
             _freeze(*csr)
             self._csr = csr
             return csr
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
-
-
-class Graph(_FriendLists):
-    """Immutable undirected simple graph.
-
-    ``edge_array`` holds each edge once as (u, v) with u <= v, in
-    lexicographic order; ``indptr``/``indices`` are the CSR adjacency with
-    ascending neighbor lists, built on first read. Safe to share across
-    threads: no array changes once stored, and the one slot filled after
-    construction, the CSR's, is filled once (see _FriendLists).
-    """
-
-    __slots__ = ("degrees",)
-    _FRIENDS_PER_EDGE = 2  # an edge enters the friend lists of both its ends
-
-    def __init__(self, num_nodes: int, edge_array):
-        self.num_nodes = n = int(num_nodes)
-        self.edge_array = edge_array
-        self.degrees = np.bincount(edge_array.reshape(-1), minlength=n)
-        _freeze(self.edge_array, self.degrees)
-
-    def _friend_keys(self) -> tuple:
-        # row (u, v) packs to the keys u*n + v and v*n + u of its two orientations
-        n = self.num_nodes
-        return (self.edge_array @ [[n, 1], [1, n]]).reshape(-1), self.degrees
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor list of v (a read-only view)."""
@@ -172,14 +166,13 @@ class Graph(_FriendLists):
         return int(self.degrees[v])
 
 
-class DiGraph(_FriendLists):
+class DiGraph(_EdgeGraph):
     """Immutable directed simple graph.
 
     An edge u -> v means v follows u: u is a friend of v. ``edge_array``
-    holds distinct (u, v) pairs in lexicographic order; ``indptr``/``indices``
-    are, as on Graph, the CSR of each node's ascending friend list (the
-    sources of its incoming links), built on first read. Of the out side
-    only ``out_degrees`` is kept.
+    holds distinct (u, v) pairs in lexicographic order, counted by source in
+    ``out_degrees`` and by target in ``in_degrees``. It keeps no friend
+    lists: its samplers and exposure read the edge array.
     """
 
     __slots__ = ("out_degrees", "in_degrees")
@@ -191,10 +184,6 @@ class DiGraph(_FriendLists):
         self.out_degrees = np.bincount(edge_array[:, 0], minlength=n)
         self.in_degrees = np.bincount(edge_array[:, 1], minlength=n)
         _freeze(self.edge_array, self.out_degrees, self.in_degrees)
-
-    def _friend_keys(self) -> tuple:
-        # row (src, dst) packs to the key dst*n + src: rows are the friend lists
-        return self.edge_array @ [1, self.num_nodes], self.in_degrees
 
 
 def build_undirected(edges, num_nodes: int) -> Graph:

@@ -93,7 +93,7 @@ EDGELESS_IDS = ["undirected", "directed", "no-nodes", "directed-no-nodes"]
 
 
 class TestSharingCounts:
-    """The exact count of sharing friends that exposure (> 0) and the LTM thresholds read."""
+    """The exact count of sharing neighbors that the LTM thresholds read, and exposure as a count > 0."""
 
     def test_matches_oracle_on_random_graphs(self):
         rng = make_generator(24)
@@ -101,15 +101,19 @@ class TestSharingCounts:
         graphs += [random_digraph(rng, max_nodes=20) for _ in range(40)]
         for g in graphs:
             for mask in (random_sharing_mask(rng, g.num_nodes), np.ones(g.num_nodes, dtype=bool)):
-                counts = cascade._sharing_counts(g, np.flatnonzero(mask))
-                assert counts.tolist() == sharing_count_oracle(g, mask)
+                want = sharing_count_oracle(g, mask)
+                assert exposure_all(g, SharingState(mask)).tolist() == [c > 0 for c in want]
+                if not isinstance(g, DiGraph):  # the counts are LTM's, which runs on undirected graphs only
+                    assert cascade._sharing_counts(g, np.flatnonzero(mask)).tolist() == want
 
     @pytest.mark.parametrize("g", EDGELESS, ids=EDGELESS_IDS)
     @pytest.mark.parametrize("everyone_shares", [False, True])
     def test_edgeless_graphs_count_zero(self, g, everyone_shares):
         mask = np.full(g.num_nodes, everyone_shares)
-        counts = cascade._sharing_counts(g, np.flatnonzero(mask))
-        assert counts.tolist() == sharing_count_oracle(g, mask) == [0] * g.num_nodes
+        assert sharing_count_oracle(g, mask) == [0] * g.num_nodes
+        assert not exposure_all(g, SharingState(mask)).any()
+        if not isinstance(g, DiGraph):
+            assert cascade._sharing_counts(g, np.flatnonzero(mask)).tolist() == [0] * g.num_nodes
 
 
 class TestSharingCountBlocks:
@@ -135,8 +139,9 @@ class TestSharingCountBlocks:
     @staticmethod
     def outputs(g, mask):
         s = SharingState(mask)
-        out = [cascade._sharing_counts(g, s.sharers), exposure_all(g, s)]
+        out = [exposure_all(g, s)]
         if not isinstance(g, DiGraph):
+            out.append(cascade._sharing_counts(g, s.sharers))
             for strict in (False, True):
                 out.append(ltm_step(g, s, 0.3, strict).mask)
                 if mask.any():
@@ -161,7 +166,10 @@ class TestSharingCountBlocks:
             got = self.outputs(g, mask)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert got[0].tolist() == sharing_count_oracle(g, mask)
+            want_counts = sharing_count_oracle(g, mask)
+            assert got[0].tolist() == [c > 0 for c in want_counts]
+            if not isinstance(g, DiGraph):
+                assert got[1].tolist() == want_counts
             degrees = g.out_degrees if isinstance(g, DiGraph) else g.degrees
             seen.add("empty" if not mask.any() else "degree 0" if (degrees[mask] == 0).any() else "other")
             if (degrees[mask] > block).any():
@@ -339,6 +347,16 @@ class TestExposureTimes:
     def test_rejects_activation_not_one_integer_per_node(self, activation):
         with pytest.raises(ValueError, match=r"activation must be an integer array of shape \(3,\)"):
             exposure_times(path(3), activation)
+
+    @pytest.mark.parametrize("step", [2**31, NEVER, 2**40])
+    def test_rejects_step_without_an_int32_time_below_never(self, step):
+        # 2**31 would wrap to -2**31 in int32 and expose node 1 before step 0; NEVER would read as never
+        with pytest.raises(ValueError, match=f"activation steps must lie below {NEVER}"):
+            exposure_times(path(3), np.array([step, -1, -1], dtype=np.int64))
+
+    def test_largest_step_below_never_is_kept(self):
+        times = exposure_times(path(3), np.array([NEVER - 1, -1, -1], dtype=np.int64))
+        assert times.tolist() == [NEVER, NEVER - 1, NEVER]
 
     def test_tracking_passes_its_int32_activation(self, monkeypatch):
         # run_tracking_experiment hands over run_cascade's int32 activation steps, which pass the check

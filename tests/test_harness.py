@@ -209,7 +209,7 @@ def _load_outcome(path, directed):
         g, report = load_graph(path, directed=directed)
     except Exception as exc:  # noqa: BLE001 -- the outcome under comparison
         return ("raised", type(exc), str(exc))
-    names = ("edge_array", "indptr", "indices") + (("out_degrees",) if directed else ())
+    names = ("edge_array",) + (("in_degrees", "out_degrees") if directed else ("indptr", "indices"))
     arrays = tuple(getattr(g, a).tolist() for a in names)
     fields = (report.num_nodes, report.num_edges, report.num_edge_lines, report.num_ignored_lines,
               report.remapped, None if report.id_map is None else report.id_map.tolist())
@@ -225,9 +225,9 @@ def _reference_load_outcome(path, directed):
     ids = np.unique(pairs)
     remapped = bool(ids.size) and ids[-1] != ids.size - 1
     n = ids.size if remapped else int(ids[-1]) + 1 if ids.size else 0
-    if directed:  # compared as the friend (in-neighbor) CSR and the out-degrees
-        edge_array, out_indptr, _, in_indptr, in_indices = reference_build_directed(np.searchsorted(ids, pairs), n)
-        arrays = (edge_array, in_indptr, in_indices, np.diff(out_indptr))
+    if directed:  # compared as the in- and out-degrees
+        edge_array, out_indptr, _, in_indptr, _ = reference_build_directed(np.searchsorted(ids, pairs), n)
+        arrays = (edge_array, np.diff(in_indptr), np.diff(out_indptr))
     else:
         arrays = reference_build_undirected(np.searchsorted(ids, pairs), n)
     fields = (n, arrays[0].shape[0], pairs.shape[0], ignored, remapped, ids.tolist() if remapped else None)
@@ -1581,29 +1581,31 @@ class TestCli:
         assert code == 3
 
 
+@pytest.fixture
+def pair(tmp_path):
+    """The CLI flags of a 400-node graph file and a sharer file, ~5% of its nodes sharing."""
+    rng = make_generator(41)
+    g, _ = compact_nonisolated(configuration_model(powerlaw_degree_sequence(400, 2.5, 1, rng, k_max=30), rng))
+    graph, sharers = tmp_path / "g.txt", tmp_path / "s.txt"
+    write_edge_list(str(graph), g)
+    write_sharers(str(sharers), SharingState(rng.random(g.num_nodes) < 0.05))
+    return ["--graph", str(graph), "--sharers", str(sharers)]
+
+
 class TestOneExposurePass:
     """Each command computes the exposure vector of a (graph, sharers) pair once, and every exact number it
-    prints or writes reads that vector: one ``cascade._sharing_counts`` call per pair."""
-
-    @pytest.fixture
-    def pair(self, tmp_path):
-        rng = make_generator(41)
-        g, _ = compact_nonisolated(configuration_model(powerlaw_degree_sequence(400, 2.5, 1, rng, k_max=30), rng))
-        graph, sharers = tmp_path / "g.txt", tmp_path / "s.txt"
-        write_edge_list(str(graph), g)
-        write_sharers(str(sharers), SharingState(rng.random(g.num_nodes) < 0.05))
-        return ["--graph", str(graph), "--sharers", str(sharers)]
+    prints or writes reads that vector: one scatter over ``cascade._friend_arcs`` per pair."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
         calls = []
-        counts = cascade._sharing_counts
+        arcs = cascade._friend_arcs
 
-        def counted(g, sharers):
+        def counted(g):
             calls.append(g.num_nodes)
-            return counts(g, sharers)
+            return arcs(g)
 
-        monkeypatch.setattr(cascade, "_sharing_counts", counted)
+        monkeypatch.setattr(cascade, "_friend_arcs", counted)
         return calls
 
     def test_analyze(self, pair, passes, capsys):
@@ -1623,6 +1625,50 @@ class TestOneExposurePass:
                        "methods = vanilla, fp, fp-two-step\nreps = 5\nseed = 3\n")
         assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 3
         assert passes == [300] * 3
+
+    def test_track_icm(self, tmp_path, pair, passes, capsys):
+        # every step's exposure comes from the cascade's exposure times; the ICM steps scatter over no arc
+        out = tmp_path / "out.csv"
+        assert main(["track", *pair[:2], "--model", "icm", "--steps", "8", "--seed", "2", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 10
+        assert len(passes) == 1
+
+
+class TestFriendCSRBuildsPerRun:
+    """Exposure sorts no friend lists: only the two-step sampler, the walk and the cascade steps read the
+    friend CSR, which a Graph sorts once, on its first read."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        csr_from_keys = graph_module._csr_from_keys
+
+        def counted(keys, counts, n):
+            calls.append(n)
+            return csr_from_keys(keys, counts, n)
+
+        monkeypatch.setattr(graph_module, "_csr_from_keys", counted)
+        return calls
+
+    @pytest.mark.parametrize("flags,sorts", [
+        (["--method", "vanilla,fp"], 0),
+        (["--directed", "--method", "d-node,d-friend,d-follower"], 0),
+        (["--method", "vanilla,fp,fp-two-step"], 1),
+        (["--method", "fp-walk", "--walk-burn-in", "20"], 1),
+    ], ids=["vanilla-fp", "directed", "fp-two-step", "fp-walk"])
+    def test_estimate(self, tmp_path, pair, builds, capsys, flags, sorts):
+        assert main(["estimate", *pair, *flags, "--reps", "5", "--out", str(tmp_path / "out.csv")]) in (0, 3)
+        assert len(builds) == sorts
+
+    def test_analyze(self, pair, builds, capsys):
+        assert main(["analyze", *pair]) == 0
+        assert builds == []
+
+    @pytest.mark.parametrize("model", ["icm", "ltm"])
+    def test_track(self, tmp_path, pair, builds, capsys, model):
+        assert main(["track", *pair[:2], "--model", model, "--steps", "8", "--seed", "2",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(builds) == 1
 
 
 def _estimate_cli(tmp_path, edges, sharers, flags):
