@@ -24,7 +24,8 @@ class SharingState:
     ``mask`` is one bit per node; ``sharers`` caches the sorted sharer ids
     for intersection queries. ``new_sharers`` records who became a sharer
     at the most recent step (for a seed state: everyone) -- the
-    single-attempt cascade model spreads only from these.
+    single-attempt cascade model spreads only from these, so they must
+    lie in ``mask`` (else ValueError).
     """
 
     __slots__ = ("mask", "sharers", "new_sharers")
@@ -36,7 +37,9 @@ class SharingState:
         if new_sharers is None:
             self.new_sharers = self.sharers
         else:
-            self.new_sharers = sorted_unique(np.asarray(new_sharers, dtype=np.int64))
+            self.new_sharers = new = sorted_unique(np.asarray(new_sharers, dtype=np.int64))
+            if new.size and not (new[0] >= 0 and new[-1] < mask.shape[0] and mask[new].all()):
+                raise ValueError("new sharers must be sharers of the mask")
         _freeze(self.mask, self.sharers, self.new_sharers)
 
     @classmethod
@@ -100,8 +103,8 @@ def exposure_times(g, activation) -> np.ndarray:
 
     ``activation`` holds each node's step of first sharing, or -1 for never
     (``CascadeTrajectory.activation``): an integer array of shape
-    ``(num_nodes,)`` with steps below ``never = np.iinfo(np.int32).max``, else
-    ValueError. A node is exposed at step t exactly when some friend's
+    ``(num_nodes,)`` with steps from -1 to below ``never = np.iinfo(np.int32).max``,
+    else ValueError. A node is exposed at step t exactly when some friend's
     activation step lies in [0, t], so its exposure step is the least such
     step among its friends; a node with no friend that ever shares (degree-0
     nodes included) gets ``never``. So ``exposure_times(g, traj.activation)
@@ -113,8 +116,9 @@ def exposure_times(g, activation) -> np.ndarray:
         raise ValueError(f"activation must be an integer array of shape ({g.num_nodes},), "
                          f"not {act.dtype} of shape {act.shape}")
     never = np.iinfo(np.int32).max
-    if act.size and act.max() >= never:
-        raise ValueError(f"activation steps must lie below {never}, not {act.max()}")
+    if act.size and not -1 <= act.min() <= act.max() < never:
+        raise ValueError(f"activation steps must lie below {never} and be -1 (never) or >= 0, "
+                         f"not in [{act.min()}, {act.max()}]")
     first = np.where(act >= 0, act, never).astype(np.int32, copy=False)
     times = np.full(g.num_nodes, never, dtype=np.int32)
     for src, dst in _friend_arcs(g):
@@ -144,7 +148,9 @@ class CascadeTrajectory:
     fixed_point_step: int | None = None
 
     def state(self, t: int) -> SharingState:
-        """Sharing state after t steps; its new sharers began sharing at step t."""
+        """Sharing state after t >= 0 steps (else ValueError); its new sharers began sharing at step t."""
+        if t < 0:
+            raise ValueError(f"a cascade has no state before step 0, not at step {t}")
         act = self.activation
         return SharingState((act >= 0) & (act <= t), np.flatnonzero(act == t))
 
@@ -194,6 +200,11 @@ def _check_cascade_inputs(model: str, steps: int, p_inf: float, theta: float, se
         raise ValueError("seed_count must lie in [1, num_nodes]")
 
 
+def _check_icm_rng(rng) -> None:
+    if rng is None:
+        raise ValueError("ICM steps draw their infection attempts from rng, which is None")
+
+
 def icm_step(g: Graph, s: SharingState, p_inf: float, rng: np.random.Generator, retry: bool = False) -> SharingState:
     """One independent-cascade step.
 
@@ -204,6 +215,7 @@ def icm_step(g: Graph, s: SharingState, p_inf: float, rng: np.random.Generator, 
     """
     _check_model_value("icm", p_inf)
     _check_undirected(g)
+    _check_icm_rng(rng)
     return _next_state(s, _icm_hits(g, s.mask, s.sharers if retry else s.new_sharers, p_inf, rng))
 
 
@@ -260,7 +272,8 @@ def run_cascade(
     friends of each step's new sharers, the seeds first. A step draws and
     fires as ``icm_step`` and ``ltm_step`` do, on one mask. Every input, the
     graph's kind included, is checked before the seeds are drawn, also when
-    ``steps`` is 0; ``icm_retry`` with LTM, or ``ltm_strict`` with ICM, raises.
+    ``steps`` is 0; ``icm_retry`` with LTM, ``ltm_strict`` with ICM, or ICM
+    steps without ``rng``, raises.
     """
     _check_cascade_inputs(model, steps, p_inf, theta, seed_count if seeds is None else None, g.num_nodes)
     for flag, value, reader in (("icm_retry", icm_retry, "icm"), ("ltm_strict", ltm_strict, "ltm")):
@@ -271,6 +284,8 @@ def run_cascade(
         if rng is None:
             raise ValueError("either explicit seeds or an rng for seed selection is required")
         seeds = rng.choice(g.num_nodes, size=seed_count, replace=False)
+    if model == "icm" and steps >= 1:
+        _check_icm_rng(rng)
     start = SharingState.from_sharers(seeds, g.num_nodes)
     mask, new = start.mask.copy(), start.sharers  # the sharers so far, and those of the last step
     activation = np.full(g.num_nodes, -1, dtype=np.int32)

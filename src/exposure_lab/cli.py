@@ -274,20 +274,14 @@ def _cmd_analyze(args) -> int:
     g, report = _load_graph(args.graph)
     s = harness.read_sharers(args.sharers, g.num_nodes, id_map=report.id_map)
     verdict = condition_empirical(g, s)
-    print(f"nodes: {g.num_nodes}")
-    print(f"edges: {g.num_edges}")
-    print(f"average_degree: {harness.format_value(average_degree(g))}")
-    print(f"sharers: {s.num_sharers}")
-    print(f"true_exposure: {harness.format_value(verdict.f_bar)}")
-    rho = degree_sharing_correlation(g, s)
-    print(f"degree_sharing_corr: {harness.format_value(rho) or 'undefined'}")
-    rkk = assortativity_coefficient(g)
-    print(f"assortativity: {harness.format_value(rkk) or 'undefined'}")
-    print(f"var_vanilla_single_sample: {harness.format_value(exact_variance_vanilla(verdict.f_bar, 1))}")
-    print(f"var_fp_single_sample: {harness.format_value(verdict.fp_moment - verdict.f_bar * verdict.f_bar)}")
-    print(f"condition_lhs: {harness.format_value(verdict.lhs_value)}")
-    print(f"fp_preferred: {verdict.fp_preferred}")
-    print(f"tie: {verdict.tie}")
+    table = {"nodes": g.num_nodes, "edges": g.num_edges, "average_degree": average_degree(g),
+             "sharers": s.num_sharers, "true_exposure": verdict.f_bar,
+             "degree_sharing_corr": degree_sharing_correlation(g, s), "assortativity": assortativity_coefficient(g),
+             "var_vanilla_single_sample": exact_variance_vanilla(verdict.f_bar, 1),
+             "var_fp_single_sample": verdict.fp_moment - verdict.f_bar * verdict.f_bar,
+             "condition_lhs": verdict.lhs_value, "fp_preferred": verdict.fp_preferred, "tie": verdict.tie}
+    for name, value in table.items():
+        print(f"{name}: {harness.format_value(value) or 'undefined'}")
     return EXIT_OK
 
 

@@ -55,14 +55,6 @@ def vanilla_estimate(exposures) -> EstimatorReport:
     return EstimatorReport(_row_means(bits), bits.shape[-1], math.nan)
 
 
-def _reject_degree_zero(samples: np.ndarray, degrees: np.ndarray, what: str) -> None:
-    """A degree-corrected sample of degree 0 would make the estimate inf or NaN."""
-    zero = np.flatnonzero(degrees == 0)
-    if zero.size:
-        raise ValueError(f"sample node {int(samples.flat[zero[0]])} has {what} 0; "
-                         f"degree-corrected samples need {what} >= 1")
-
-
 # sampling mode -> (the degrees that correct its samples, their name in errors)
 _CORRECTIONS = {"fp": ("degrees", "degree"), "friend": ("out_degrees", "out-degree"),
                 "follower": ("in_degrees", "in-degree")}
@@ -81,10 +73,12 @@ def estimate_from_bits(g, mode: str, samples: np.ndarray, bits: np.ndarray, d_ba
     if mode == "node":
         return _row_means(np.asarray(bits, dtype=float))
     attr, what = _CORRECTIONS[mode]
-    d_bar = _d_bar_or_default(g, mode, d_bar)
     degrees = getattr(g, attr)[samples]
-    _reject_degree_zero(samples, degrees, what)
-    return float(d_bar) * _row_means(bits / degrees)
+    zero = np.flatnonzero(degrees == 0)  # a degree-0 sample would make the estimate inf or NaN
+    if zero.size:
+        raise ValueError(f"sample node {int(samples.flat[zero[0]])} has {what} 0; "
+                         f"degree-corrected samples need {what} >= 1")
+    return float(average_degree(g) if d_bar is None else d_bar) * _row_means(bits / degrees)
 
 
 def fp_estimate(g: Graph, friends, s: SharingState, d_bar: float | None = None) -> EstimatorReport:
@@ -121,13 +115,6 @@ def _check_d_bar(d_bar: float | None) -> None:
         raise ValueError(f"d_bar must be finite and > 0, got {d_bar}")
 
 
-def _d_bar_or_default(g, mode: str, d_bar: float | None) -> float:
-    """d_bar when given, else the default for samples of ``mode``: average_degree(g), or NaN for uniform nodes."""
-    if d_bar is not None:
-        return d_bar
-    return math.nan if mode == "node" else average_degree(g)
-
-
 def _sampled_report(g, mode: str, samples, s: SharingState, d_bar: float | None) -> EstimatorReport:
     """The one body of fp_estimate and directed_estimates: a report from samples of ``mode``."""
     samples = np.asarray(samples, dtype=np.int64)
@@ -136,7 +123,8 @@ def _sampled_report(g, mode: str, samples, s: SharingState, d_bar: float | None)
     if mode != "node" and g.num_edges < 1:
         raise ValueError(f"{'friend' if mode == 'fp' else mode} sampling requires at least one edge")
     _check_d_bar(d_bar)
-    d_bar = _d_bar_or_default(g, mode, d_bar)
+    if d_bar is None:
+        d_bar = math.nan if mode == "node" else average_degree(g)
     bits = exposure_all(g, s)[samples]
     return EstimatorReport(estimate_from_bits(g, mode, samples, bits, d_bar), samples.shape[-1], float(d_bar))
 

@@ -46,6 +46,18 @@ def sharing(g, sharers):
     return SharingState.from_sharers(sharers, g.num_nodes)
 
 
+class TestSharingState:
+    @pytest.mark.parametrize("new", [[3], [0, 3], [-1], [4]], ids=["outside", "one outside", "negative", "past n"])
+    def test_new_sharers_outside_the_mask_are_refused(self, new):
+        # a new sharer spreads an ICM step, so one that never shared would let a non-sharer infect
+        with pytest.raises(ValueError, match="new sharers must be sharers of the mask"):
+            SharingState([True, False, False, False], new)
+
+    def test_new_sharers_within_the_mask_are_kept(self):
+        assert SharingState([True, False, True, False], [2]).new_sharers.tolist() == [2]
+        assert SharingState([True, False, False, False], []).new_sharers.tolist() == []
+
+
 class TestExposure:
     def test_star_center_shares(self):
         g = star(4)
@@ -354,6 +366,12 @@ class TestExposureTimes:
         with pytest.raises(ValueError, match=f"activation steps must lie below {NEVER}"):
             exposure_times(path(3), np.array([step, -1, -1], dtype=np.int64))
 
+    @pytest.mark.parametrize("step", [-2, -7, -(2**31)])
+    def test_rejects_step_below_the_never_marker(self, step):
+        # only -1 means never; a step below it had read as never too, hiding a corrupt activation
+        with pytest.raises(ValueError, match=r"be -1 \(never\) or >= 0"):
+            exposure_times(path(3), np.array([step, -1, -1]))
+
     def test_largest_step_below_never_is_kept(self):
         times = exposure_times(path(3), np.array([NEVER - 1, -1, -1], dtype=np.int64))
         assert times.tolist() == [NEVER, NEVER - 1, NEVER]
@@ -411,6 +429,12 @@ class TestIcm:
         g = path(2)
         with pytest.raises(ValueError):
             icm_step(g, sharing(g, [0]), 1.5, make_generator(0))
+
+    def test_step_without_rng_is_refused(self):
+        # the attempts draw from rng; None had failed with AttributeError inside the draw
+        g = path(3)
+        with pytest.raises(ValueError, match="rng"):
+            icm_step(g, sharing(g, [0]), 0.5, None)
 
     def test_retry_variant_keeps_attempting(self):
         g = path(2)
@@ -522,6 +546,23 @@ class TestRunCascade:
         if "seed_count" not in kwargs:
             with pytest.raises(ValueError, match=message):
                 run_cascade(g, model, steps, seeds=[0], **kwargs)
+
+    def test_icm_steps_without_rng_are_refused(self):
+        # explicit seeds draw nothing, but every ICM step does: refused before step 1, not in it
+        g = path(4)
+        for retry in (False, True):
+            with pytest.raises(ValueError, match="rng"):
+                run_cascade(g, "icm", 2, seeds=[0], icm_retry=retry)
+
+    def test_icm_without_steps_needs_no_rng(self):
+        assert run_cascade(path(4), "icm", 0, seeds=[0]).activation.tolist() == [0, -1, -1, -1]
+
+    def test_state_before_step_zero_is_refused(self):
+        # state(-1) had held no sharers yet named node 3, never a sharer, as new
+        traj = run_cascade(path(4), "icm", 2, seeds=[0], p_inf=1.0, rng=make_generator(0))
+        assert traj.state(0).new_sharers.tolist() == [0]
+        with pytest.raises(ValueError, match="step 0"):
+            traj.state(-1)
 
     def test_seed_out_of_range(self):
         g = star(4)

@@ -1540,6 +1540,21 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
 
+    def test_analyze_output_on_the_four_cycle(self, tmp_path, capsys):
+        # one sharer on the 4-cycle exposes its two neighbors, each of degree 2 = d_bar, so the
+        # two estimators tie; every degree is 2, so both correlations divide by zero variance
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n2 3\n3 0\n")
+        sharers = tmp_path / "s.txt"
+        sharers.write_text("1\n")
+        assert main(["analyze", "--graph", str(graph), "--sharers", str(sharers)]) == 0
+        out, err = capsys.readouterr()
+        assert out == ("nodes: 4\nedges: 4\naverage_degree: 2\nsharers: 1\ntrue_exposure: 0.5\n"
+                       "degree_sharing_corr: undefined\nassortativity: undefined\n"
+                       "var_vanilla_single_sample: 0.25\nvar_fp_single_sample: 0.25\n"
+                       "condition_lhs: 0\nfp_preferred: True\ntie: True\n")
+        assert err == ""
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         assert main(["estimate", "--graph", str(tmp_path / "missing.txt"),
                      "--sharers", str(tmp_path / "also_missing.txt"),
